@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -182,7 +181,9 @@ class ExplicitAugmentation:
         object.__setattr__(self, "matrix", m)
 
 
-AugmentationModel = Union[ParametricAugmentation, ExplicitAugmentation]
+# A types.UnionType: unlike typing.Union[...], it is not memoised in a
+# process-wide cache that would keep this module alive after a re-import.
+AugmentationModel = ParametricAugmentation | ExplicitAugmentation
 
 
 def transformation_matrix(model: AugmentationModel, population: Population) -> np.ndarray:
@@ -411,7 +412,7 @@ def sample_wild_mixture(spec: PopulationSpec, seed: int) -> Population:
     )
 
 
-def load_population_config(source: Union[str, Path, dict]) -> tuple[PopulationSpec, AugmentationModel]:
+def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, AugmentationModel]:
     """Parse the JSON population config.
 
     Expected shape::

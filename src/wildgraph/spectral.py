@@ -1,21 +1,17 @@
 """Spectral embeddings: dense eigendecomposition and low-rank factorization.
 
-The eigensolver is a cyclic Jacobi sweep with a fixed traversal order, so
-repeated runs on the same matrix are bitwise identical.  Eigenvalues are
-returned in descending order with a deterministic sign convention (each
-eigenvector's largest-magnitude entry is positive, ties resolved at the
-lowest index); exactly equal eigenvalues are ordered by comparing the
-sign-fixed vectors lexicographically.
+The eigensolver is LAPACK's symmetric ``eigh``.  Eigenvalues are returned in
+descending order with a deterministic sign convention (each eigenvector's
+largest-magnitude entry is positive, ties resolved at the lowest index);
+exactly equal eigenvalues are ordered by comparing the sign-fixed vectors
+lexicographically.  The same input on the same machine gives identical
+bytes; across BLAS/LAPACK builds the low-order digits may differ.
 
 The factorizer minimizes the squared Frobenius residual between the
 normalized adjacency and F F^t by plain gradient descent with a halving
 line search.  Its optimum is the sum of squared trailing eigenvalues, which
 the embedding side computes independently; the two routes cross-check each
 other through :func:`reconstruction_gap`.
-
-Intended for desk-scale matrices (hundreds of vertices).  The Jacobi sweep
-is O(n^3) per pass and is chosen for determinism and portability, not
-throughput.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ __all__ = [
     "write_trace_csv",
 ]
 
-OFFDIAG_TOLERANCE = 1e-12
 ASYMMETRY_TOLERANCE = 1e-10
 
 
@@ -88,65 +83,13 @@ class SpectralEmbedding:
         return float(np.sum(self.eigenvalues[self.k :] ** 2))
 
 
-def _jacobi(matrix: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    w = matrix.copy()
-    n = w.shape[0]
-    v = np.eye(n)
-    scale = float(np.linalg.norm(w))
-    if scale == 0.0:
-        return np.zeros(n), v
-    threshold = OFFDIAG_TOLERANCE * scale
-    huge = 1.0 / np.finfo(float).eps
-
-    def offdiag_norm() -> float:
-        off = w.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    for sweep in range(max_sweeps + 1):
-        if offdiag_norm() <= threshold:
-            break
-        if sweep == max_sweeps:
-            raise SpectralError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (w[q, q] - w[p, p]) / apq
-                if abs(theta) > huge:
-                    t = 0.5 / theta
-                elif theta >= 0.0:
-                    t = 1.0 / (theta + np.hypot(1.0, theta))
-                else:
-                    t = -1.0 / (-theta + np.hypot(1.0, theta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                col_p, col_q = w[:, p].copy(), w[:, q].copy()
-                w[:, p] = c * col_p - s * col_q
-                w[:, q] = s * col_p + c * col_q
-                row_p, row_q = w[p, :].copy(), w[q, :].copy()
-                w[p, :] = c * row_p - s * row_q
-                w[q, :] = s * row_p + c * row_q
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    return np.diag(w).copy(), v
-
-
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(vec)))
-    return -vec if vec[pivot] < 0 else vec
-
-
 def eigendecompose(A_tilde: np.ndarray, k: int) -> SpectralEmbedding:
     """Full symmetric eigendecomposition, keeping the top-k pairs.
 
-    Rejects matrices whose asymmetry exceeds ``ASYMMETRY_TOLERANCE`` and
-    then works on the symmetrized copy.  Output ordering and signs follow
-    the deterministic convention in the module docstring.
+    Rejects non-finite matrices and matrices whose asymmetry exceeds
+    ``ASYMMETRY_TOLERANCE``, then solves the symmetrized copy with LAPACK
+    ``eigh``.  Output ordering and signs follow the deterministic convention
+    in the module docstring.
     """
     m = np.asarray(A_tilde, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -154,16 +97,25 @@ def eigendecompose(A_tilde: np.ndarray, k: int) -> SpectralEmbedding:
     n = m.shape[0]
     if not 1 <= k <= n:
         raise SpectralError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    if not np.all(np.isfinite(m)):
+        raise SpectralError("input matrix has non-finite entries")
     if np.max(np.abs(m - m.T), initial=0.0) > ASYMMETRY_TOLERANCE:
         raise AsymmetricMatrixError("input matrix is not symmetric")
-    lam, v = _jacobi(0.5 * (m + m.T))
-    cols = [_fix_sign(v[:, i]) for i in range(n)]
-    order = sorted(range(n), key=lambda i: (-lam[i], tuple(cols[i])))
-    eigenvalues = np.array([lam[i] for i in order])
-    vectors = np.column_stack([cols[i] for i in order])
+    try:
+        lam, v = np.linalg.eigh(0.5 * (m + m.T))
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"eigh failed: {exc}") from exc
+    pivot = np.argmax(np.abs(v), axis=0)
+    v[:, v[pivot, np.arange(n)] < 0] *= -1.0
+    order = np.argsort(-lam, kind="stable")
+    if np.any(np.diff(lam[order]) == 0.0):
+        # exactly equal eigenvalues are ordered by their sign-fixed vectors,
+        # compared entry by entry (lexsort's last key is the primary one)
+        order = np.lexsort(np.vstack([v[::-1], -lam]))
+    eigenvalues = lam[order]
     return SpectralEmbedding(
         eigenvalues=eigenvalues,
-        V_k=vectors[:, :k].copy(),
+        V_k=v[:, order[:k]],
         Sigma_k=np.clip(eigenvalues[:k], 0.0, None),
         k=k,
     )

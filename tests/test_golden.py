@@ -1,0 +1,186 @@
+"""Golden corpus: CLI results recorded with the cyclic Jacobi eigensolver.
+
+The corpus pins what the commands report, as numbers, so that a change of
+eigensolver (or of any engine below the CLI) shows up as a changed result
+rather than only as changed bytes.  It was written once from the Jacobi
+implementation with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and must not be rewritten to make a later change pass; a deliberate change
+of these numbers needs its own CHANGES.md entry.
+
+Comparison: metrics within GOLDEN_RTOL relative, spectra elementwise within
+SPECTRUM_ATOL times the largest eigenvalue, counts, flags and exit codes
+exactly.  A toy point's projector deviation is compared within GOLDEN_RTOL
+absolute: a projector has unit scale, and where the closed form is exact
+(unsupervised layout) the deviation itself is rounding noise.  Every case keeps k at an eigengap (no tied eigenspace is cut), so
+the results are defined by whole eigenspaces and not by the solver's basis.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wildgraph import GraphWeights, build_graph, eigendecompose
+from wildgraph.cli import _population_from_config, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "jacobi.json"
+GOLDEN_RTOL = 1e-10
+SPECTRUM_ATOL = 1e-12
+
+README_CONFIG = {
+    "classes": [0, 1],
+    "domains": [0, 1],
+    "cells": [
+        {"class": 0, "domain": 0, "membership": "labeled_id", "count": 8},
+        {"class": 1, "domain": 0, "membership": "labeled_id", "count": 8},
+        {"class": 0, "domain": 1, "membership": "wild_covariate", "count": 6},
+        {"class": 1, "domain": 1, "membership": "wild_covariate", "count": 6},
+        {"class": 2, "domain": 1, "membership": "wild_semantic", "count": 6},
+    ],
+    "augmentation": {"rho": 1.0, "alpha": 0.1, "beta": 1e-4, "gamma": 1e-4},
+    "pi_c": 0.0,
+    "pi_s": 0.0,
+}
+
+# (variant, alpha', beta'): each side of the case-a boundary b' = 9/8 a' and
+# of the unsupervised boundary a' = b', at small and at larger ratios.  The
+# last case-a point lies outside the excluded band but past the exact flip,
+# so the closed and numeric probing counts disagree and the command exits 1.
+TOY_POINTS = [
+    (variant, ap, bp)
+    for variant in ("a", "b", "unsup")
+    for ap, bp in ((0.03, 0.01), (0.01, 0.03), (0.12, 0.08), (0.08, 0.12))
+] + [("a", 0.2, 0.2175)]
+
+# (seed, vertices, k) of the explicit-matrix factorize cases.
+FACTORIZE_CASES = [(1, 24, 4), (2, 30, 5)]
+FACTORIZE_CELLS = (
+    (0, 0, "wild_id"), (1, 0, "wild_id"),
+    (0, 1, "wild_covariate"), (1, 1, "wild_covariate"),
+    (2, 1, "wild_semantic"),
+)
+
+
+def _run(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _spectrum(config_path: Path) -> list[float]:
+    population, explicit = _population_from_config(str(config_path), 0)
+    bundle = build_graph(explicit, population, GraphWeights(5.0, 1.0))
+    return eigendecompose(bundle.A_tilde, 1).eigenvalues.tolist()
+
+
+def _explicit_config(seed: int, n: int) -> dict:
+    """Positive symmetric transformation matrix with seeded entries, no twins."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(n, n))
+    t = 0.5 * (x + x.T) + np.diag(rng.uniform(0.5, 1.5, size=n))
+    counts = rng.multinomial(n - len(FACTORIZE_CELLS), np.full(len(FACTORIZE_CELLS), 0.2)) + 1
+    cells = [
+        {"class": c, "domain": d, "membership": m, "count": int(count)}
+        for (c, d, m), count in zip(FACTORIZE_CELLS, counts)
+    ]
+    return {"classes": [0, 1], "domains": [0, 1], "cells": cells, "augmentation_matrix": t.tolist()}
+
+
+def compute_corpus(work: Path) -> dict:
+    """Run every corpus command in ``work`` and collect its reported numbers."""
+    cases = {}
+
+    config = work / "readme.json"
+    config.write_text(json.dumps(README_CONFIG), encoding="utf-8")
+    out = work / "detect.json"
+    rc = _run(["detect", "--config", str(config), "--k-neighbors", "5", "--out", str(out)])
+    report = json.loads(out.read_text(encoding="utf-8"))
+    cases["detect-readme"] = {
+        "exit": rc,
+        "metrics": {k: v for k, v in report.items() if k != "config" and isinstance(v, float)},
+        "counts": {k: v for k, v in report.items() if isinstance(v, int)},
+        "spectrum": _spectrum(config),
+    }
+
+    for variant, ap, bp in TOY_POINTS:
+        out = work / f"toy-{variant}-{ap}-{bp}.json"
+        rc = _run(["toy-verify", "--variant", variant, "--alpha-prime", repr(ap),
+                   "--beta-prime", repr(bp), "--out", str(out)])
+        by_name = {c["name"]: c for c in json.loads(out.read_text(encoding="utf-8"))["comparisons"]}
+        cases[f"toy-verify-{variant}-{ap}-{bp}"] = {
+            "exit": rc,
+            "metrics": {f"separability_{side}": by_name["separability"][side]
+                        for side in ("closed", "numeric")},
+            "projector_deviation": by_name["projector_deviation"]["numeric"],
+            "counts": {f"probing_error_count_{side}": int(by_name["probing_error_count"][side])
+                       for side in ("closed", "numeric")},
+            "spectrum": [by_name[f"eigenvalue_{i}"]["numeric"] for i in range(1, 6)],
+        }
+
+    for seed, n, k in FACTORIZE_CASES:
+        config = work / f"explicit-{seed}.json"
+        config.write_text(json.dumps(_explicit_config(seed, n)), encoding="utf-8")
+        out = work / f"factorize-{seed}"
+        rc = _run(["factorize", "--config", str(config), "--k", str(k), "--seed", str(seed),
+                   "--max-iters", "100000", "--out", str(out)])
+        gaps = json.loads((out / "gaps.json").read_text(encoding="utf-8"))
+        cases[f"factorize-explicit-{seed}"] = {
+            "exit": rc,
+            "metrics": {"final_loss": gaps["final_loss"], "spectral_optimum": gaps["spectral_optimum"]},
+            "counts": {"converged": gaps["converged"]},
+            "spectrum": _spectrum(config),
+        }
+    return cases
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    return compute_corpus(tmp_path_factory.mktemp("golden"))
+
+
+CASE_NAMES = (
+    ["detect-readme"]
+    + [f"toy-verify-{variant}-{ap}-{bp}" for variant, ap, bp in TOY_POINTS]
+    + [f"factorize-explicit-{seed}" for seed, _, _ in FACTORIZE_CASES]
+)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_matches_jacobi_corpus(corpus, golden, name):
+    want, have = golden[name], corpus[name]
+    assert have["exit"] == want["exit"]
+    assert have["counts"] == want["counts"]
+    assert have["metrics"].keys() == want["metrics"].keys()
+    for key, value in want["metrics"].items():
+        assert have["metrics"][key] == pytest.approx(value, rel=GOLDEN_RTOL, abs=0.0), key
+    if "projector_deviation" in want:
+        assert abs(have["projector_deviation"] - want["projector_deviation"]) <= GOLDEN_RTOL
+    spectrum = np.array(want["spectrum"])
+    np.testing.assert_allclose(
+        have["spectrum"], spectrum, rtol=0.0, atol=SPECTRUM_ATOL * np.max(np.abs(spectrum))
+    )
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = compute_corpus(Path(tmp))
+    assert sorted(cases) == sorted(CASE_NAMES)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n", encoding="utf-8")

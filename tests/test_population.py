@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from wildgraph import (
     sample_wild_mixture,
     transformation_matrix,
 )
+import wildgraph
 from wildgraph.population import mixture_counts
 
 
@@ -283,3 +288,26 @@ class TestConfigLoading:
 
         with pytest.raises(PopulationError):
             transformation_matrix(model, enumerate_population(spec))
+
+
+# A module-level ``typing.Union[...]`` alias is memoised in typing's LRU
+# cache, which then holds the module's classes, and through them every
+# function and the module dict of each earlier import of the package.
+REIMPORT_SCRIPT = """
+import gc, sys, weakref
+import wildgraph
+ref = weakref.ref(wildgraph.population.Population)
+for name in [n for n in sys.modules if n == "wildgraph" or n.startswith("wildgraph.")]:
+    del sys.modules[name]
+import wildgraph
+gc.collect()
+sys.exit(0 if ref() is None else 1)
+"""
+
+
+def test_reimport_releases_the_old_module():
+    src = str(Path(wildgraph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", REIMPORT_SCRIPT], env=env, timeout=120)
+    assert done.returncode == 0, "an earlier import of wildgraph stays reachable after re-import"

@@ -28,7 +28,79 @@ def symmetric_matrices(max_n=8):
     )
 
 
+def _sign_fixed(vec):
+    pivot = int(np.argmax(np.abs(vec)))
+    return -vec if vec[pivot] < 0 else vec
+
+
+def reference_canonical(m):
+    """The canonical order as a Python sort over the same eigh output."""
+    lam, v = np.linalg.eigh(0.5 * (m + m.T))
+    cols = [_sign_fixed(v[:, i]) for i in range(m.shape[0])]
+    order = sorted(range(m.shape[0]), key=lambda i: (-lam[i], tuple(cols[i])))
+    return np.array([lam[i] for i in order]), np.column_stack([cols[i] for i in order])
+
+
+def tied_or_random_matrices():
+    """Random symmetric matrices plus inputs with exactly tied eigenvalues."""
+    identity = st.integers(1, 8).map(np.eye)
+    blocks = st.tuples(st.integers(1, 3), st.integers(1, 4), st.sampled_from([1.0, 0.7, -2.5])).map(
+        lambda t: t[2] * np.kron(np.eye(t[0]), np.ones((t[1], t[1])))
+    )
+    # a random graph on a few groups, each group blown up to interchangeable vertices
+    blown_up = st.tuples(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(0, 2**32 - 1)
+    ).map(lambda t: _blow_up(t[0], t[1]))
+    return st.one_of(identity, blocks, blown_up, symmetric_matrices(max_n=10))
+
+
+def _blow_up(counts, seed):
+    g = len(counts)
+    weights = np.random.default_rng(seed).uniform(0.0, 1.0, size=(g, g))
+    group = np.repeat(np.arange(g), counts)
+    return (weights + weights.T)[np.ix_(group, group)]
+
+
 class TestEigendecompose:
+    @settings(max_examples=150, deadline=None)
+    @given(tied_or_random_matrices())
+    def test_canonical_order_matches_python_sort(self, m):
+        n = m.shape[0]
+        emb = eigendecompose(m, n)
+        lam, vecs = reference_canonical(m)
+        assert np.array_equal(emb.eigenvalues, lam)
+        assert np.array_equal(emb.V_k, vecs)
+        scale = np.linalg.norm(m)
+        assert np.linalg.norm(m @ emb.V_k - emb.V_k * emb.eigenvalues) <= 1e-12 * scale
+        assert np.linalg.norm(emb.V_k.T @ emb.V_k - np.eye(n)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.eye(6), np.kron(np.eye(2), np.ones((3, 3))), 0.7 * np.kron(np.eye(3), np.ones((2, 2)))],
+        ids=["identity", "kron-2x3", "kron-3x2"],
+    )
+    def test_exact_ties_take_the_lexicographic_order(self, m):
+        emb = eigendecompose(m, m.shape[0])
+        assert np.any(np.diff(emb.eigenvalues) == 0.0)
+        lam, vecs = reference_canonical(m)
+        assert np.array_equal(emb.eigenvalues, lam)
+        assert np.array_equal(emb.V_k, vecs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(4)
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(SpectralError, match="non-finite"):
+            eigendecompose(m, 2)
+
+    def test_solver_failure_reported_as_spectral_error(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(SpectralError, match="Eigenvalues did not converge"):
+            eigendecompose(np.eye(3), 1)
+
     def test_identity_spectrum(self):
         emb = eigendecompose(np.eye(5), 3)
         np.testing.assert_allclose(emb.eigenvalues, np.ones(5))
