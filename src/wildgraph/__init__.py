@@ -32,7 +32,6 @@ from .graph import (
     IsolatedVertexError,
     build_graph,
     combine_and_normalize,
-    dump_adjacency_csv,
     self_supervised_adjacency,
     supervised_adjacency,
 )
@@ -59,6 +58,7 @@ from .loss import (
 )
 from .evaluation import (
     DetectionMetrics,
+    Evaluation,
     EvaluationError,
     KnnDetector,
     LinearProbe,
@@ -67,6 +67,7 @@ from .evaluation import (
     auroc_midrank,
     classification_accuracy,
     detection_metrics,
+    evaluate,
     fit_knn_detector,
     fit_linear_probe,
     knn_scores,

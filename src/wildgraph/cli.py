@@ -25,20 +25,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .evaluation import (
-    detection_metrics,
-    fit_knn_detector,
-    fit_linear_probe,
-    classification_accuracy,
-    knn_scores,
-    probing_error,
-    separability,
     MetricsReport,
+    detection_metrics,
+    evaluate,
+    fit_knn_detector,
+    knn_scores,
 )
 from .graph import GraphError, GraphWeights, build_graph
 from .loss import equivalence_gap, matrix_loss, surrogate_loss_from_parts
 from .population import (
     ExplicitAugmentation,
-    Membership,
     ParametricAugmentation,
     PopulationError,
     ToyVariant,
@@ -323,55 +319,28 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if not args.config:
         raise ConfigError("detect needs --config with a population description")
     population, explicit = _population_from_config(args.config, args.seed)
-
-    labeled = population.indices(Membership.LABELED_ID)
-    wild_id = population.indices(Membership.WILD_ID)
-    covariate = population.indices(Membership.WILD_COVARIATE)
-    semantic = population.indices(Membership.WILD_SEMANTIC)
-    missing = [
-        name
-        for name, rows in (
-            ("labeled_id", labeled),
-            ("wild_covariate", covariate),
-            ("wild_semantic", semantic),
-        )
-        if not rows
-    ]
-    if missing:
-        raise ConfigError(f"population lacks required membership kinds: {', '.join(missing)}")
-
-    if args.k_neighbors >= len(labeled):
-        raise ConfigError(
-            f"--k-neighbors {args.k_neighbors} must be < labeled ID count {len(labeled)}"
-        )
     weights = GraphWeights(args.eta_u, args.eta_l)
     bundle = build_graph(explicit, population, weights)
     k = args.k if args.k else len(population.classes) + 1
     if not 1 <= k <= len(population):
         raise ConfigError(f"--k {k} must lie in [1, {len(population)}]")
-    embedding = embed(bundle, k)
-    z = embedding.Z
-    labels = population.class_labels()
+    z = embed(bundle, k).Z
+    ev = evaluate(population, z)
 
-    probe = fit_linear_probe(z[labeled], labels[labeled], classes=population.classes)
-    probing = probing_error(z[covariate], labels[covariate], probe)
-    id_rows = labeled + wild_id
-    sep = separability(z[id_rows], z[semantic])
-
-    detector = fit_knn_detector(z[labeled], args.k_neighbors, args.percentile)
+    detector = fit_knn_detector(z[ev.labeled_rows], args.k_neighbors, args.percentile)
     # Wild-ID examples are the held-out ID side; without any, the
     # self-excluded reference scores stand in.
+    wild_id = ev.wild_id_rows
     scores_id = knn_scores(detector, z[wild_id]) if wild_id else detector.reference_scores
-    scores_sem = knn_scores(detector, z[semantic])
+    scores_sem = knn_scores(detector, z[ev.semantic_rows])
     detection = detection_metrics(scores_id, scores_sem, detector)
 
-    id_eval_rows = wild_id if wild_id else labeled
     report = MetricsReport(
-        id_acc=classification_accuracy(z[id_eval_rows], labels[id_eval_rows], probe),
-        ood_acc=classification_accuracy(z[covariate], labels[covariate], probe),
-        probing_error_rate=probing.rate,
-        probing_error_count=probing.count,
-        separability=sep,
+        id_acc=ev.id_accuracy,
+        ood_acc=ev.covariate_accuracy,
+        probing_error_rate=ev.probing.rate,
+        probing_error_count=ev.probing.count,
+        separability=ev.separability,
         fpr_at_threshold=detection.fpr_at_threshold,
         fpr95=detection.fpr95,
         auroc=detection.auroc,

@@ -1,10 +1,10 @@
 """Linear probing, embedding separability, and KNN-distance detection.
 
 The probe is a least-squares linear head fit on in-distribution embeddings
-with one-hot targets, via an eigendecomposition pseudoinverse.  Probing
-error on covariate-shifted embeddings has deliberately strict semantics: an
-example only counts as correct when its true class wins the score argmax by
-a clear margin.  When embeddings collapse (all class scores tie), every
+with one-hot targets, via a Hermitian pseudoinverse.  Probing error on
+covariate-shifted embeddings has deliberately strict semantics: an example
+only counts as correct when its true class wins the score argmax by a clear
+margin.  When embeddings collapse (all class scores tie), every
 example is counted as misclassified, because no linear boundary separates
 the classes; plain argmax with any tie-break would arbitrarily get a
 fraction of a degenerate split right.  Reported predictions still use
@@ -14,6 +14,10 @@ helpers below score those plain predictions.
 The detector scores a query by its Euclidean distance to the k-th nearest
 reference embedding (reference points exclude themselves) and flags OUT
 above a percentile threshold of the reference scores.
+
+:func:`evaluate` is the one place that maps population memberships to
+embedding rows: it fits the probe and computes probing error, separability
+and both accuracies for every caller.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spectral import eigendecompose
+from .population import Membership, Population
 
 __all__ = [
     "LinearProbe",
@@ -32,6 +36,8 @@ __all__ = [
     "DetectionMetrics",
     "MetricsReport",
     "EvaluationError",
+    "Evaluation",
+    "evaluate",
     "fit_linear_probe",
     "probe_scores",
     "predict",
@@ -45,6 +51,7 @@ __all__ = [
 ]
 
 TIE_TOLERANCE = 1e-8
+PINV_RCOND = 1e-10
 
 
 class EvaluationError(ValueError):
@@ -55,27 +62,15 @@ class EvaluationError(ValueError):
 class LinearProbe:
     M: np.ndarray
     classes: tuple[int, ...]
-    pinv_tolerance: float
 
     def __post_init__(self) -> None:
         self.M.setflags(write=False)
-
-
-def _pinv_psd(gram: np.ndarray, tolerance: float) -> np.ndarray:
-    """Pseudoinverse of a symmetric PSD matrix, dropping small eigenvalues."""
-    emb = eigendecompose(gram, gram.shape[0])
-    lam = emb.eigenvalues
-    cutoff = tolerance * max(float(lam[0]), 0.0)
-    inv = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
-    v = emb.V_k
-    return (v * inv) @ v.T
 
 
 def fit_linear_probe(
     Z_id: np.ndarray,
     labels: Sequence[int],
     classes: Optional[Sequence[int]] = None,
-    pinv_tolerance: float = 1e-10,
 ) -> LinearProbe:
     """Least-squares head M = (Z^t Z)^+ Z^t Y with one-hot targets Y.
 
@@ -95,8 +90,8 @@ def fit_linear_probe(
         raise EvaluationError(f"classes {missing} have no training examples")
     onehot = (labels[:, None] == np.array(class_list)[None, :]).astype(float)
     gram = z.T @ z
-    m = _pinv_psd(gram, pinv_tolerance) @ z.T @ onehot
-    return LinearProbe(M=m, classes=class_list, pinv_tolerance=pinv_tolerance)
+    m = np.linalg.pinv(gram, rcond=PINV_RCOND, hermitian=True) @ z.T @ onehot
+    return LinearProbe(M=m, classes=class_list)
 
 
 def probe_scores(probe: LinearProbe, Z: np.ndarray) -> np.ndarray:
@@ -177,6 +172,61 @@ def separability(Z_id: np.ndarray, Z_sem: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
+class Evaluation:
+    """Shift diagnostics of one embedding, with the rows of each split.
+
+    The ID and semantic row lists let a caller add metrics of its own, such
+    as KNN detection, without reading memberships itself.
+    """
+
+    labeled_rows: list[int]
+    wild_id_rows: list[int]
+    semantic_rows: list[int]
+    probing: ProbingResult
+    separability: float
+    id_accuracy: float
+    covariate_accuracy: float
+
+
+def evaluate(population: Population, Z: np.ndarray) -> Evaluation:
+    """Probe, probing error, separability and accuracies of an embedding.
+
+    The probe is fit on the labeled ID rows and scored on the covariate
+    rows.  Separability pairs the labeled and then the wild ID rows with the
+    semantic rows.  ID accuracy is scored on the wild ID rows, the held-out
+    ID side, or on the labeled rows when there are none.
+    """
+    z = np.asarray(Z, dtype=float)
+    labeled = population.indices(Membership.LABELED_ID)
+    wild_id = population.indices(Membership.WILD_ID)
+    covariate = population.indices(Membership.WILD_COVARIATE)
+    semantic = population.indices(Membership.WILD_SEMANTIC)
+    missing = [
+        kind.value
+        for kind, rows in (
+            (Membership.LABELED_ID, labeled),
+            (Membership.WILD_COVARIATE, covariate),
+            (Membership.WILD_SEMANTIC, semantic),
+        )
+        if not rows
+    ]
+    if missing:
+        raise EvaluationError(f"population lacks required membership kinds: {', '.join(missing)}")
+    labels = population.class_labels()
+    probe = fit_linear_probe(z[labeled], labels[labeled], classes=population.classes)
+    id_eval_rows = wild_id if wild_id else labeled
+    return Evaluation(
+        labeled_rows=labeled,
+        wild_id_rows=wild_id,
+        semantic_rows=semantic,
+        probing=probing_error(z[covariate], labels[covariate], probe),
+        separability=separability(z[labeled + wild_id], z[semantic]),
+        id_accuracy=classification_accuracy(z[id_eval_rows], labels[id_eval_rows], probe),
+        covariate_accuracy=classification_accuracy(z[covariate], labels[covariate], probe),
+    )
+
+
+@dataclass(frozen=True)
 class KnnDetector:
     reference: np.ndarray
     k_neighbors: int
@@ -253,16 +303,10 @@ def auroc_midrank(scores_id: np.ndarray, scores_ood: np.ndarray) -> float:
     s_id = np.asarray(scores_id, dtype=float)
     s_ood = np.asarray(scores_ood, dtype=float)
     pooled = np.concatenate([s_id, s_ood])
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(pooled.shape[0])
-    sorted_vals = pooled[order]
-    i = 0
-    while i < sorted_vals.shape[0]:
-        j = i
-        while j + 1 < sorted_vals.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    # A run of c tied values ending at 1-based rank r shares the midrank
+    # r - (c - 1) / 2.
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     rank_sum_ood = float(np.sum(ranks[s_id.shape[0] :]))
     n_i, n_o = s_id.shape[0], s_ood.shape[0]
     u = rank_sum_ood - n_o * (n_o + 1) / 2.0

@@ -13,8 +13,6 @@ by the square root of both endpoint degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -29,7 +27,6 @@ __all__ = [
     "supervised_adjacency",
     "combine_and_normalize",
     "build_graph",
-    "dump_adjacency_csv",
 ]
 
 
@@ -79,10 +76,6 @@ class GraphBundle:
             arr.setflags(write=False)
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
-
-
 def self_supervised_adjacency(model: AugmentationModel, population: Population) -> np.ndarray:
     """Positive-pair weights under a uniform draw of the source example.
 
@@ -92,7 +85,7 @@ def self_supervised_adjacency(model: AugmentationModel, population: Population) 
     """
     t = transformation_matrix(model, population)
     n_natural = t.shape[0]
-    return _symmetrize(t.T @ t / n_natural)
+    return t.T @ t / n_natural
 
 
 def supervised_adjacency(model: AugmentationModel, population: Population) -> np.ndarray:
@@ -108,7 +101,7 @@ def supervised_adjacency(model: AugmentationModel, population: Population) -> np
     for _, rows in sorted(population.labeled_indices_by_class().items()):
         mu = t[rows, :].mean(axis=0)
         out += np.outer(mu, mu)
-    return _symmetrize(out)
+    return out
 
 
 def combine_and_normalize(
@@ -135,7 +128,10 @@ def combine_and_normalize(
     zero = np.flatnonzero(D <= 0)
     if zero.size:
         raise IsolatedVertexError(f"vertex {int(zero[0])} has zero degree")
-    A_tilde = _symmetrize(A / np.sqrt(np.outer(D, D)))
+    # The check above lets caller matrices be symmetric only to 1e-10, so
+    # A_tilde is made exactly symmetric here.
+    A_tilde = A / np.sqrt(np.outer(D, D))
+    A_tilde = 0.5 * (A_tilde + A_tilde.T)
     return GraphBundle(
         A_u=A_u.copy(), A_l=A_l.copy(), A=A, C=C, D=D, A_tilde=A_tilde, weights=weights
     )
@@ -150,17 +146,3 @@ def build_graph(
         supervised_adjacency(model, population),
         weights,
     )
-
-
-_KINDS = {"a_u", "a_l", "a", "a_tilde"}
-
-
-def dump_adjacency_csv(path: Union[str, Path], matrix: np.ndarray, kind: str) -> None:
-    """Row-major CSV dump with 17 significant digits."""
-    if kind not in _KINDS:
-        raise GraphError(f"kind must be one of {sorted(_KINDS)}, got {kind!r}")
-    matrix = np.asarray(matrix)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# adjacency N={matrix.shape[0]} kind={kind}\n")
-        for row in matrix:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -291,11 +291,10 @@ def build_toy_population(
     alpha: float,
     beta: float,
     gamma: float,
-    strict: bool = False,
 ) -> tuple[Population, ExplicitAugmentation]:
     """Five-example population with its 5x5 transformation matrix."""
     population = _toy_examples(variant)
-    params = ParametricAugmentation(rho, alpha, beta, gamma, strict=strict)
+    params = ParametricAugmentation(rho, alpha, beta, gamma)
     t = transformation_matrix(params, population)
     return population, ExplicitAugmentation(t)
 

@@ -31,21 +31,14 @@ from typing import Optional
 
 import numpy as np
 
-from .evaluation import (
-    ProbingResult,
-    classification_accuracy,
-    fit_linear_probe,
-    probing_error,
-    separability,
-)
-from .graph import GraphBundle, GraphWeights, build_graph
-from .population import Membership, Population, ToyVariant, build_toy_population
+from .evaluation import ProbingResult, evaluate
+from .graph import GraphWeights, build_graph
+from .population import ToyVariant, build_toy_population
 from .spectral import SpectralEmbedding, embed
 
 __all__ = [
     "TheoryVariant",
     "ReducedParams",
-    "CaseBAux",
     "ClosedFormPrediction",
     "SeparabilityGap",
     "QuantityComparison",
@@ -105,19 +98,6 @@ class ReducedParams:
 
 
 @dataclass(frozen=True)
-class CaseBAux:
-    """Second/third eigenvector ingredients for the shared-domain layout."""
-
-    a2: float
-    b2: float
-    c3: float
-    r_diag: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.r_diag.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class ClosedFormPrediction:
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
@@ -125,9 +105,7 @@ class ClosedFormPrediction:
     third_projector: np.ndarray
     probing_error_count: int
     separability: float
-    normalization: float
     degenerate_pair: bool
-    aux: Optional[CaseBAux] = None
 
     def __post_init__(self) -> None:
         for name in ("eigenvalues", "eigenbasis", "top_pair_projector", "third_projector"):
@@ -147,9 +125,7 @@ def _prediction(
     basis: np.ndarray,
     count: int,
     sep: float,
-    normalization: float,
     degenerate_pair: bool,
-    aux: Optional[CaseBAux] = None,
 ) -> ClosedFormPrediction:
     pair = basis[:, :2] @ basis[:, :2].T
     third = np.outer(basis[:, 2], basis[:, 2])
@@ -160,9 +136,7 @@ def _prediction(
         third_projector=third,
         probing_error_count=count,
         separability=sep,
-        normalization=normalization,
         degenerate_pair=degenerate_pair,
-        aux=aux,
     )
 
 
@@ -191,7 +165,7 @@ def closed_form_case_a(params: ReducedParams) -> ClosedFormPrediction:
         [1.0, 1.0, third_value, min(1.0 - 4.0 * bp, 1.0 - 4.5 * ap), 1.0 - 4.0 * bp - 4.5 * ap]
     )
     return _prediction(
-        eigenvalues, np.column_stack([v1, v2, v3]), count, sep, normalization, True
+        eigenvalues, np.column_stack([v1, v2, v3]), count, sep, True
     )
 
 
@@ -222,7 +196,6 @@ def closed_form_case_b(params: ReducedParams) -> ClosedFormPrediction:
     s2, s7 = math.sqrt(2.0), math.sqrt(7.0)
     norm2 = math.sqrt(2.0 * a2**2 + 2.0 * b2**2 + 1.0)
     norm3 = math.sqrt(2.0 * c3**2 + 2.0)
-    r_diag = np.array([1.0 / s7, 1.0 / norm2, 1.0 / norm3])
     v1 = np.array([s2, s2, 1.0, 1.0, 1.0]) / s7
     v2 = np.array([a2, a2, b2, b2, 1.0]) / norm2
     v3 = np.array([c3, -c3, -1.0, 1.0, 0.0]) / norm3
@@ -237,10 +210,7 @@ def closed_form_case_b(params: ReducedParams) -> ClosedFormPrediction:
         [1.0 / s7, math.sqrt(max(lam2, 0.0)) / norm2, 0.0]
     )
     sep = float(np.sum((z_id - z_sem) ** 2))
-    aux = CaseBAux(a2=a2, b2=b2, c3=c3, r_diag=r_diag)
-    return _prediction(
-        eigenvalues, np.column_stack([v1, v2, v3]), 0, sep, normalization, False, aux
-    )
+    return _prediction(eigenvalues, np.column_stack([v1, v2, v3]), 0, sep, False)
 
 
 def closed_form_unsupervised(params: ReducedParams) -> ClosedFormPrediction:
@@ -267,7 +237,7 @@ def closed_form_unsupervised(params: ReducedParams) -> ClosedFormPrediction:
         [1.0, 1.0, third_value, min(1.0 - 4.0 * bp, 1.0 - 4.0 * ap), 1.0 - 4.0 * ap - 4.0 * bp]
     )
     return _prediction(
-        eigenvalues, np.column_stack([v1, v2, v3]), count, sep, normalization, True
+        eigenvalues, np.column_stack([v1, v2, v3]), count, sep, True
     )
 
 
@@ -306,8 +276,6 @@ def separability_gap(params: ReducedParams) -> SeparabilityGap:
 
 @dataclass(frozen=True)
 class ToyPipelineResult:
-    population: Population
-    bundle: GraphBundle
     embedding: SpectralEmbedding
     probing: ProbingResult
     separability: float
@@ -332,24 +300,14 @@ def run_toy_pipeline(
         beta=params.beta_prime * rho,
         gamma=params.gamma_ratio * rho,
     )
-    bundle = build_graph(model, population, weights)
-    embedding = embed(bundle, k)
-    z = embedding.Z
-    id_rows = population.indices(Membership.LABELED_ID, Membership.WILD_ID)
-    cov_rows = population.indices(Membership.WILD_COVARIATE)
-    sem_rows = population.indices(Membership.WILD_SEMANTIC)
-    labels = population.class_labels()
-    probe = fit_linear_probe(z[id_rows], labels[id_rows], classes=population.classes)
-    probing = probing_error(z[cov_rows], labels[cov_rows], probe)
-    sep = separability(z[id_rows], z[sem_rows])
+    embedding = embed(build_graph(model, population, weights), k)
+    ev = evaluate(population, embedding.Z)
     return ToyPipelineResult(
-        population=population,
-        bundle=bundle,
         embedding=embedding,
-        probing=probing,
-        separability=sep,
-        id_accuracy=classification_accuracy(z[id_rows], labels[id_rows], probe),
-        covariate_accuracy=classification_accuracy(z[cov_rows], labels[cov_rows], probe),
+        probing=ev.probing,
+        separability=ev.separability,
+        id_accuracy=ev.id_accuracy,
+        covariate_accuracy=ev.covariate_accuracy,
     )
 
 
@@ -380,9 +338,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.comparisons)
-
-    def failures(self) -> list[QuantityComparison]:
-        return [c for c in self.comparisons if not c.passed]
 
 
 def _projector_deviation(

@@ -233,10 +233,15 @@ class TestDetect:
         ) == 0
         metrics = json.loads(metrics_path.read_text())
         verify = json.loads(report_path.read_text())
-        numeric_sep = [c for c in verify["comparisons"] if c["name"] == "separability"][0][
-            "numeric"
-        ]
-        assert metrics["separability"] == pytest.approx(numeric_sep, rel=1e-12)
+        numeric = {c["name"]: c["numeric"] for c in verify["comparisons"]}
+        assert metrics["separability"] == pytest.approx(numeric["separability"], rel=1e-12)
+        assert metrics["probing_error_count"] == numeric["probing_error_count"]
+
+    def test_k_neighbors_at_labeled_count_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, SEPARATED_CONFIG)
+        code = main(["detect", "--config", config, "--k-neighbors", "16"])
+        assert code == 2
+        assert "k_neighbors=16 must be < reference count 16" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -10,7 +10,6 @@ from wildgraph import (
     ToyVariant,
     build_toy_population,
     combine_and_normalize,
-    dump_adjacency_csv,
     self_supervised_adjacency,
     supervised_adjacency,
 )
@@ -214,18 +213,3 @@ class TestCombineAndNormalize:
         with pytest.raises(GraphError):
             GraphWeights(-1.0, 2.0)
 
-
-class TestAdjacencyDump:
-    def test_header_and_round_trip(self, tmp_path, case_a_bundle):
-        bundle, _ = case_a_bundle
-        path = tmp_path / "a_tilde.csv"
-        dump_adjacency_csv(path, bundle.A_tilde, "a_tilde")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# adjacency N=5 kind=a_tilde"
-        parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        np.testing.assert_array_equal(parsed, bundle.A_tilde)
-
-    def test_unknown_kind_rejected(self, tmp_path, case_a_bundle):
-        bundle, _ = case_a_bundle
-        with pytest.raises(GraphError):
-            dump_adjacency_csv(tmp_path / "x.csv", bundle.A, "laplacian")
