@@ -17,7 +17,7 @@ from .population import (
     Population,
     PopulationError,
     PopulationSpec,
-    ToyVariant,
+    TheoryVariant,
     build_parametric_population,
     build_toy_population,
     enumerate_population,
@@ -81,7 +81,6 @@ from .theory import (
     DegenerateRegimeError,
     ReducedParams,
     SeparabilityGap,
-    TheoryVariant,
     VerificationReport,
     closed_form,
     closed_form_case_a,

@@ -37,7 +37,6 @@ from .population import (
     ExplicitAugmentation,
     ParametricAugmentation,
     PopulationError,
-    ToyVariant,
     build_toy_population,
     enumerate_population,
     load_population_config,
@@ -235,9 +234,12 @@ def _bundle_from_args(args: argparse.Namespace):
     if args.config:
         population, explicit = _population_from_config(args.config, args.seed)
         return build_graph(explicit, population, weights), population
-    variant = ToyVariant(args.variant)
     population, model = build_toy_population(
-        variant, rho=args.rho, alpha=args.alpha, beta=args.beta, gamma=args.gamma
+        args.variant,
+        rho=args.rho,
+        alpha=args.alpha_prime * args.rho,
+        beta=args.beta_prime * args.rho,
+        gamma=args.gamma_ratio * args.rho,
     )
     return build_graph(model, population, weights), population
 
@@ -316,8 +318,6 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    if not args.config:
-        raise ConfigError("detect needs --config with a population description")
     population, explicit = _population_from_config(args.config, args.seed)
     weights = GraphWeights(args.eta_u, args.eta_l)
     bundle = build_graph(explicit, population, weights)
@@ -358,72 +358,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=str, default=None, help="population config JSON")
-        p.add_argument("--seed", type=int, default=0)
+    def add_command(name, func, help_text, tolerance_scale=True) -> argparse.ArgumentParser:
+        # No prefix matching: --alpha is a usage error, not --alpha-prime,
+        # which is a ratio to rho rather than a probability.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--out", type=str, default=None, help="output path")
-        p.add_argument("--tolerance-scale", type=float, default=1.0)
+        if tolerance_scale:
+            p.add_argument("--tolerance-scale", type=float, default=1.0)
+        p.set_defaults(func=func)
+        return p
 
-    def add_toy_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--variant", type=str, default="a", choices=["a", "b", "unsup"])
+    def add_toy_params(p, variants=tuple(v.value for v in TheoryVariant), point=True) -> None:
+        """The five-example case: its layout, rho and the reduced ratios."""
+        p.add_argument("--variant", type=str, default="a", choices=variants)
         p.add_argument("--rho", type=float, default=1.0)
-        p.add_argument("--alpha-prime", type=float, default=0.03)
-        p.add_argument("--beta-prime", type=float, default=0.01)
+        if point:
+            p.add_argument("--alpha-prime", type=float, default=0.03)
+            p.add_argument("--beta-prime", type=float, default=0.01)
         p.add_argument("--gamma-ratio", type=float, default=1e-6)
 
-    p_verify = sub.add_parser("toy-verify", help="closed forms vs the numeric chain")
-    add_common(p_verify)
-    add_toy_params(p_verify)
-    p_verify.set_defaults(func=cmd_toy_verify)
+    def add_graph_params(p, config_required=False) -> None:
+        """A population config (sampled with --seed) and the edge weights."""
+        p.add_argument("--config", type=str, default=None, required=config_required,
+                       help="population config JSON")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--eta-u", type=float, default=5.0)
+        p.add_argument("--eta-l", type=float, default=1.0)
 
-    p_sweep = sub.add_parser("sweep", help="verification grid over the reduced ratios")
-    add_common(p_sweep)
-    p_sweep.add_argument("--variant", type=str, default="a", choices=["a", "b", "unsup"])
-    p_sweep.add_argument("--rho", type=float, default=1.0)
-    p_sweep.add_argument("--gamma-ratio", type=float, default=1e-6)
+    def add_gap_params(p) -> None:
+        """factorize and loss-check: the toy case or a config, the rank, the identity check."""
+        add_toy_params(p, variants=("a", "b"))
+        add_graph_params(p)
+        p.add_argument("--k", type=int, default=3)
+        p.add_argument("--trials", type=int, default=10)
+        p.add_argument("--spread-tol", type=float, default=1e-9)
+
+    p_verify = add_command("toy-verify", cmd_toy_verify, "closed forms vs the numeric chain")
+    add_toy_params(p_verify)
+
+    p_sweep = add_command(
+        "sweep", cmd_sweep, "verification grid over the reduced ratios", tolerance_scale=False
+    )
+    add_toy_params(p_sweep, point=False)
     p_sweep.add_argument("--alpha-min", type=float, default=0.01)
     p_sweep.add_argument("--alpha-max", type=float, default=0.2)
     p_sweep.add_argument("--beta-min", type=float, default=0.01)
     p_sweep.add_argument("--beta-max", type=float, default=0.2)
     p_sweep.add_argument("--resolution", type=int, default=20)
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    def add_bundle_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--variant", type=str, default="a", choices=["a", "b"])
-        p.add_argument("--rho", type=float, default=1.0)
-        p.add_argument("--alpha", type=float, default=0.03)
-        p.add_argument("--beta", type=float, default=0.01)
-        p.add_argument("--gamma", type=float, default=1e-6)
-        p.add_argument("--eta-u", type=float, default=5.0)
-        p.add_argument("--eta-l", type=float, default=1.0)
-        p.add_argument("--k", type=int, default=3)
-
-    p_fact = sub.add_parser("factorize", help="gradient-descent factorization with gap checks")
-    add_common(p_fact)
-    add_bundle_params(p_fact)
+    p_fact = add_command("factorize", cmd_factorize, "gradient-descent factorization with gap checks")
+    add_gap_params(p_fact)
     p_fact.add_argument("--step", type=float, default=0.5)
     p_fact.add_argument("--max-iters", type=int, default=10000)
     p_fact.add_argument("--tol", type=float, default=1e-14)
-    p_fact.add_argument("--trials", type=int, default=10)
     p_fact.add_argument("--loss-gap-tol", type=float, default=1e-4)
-    p_fact.add_argument("--spread-tol", type=float, default=1e-9)
-    p_fact.set_defaults(func=cmd_factorize)
 
-    p_loss = sub.add_parser("loss-check", help="constant-offset identity check")
-    add_common(p_loss)
-    add_bundle_params(p_loss)
-    p_loss.add_argument("--trials", type=int, default=10)
-    p_loss.add_argument("--spread-tol", type=float, default=1e-9)
-    p_loss.set_defaults(func=cmd_loss_check)
+    p_loss = add_command("loss-check", cmd_loss_check, "constant-offset identity check")
+    add_gap_params(p_loss)
 
-    p_detect = sub.add_parser("detect", help="full pipeline with KNN detection metrics")
-    add_common(p_detect)
-    p_detect.add_argument("--eta-u", type=float, default=5.0)
-    p_detect.add_argument("--eta-l", type=float, default=1.0)
+    p_detect = add_command(
+        "detect", cmd_detect, "full pipeline with KNN detection metrics", tolerance_scale=False
+    )
+    add_graph_params(p_detect, config_required=True)
     p_detect.add_argument("--k", type=int, default=0, help="embedding rank; 0 = classes + 1")
     p_detect.add_argument("--k-neighbors", type=int, default=5)
     p_detect.add_argument("--percentile", type=float, default=0.95)
-    p_detect.set_defaults(func=cmd_detect)
 
     return parser
 

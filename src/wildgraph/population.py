@@ -38,7 +38,7 @@ __all__ = [
     "ParametricAugmentation",
     "ExplicitAugmentation",
     "AugmentationModel",
-    "ToyVariant",
+    "TheoryVariant",
     "PopulationError",
     "transformation_matrix",
     "enumerate_population",
@@ -60,15 +60,17 @@ class Membership(str, Enum):
     WILD_SEMANTIC = "wild_semantic"
 
 
-class ToyVariant(str, Enum):
-    """Layout of the five-example population.
+class TheoryVariant(str, Enum):
+    """One of the paper's three five-example cases.
 
     CASE_A places the novel-class example in a domain of its own; CASE_B
-    places it in the same domain as the covariate-shifted examples.
+    places it in the same domain as the covariate-shifted examples;
+    UNSUPERVISED is case a's layout without labeled edges.
     """
 
     CASE_A = "a"
     CASE_B = "b"
+    UNSUPERVISED = "unsup"
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,6 @@ class ParametricAugmentation:
     alpha: float
     beta: float
     gamma: float
-    strict: bool = False
 
     def __post_init__(self) -> None:
         vals = (self.rho, self.alpha, self.beta, self.gamma)
@@ -155,13 +156,6 @@ class ParametricAugmentation:
             raise PopulationError(
                 f"augmentation parameters must be finite and nonnegative, got {vals}"
             )
-        if self.strict:
-            hi, lo = max(self.alpha, self.beta), min(self.alpha, self.beta)
-            if not (self.rho > hi >= lo > self.gamma >= 0):
-                raise PopulationError(
-                    "strict regime requires rho > max(alpha, beta) >= "
-                    f"min(alpha, beta) > gamma >= 0, got {vals[:4]}"
-                )
 
 
 @dataclass(frozen=True)
@@ -270,11 +264,13 @@ class PopulationSpec:
         return self.domains[0]
 
 
-def _toy_examples(variant: ToyVariant) -> Population:
+def _toy_examples(variant: TheoryVariant) -> Population:
     # Five examples in fixed order: two labeled ID in the ID domain, two
     # covariate-shifted ones in a second domain, one novel-class example.
-    semantic_domain = 2 if variant is ToyVariant.CASE_A else 1
-    domains = (0, 1, 2) if variant is ToyVariant.CASE_A else (0, 1)
+    # The unsupervised case shares case a's layout.
+    own_domain = variant is not TheoryVariant.CASE_B
+    semantic_domain = 2 if own_domain else 1
+    domains = (0, 1, 2) if own_domain else (0, 1)
     examples = (
         NaturalExample(0, 0, 0, Membership.LABELED_ID),
         NaturalExample(1, 1, 0, Membership.LABELED_ID),
@@ -286,14 +282,14 @@ def _toy_examples(variant: ToyVariant) -> Population:
 
 
 def build_toy_population(
-    variant: ToyVariant,
+    variant: TheoryVariant | str,
     rho: float,
     alpha: float,
     beta: float,
     gamma: float,
 ) -> tuple[Population, ExplicitAugmentation]:
     """Five-example population with its 5x5 transformation matrix."""
-    population = _toy_examples(variant)
+    population = _toy_examples(TheoryVariant(variant))
     params = ParametricAugmentation(rho, alpha, beta, gamma)
     t = transformation_matrix(params, population)
     return population, ExplicitAugmentation(t)
@@ -361,8 +357,6 @@ def sample_wild_mixture(spec: PopulationSpec, seed: int) -> Population:
     semantic examples), and a uniformly random non-ID domain where the
     membership requires one.  Deterministic for a fixed seed.
     """
-    if spec.pi_c + spec.pi_s > 1.0 + 1e-12:
-        raise PopulationError("pi_c + pi_s must not exceed 1")
     rng = np.random.default_rng(seed)
     wild_kinds = (Membership.WILD_ID, Membership.WILD_COVARIATE, Membership.WILD_SEMANTIC)
     total_wild = sum(c.count for c in spec.cells if c.membership in wild_kinds)

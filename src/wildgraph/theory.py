@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .evaluation import ProbingResult, evaluate
 from .graph import GraphWeights, build_graph
-from .population import ToyVariant, build_toy_population
+from .population import TheoryVariant, build_toy_population
 from .spectral import SpectralEmbedding, embed
 
 __all__ = [
@@ -63,12 +62,6 @@ THEORY_WEIGHTS = {"supervised": GraphWeights(5.0, 1.0), "unsupervised": GraphWei
 
 class DegenerateRegimeError(ValueError):
     """Parameters sit on a regime boundary where the eigenbasis switches."""
-
-
-class TheoryVariant(str, Enum):
-    CASE_A = "a"
-    CASE_B = "b"
-    UNSUPERVISED = "unsup"
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,8 @@ class ClosedFormPrediction:
             getattr(self, name).setflags(write=False)
 
 
-def boundary_margin(variant: TheoryVariant, params: ReducedParams) -> float:
+def boundary_margin(variant: TheoryVariant | str, params: ReducedParams) -> float:
+    variant = TheoryVariant(variant)
     if variant is TheoryVariant.CASE_A:
         return params.case_a_margin
     if variant is TheoryVariant.UNSUPERVISED:
@@ -241,7 +235,8 @@ def closed_form_unsupervised(params: ReducedParams) -> ClosedFormPrediction:
     )
 
 
-def closed_form(variant: TheoryVariant, params: ReducedParams) -> ClosedFormPrediction:
+def closed_form(variant: TheoryVariant | str, params: ReducedParams) -> ClosedFormPrediction:
+    variant = TheoryVariant(variant)
     if variant is TheoryVariant.CASE_A:
         return closed_form_case_a(params)
     if variant is TheoryVariant.CASE_B:
@@ -284,17 +279,17 @@ class ToyPipelineResult:
 
 
 def run_toy_pipeline(
-    variant: TheoryVariant, params: ReducedParams, rho: float = 1.0, k: int = 3
+    variant: TheoryVariant | str, params: ReducedParams, rho: float = 1.0, k: int = 3
 ) -> ToyPipelineResult:
     """Exact numeric chain at finite parameters: graph, spectrum, probe, metrics."""
-    toy_variant = ToyVariant.CASE_B if variant is TheoryVariant.CASE_B else ToyVariant.CASE_A
+    variant = TheoryVariant(variant)
     weights = (
         THEORY_WEIGHTS["unsupervised"]
         if variant is TheoryVariant.UNSUPERVISED
         else THEORY_WEIGHTS["supervised"]
     )
     population, model = build_toy_population(
-        toy_variant,
+        variant,
         rho=rho,
         alpha=params.alpha_prime * rho,
         beta=params.beta_prime * rho,
@@ -356,7 +351,7 @@ def _projector_deviation(
 
 
 def verify_against_pipeline(
-    variant: TheoryVariant,
+    variant: TheoryVariant | str,
     params: ReducedParams,
     rho: float = 1.0,
     tolerance_scale: float = 1.0,
@@ -373,6 +368,7 @@ def verify_against_pipeline(
     20 ((a' + b')^2 + g), floored at 0.01 for small ratios.  The probing
     error count must match exactly.
     """
+    variant = TheoryVariant(variant)
     if params.gamma_ratio <= 0:
         raise ValueError("pipeline comparison needs gamma_ratio > 0 to keep the graph connected")
     if eig_tolerance is None:

@@ -8,7 +8,7 @@ from wildgraph import (
     Membership,
     ParametricAugmentation,
     PopulationSpec,
-    ToyVariant,
+    TheoryVariant,
     build_graph,
     build_parametric_population,
     build_toy_population,
@@ -21,7 +21,7 @@ settings.load_profile("deterministic")
 STANDARD_WEIGHTS = GraphWeights(5.0, 1.0)
 
 
-def toy_bundle(variant=ToyVariant.CASE_A, rho=1.0, alpha=0.03, beta=0.01, gamma=1e-6,
+def toy_bundle(variant=TheoryVariant.CASE_A, rho=1.0, alpha=0.03, beta=0.01, gamma=1e-6,
                weights=STANDARD_WEIGHTS):
     population, model = build_toy_population(variant, rho, alpha, beta, gamma)
     return build_graph(model, population, weights), population
@@ -29,12 +29,12 @@ def toy_bundle(variant=ToyVariant.CASE_A, rho=1.0, alpha=0.03, beta=0.01, gamma=
 
 @pytest.fixture(scope="session")
 def case_a_bundle():
-    return toy_bundle(ToyVariant.CASE_A)
+    return toy_bundle(TheoryVariant.CASE_A)
 
 
 @pytest.fixture(scope="session")
 def case_b_bundle():
-    return toy_bundle(ToyVariant.CASE_B)
+    return toy_bundle(TheoryVariant.CASE_B)
 
 
 def parametric_50_node():

@@ -244,6 +244,53 @@ class TestDetect:
         assert "k_neighbors=16 must be < reference count 16" in capsys.readouterr().err
 
 
+class TestFlags:
+    # Flags the command does not read: each is a usage error, never ignored.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["toy-verify", "--config", "missing.json"],
+            ["toy-verify", "--seed", "3"],
+            ["sweep", "--resolution", "1", "--config", "missing.json"],
+            ["sweep", "--resolution", "1", "--seed", "3"],
+            ["sweep", "--resolution", "1", "--tolerance-scale", "1e9"],
+            ["detect", "--config", "{config}", "--tolerance-scale", "1e9"],
+            ["factorize", "--alpha", "0.03"],
+            ["factorize", "--beta", "0.01"],
+            ["factorize", "--gamma", "1e-6"],
+            ["loss-check", "--alpha", "0.03"],
+            ["loss-check", "--beta", "0.01"],
+            ["loss-check", "--gamma", "1e-6"],
+        ],
+    )
+    def test_dropped_flag_is_usage_error(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # where a command that did run writes its default outputs
+        config = write_config(tmp_path, SEPARATED_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(config=config) for arg in argv])
+        assert exc.value.code == 2
+
+    def test_detect_requires_config(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_reduced_ratios_scale_with_rho(self, tmp_path):
+        # alpha = alpha' * rho: the same ratios at another rho give the
+        # same normalized graph, so the same equivalence constant.
+        constants = []
+        for rho in ("1.0", "2.0"):
+            out = tmp_path / f"loss-{rho}.json"
+            argv = ["loss-check", "--variant", "b", "--rho", rho, "--alpha-prime", "0.05",
+                    "--beta-prime", "0.02", "--out", str(out)]
+            assert main(argv) == 0
+            payload = json.loads(out.read_text())
+            assert payload["config"]["alpha_prime"] == 0.05
+            constants.append(payload["constant"])
+        assert constants[0] == pytest.approx(constants[1], rel=1e-12)
+
+
 class TestDeterminism:
     def test_identical_command_lines_identical_bytes(self, tmp_path):
         config = write_config(tmp_path, SEPARATED_CONFIG)

@@ -7,7 +7,7 @@ from wildgraph import (
     GraphWeights,
     IsolatedVertexError,
     Membership,
-    ToyVariant,
+    TheoryVariant,
     build_toy_population,
     combine_and_normalize,
     self_supervised_adjacency,
@@ -20,7 +20,7 @@ RHO, ALPHA, BETA, GAMMA = 1.0, 0.2, 0.1, 0.05
 
 @pytest.fixture(scope="module")
 def toy_a():
-    return build_toy_population(ToyVariant.CASE_A, RHO, ALPHA, BETA, GAMMA)
+    return build_toy_population(TheoryVariant.CASE_A, RHO, ALPHA, BETA, GAMMA)
 
 
 class TestSelfSupervisedAdjacency:
@@ -32,7 +32,7 @@ class TestSelfSupervisedAdjacency:
         np.testing.assert_allclose(np.diag(5 * a_u)[:4], expected, rtol=1e-14)
 
     def test_identity_transformation(self):
-        population, _ = build_toy_population(ToyVariant.CASE_A, 1.0, 0.0, 0.0, 0.0)
+        population, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.0, 0.0, 0.0)
         a_u = self_supervised_adjacency(ExplicitAugmentation(np.eye(5)), population)
         np.testing.assert_allclose(a_u, np.eye(5) / 5)
 
@@ -139,7 +139,7 @@ class TestSupervisedAdjacency:
 class TestCombineAndNormalize:
     def test_first_order_structure_at_small_ratios(self):
         ap, bp = 1e-3, 5e-4
-        bundle, _ = toy_bundle(ToyVariant.CASE_A, 1.0, ap, bp, 1e-9)
+        bundle, _ = toy_bundle(TheoryVariant.CASE_A, 1.0, ap, bp, 1e-9)
         c_hat = 7 + 12 * bp + 12 * ap
         first_row = np.array([2.0, 4 * bp, 3 * ap, 0.0, 0.0])
         np.testing.assert_allclose(c_hat * bundle.A[0], first_row, atol=5e-6)
@@ -190,7 +190,7 @@ class TestCombineAndNormalize:
         np.testing.assert_allclose(bundle.A_tilde @ sqrt_d, sqrt_d, atol=1e-12)
 
     def test_positive_degrees_with_positive_gamma(self):
-        bundle, _ = toy_bundle(ToyVariant.CASE_A, 1.0, 0.02, 0.02, 1e-8)
+        bundle, _ = toy_bundle(TheoryVariant.CASE_A, 1.0, 0.02, 0.02, 1e-8)
         assert np.all(bundle.D > 0)
 
     def test_isolated_vertex_named(self):

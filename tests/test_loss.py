@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildgraph import (
-    ToyVariant,
+    TheoryVariant,
     build_toy_population,
     embed,
     equivalence_gap,
@@ -17,8 +17,8 @@ from conftest import toy_bundle
 
 @pytest.fixture(scope="module")
 def toy_setup():
-    population, model = build_toy_population(ToyVariant.CASE_A, 1.0, 0.03, 0.01, 1e-6)
-    bundle, _ = toy_bundle(ToyVariant.CASE_A)
+    population, model = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.03, 0.01, 1e-6)
+    bundle, _ = toy_bundle(TheoryVariant.CASE_A)
     return population, model, bundle
 
 

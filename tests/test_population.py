@@ -14,7 +14,7 @@ from wildgraph import (
     Population,
     PopulationError,
     PopulationSpec,
-    ToyVariant,
+    TheoryVariant,
     NaturalExample,
     build_parametric_population,
     build_toy_population,
@@ -29,20 +29,20 @@ from wildgraph.population import mixture_counts
 class TestToyPopulation:
     def test_case_a_first_row(self):
         rho, alpha, beta, gamma = 0.9, 0.2, 0.1, 0.05
-        _, model = build_toy_population(ToyVariant.CASE_A, rho, alpha, beta, gamma)
+        _, model = build_toy_population(TheoryVariant.CASE_A, rho, alpha, beta, gamma)
         np.testing.assert_allclose(model.matrix[0], [rho, beta, alpha, gamma, gamma])
 
     def test_case_b_third_row(self):
         rho, alpha, beta, gamma = 0.9, 0.2, 0.1, 0.05
-        _, model = build_toy_population(ToyVariant.CASE_B, rho, alpha, beta, gamma)
+        _, model = build_toy_population(TheoryVariant.CASE_B, rho, alpha, beta, gamma)
         np.testing.assert_allclose(model.matrix[2], [alpha, gamma, rho, beta, beta])
 
     def test_all_cross_probabilities_zero_gives_diagonal(self):
-        _, model = build_toy_population(ToyVariant.CASE_A, 0.7, 0.0, 0.0, 0.0)
+        _, model = build_toy_population(TheoryVariant.CASE_A, 0.7, 0.0, 0.0, 0.0)
         np.testing.assert_array_equal(model.matrix, 0.7 * np.eye(5))
 
     def test_ordering_and_memberships(self):
-        population, _ = build_toy_population(ToyVariant.CASE_A, 1.0, 0.1, 0.1, 0.01)
+        population, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.1, 0.1, 0.01)
         kinds = [ex.membership for ex in population.examples]
         assert kinds == [
             Membership.LABELED_ID,
@@ -54,8 +54,8 @@ class TestToyPopulation:
         assert population.examples[4].class_label not in population.classes
 
     def test_case_b_shares_covariate_domain(self):
-        pop_a, _ = build_toy_population(ToyVariant.CASE_A, 1.0, 0.1, 0.1, 0.01)
-        pop_b, _ = build_toy_population(ToyVariant.CASE_B, 1.0, 0.1, 0.1, 0.01)
+        pop_a, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.1, 0.1, 0.01)
+        pop_b, _ = build_toy_population(TheoryVariant.CASE_B, 1.0, 0.1, 0.1, 0.01)
         assert pop_a.examples[4].domain_label not in (0, 1)
         assert pop_b.examples[4].domain_label == pop_b.examples[2].domain_label
 
@@ -77,7 +77,7 @@ class TestParametricPopulation:
     def test_reduces_to_toy(self):
         params = ParametricAugmentation(1.0, 0.3, 0.2, 0.1)
         _, model = build_parametric_population(TOY_SPEC, params)
-        _, toy_model = build_toy_population(ToyVariant.CASE_A, 1.0, 0.3, 0.2, 0.1)
+        _, toy_model = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.3, 0.2, 0.1)
         np.testing.assert_array_equal(model.matrix, toy_model.matrix)
 
     def test_13_node_grid_against_entrywise_rule(self):
@@ -121,17 +121,6 @@ class TestParametricPopulation:
 
 
 class TestAugmentationValidation:
-    def test_strict_regime_accepts_ordered_parameters(self):
-        ParametricAugmentation(1.0, 0.1, 0.05, 0.01, strict=True)
-
-    def test_strict_regime_rejects_rho_below_alpha(self):
-        with pytest.raises(PopulationError):
-            ParametricAugmentation(0.05, 0.1, 0.05, 0.01, strict=True)
-
-    def test_strict_regime_rejects_zero_gap_to_gamma(self):
-        with pytest.raises(PopulationError):
-            ParametricAugmentation(1.0, 0.1, 0.01, 0.01, strict=True)
-
     def test_negative_parameter_rejected(self):
         with pytest.raises(PopulationError):
             ParametricAugmentation(1.0, -0.1, 0.05, 0.0)
@@ -258,7 +247,7 @@ class TestConfigLoading:
         path.write_text(json.dumps(self.CONFIG))
         spec, model = load_population_config(path)
         population, explicit = build_parametric_population(spec, model)
-        _, toy_model = build_toy_population(ToyVariant.CASE_A, 1.0, 0.3, 0.2, 0.1)
+        _, toy_model = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.3, 0.2, 0.1)
         np.testing.assert_array_equal(explicit.matrix, toy_model.matrix)
 
     def test_explicit_matrix_alternative(self):

@@ -8,7 +8,7 @@ from wildgraph import (
     FactorizationState,
     FactorizerOptions,
     SpectralError,
-    ToyVariant,
+    TheoryVariant,
     closed_form_embedding,
     eigendecompose,
     embed,
@@ -108,7 +108,7 @@ class TestEigendecompose:
 
     def test_toy_eigenvalues_track_first_order_values(self):
         ap, bp, g = 0.03, 0.01, 1e-6
-        bundle, _ = toy_bundle(ToyVariant.CASE_A, 1.0, ap, bp, g)
+        bundle, _ = toy_bundle(TheoryVariant.CASE_A, 1.0, ap, bp, g)
         emb = eigendecompose(bundle.A_tilde, 3)
         closed = np.array([1.0, 1.0, 1 - 4 * bp, 1 - 4.5 * ap, 1 - 4 * bp - 4.5 * ap])
         envelope = 10 * ((ap + bp) ** 2 + g)

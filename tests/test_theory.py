@@ -7,6 +7,8 @@ from wildgraph import (
     DegenerateRegimeError,
     ReducedParams,
     TheoryVariant,
+    build_toy_population,
+    closed_form,
     closed_form_case_a,
     closed_form_case_b,
     closed_form_unsupervised,
@@ -14,7 +16,7 @@ from wildgraph import (
     separability_gap,
     verify_against_pipeline,
 )
-from wildgraph.theory import _case_b_eigenvalues, _case_b_coeffs
+from wildgraph.theory import _case_b_eigenvalues, _case_b_coeffs, boundary_margin
 
 
 def first_order_matrix(variant: str, ap: float, bp: float) -> np.ndarray:
@@ -304,3 +306,31 @@ class TestRegimeDichotomy:
                 closed = np.sort([1 - 4 * bp, 1 - 4.5 * ap, 1 - 4 * bp - 4.5 * ap])[::-1]
                 dev = np.max(np.abs(numeric.embedding.eigenvalues[2:] - closed))
                 assert dev <= 10 * ((ap + bp) ** 2 + 1e-6), (ap, bp, dev)
+
+
+@pytest.mark.parametrize("variant", ["a", "b", "unsup"])
+def test_string_variant_matches_enum(variant):
+    """Every public entry point reads the plain string as its enum member."""
+    member = TheoryVariant(variant)
+    params = ReducedParams(0.03, 0.01, 1e-6)
+
+    pop_s, model_s = build_toy_population(variant, 1.0, 0.03, 0.01, 1e-6)
+    pop_e, model_e = build_toy_population(member, 1.0, 0.03, 0.01, 1e-6)
+    assert pop_s == pop_e
+    np.testing.assert_array_equal(model_s.matrix, model_e.matrix)
+
+    assert boundary_margin(variant, params) == boundary_margin(member, params)
+
+    closed_s, closed_e = closed_form(variant, params), closed_form(member, params)
+    np.testing.assert_array_equal(closed_s.eigenvalues, closed_e.eigenvalues)
+    assert closed_s.separability == closed_e.separability
+    assert closed_s.probing_error_count == closed_e.probing_error_count
+
+    run_s, run_e = run_toy_pipeline(variant, params), run_toy_pipeline(member, params)
+    np.testing.assert_array_equal(run_s.embedding.Z, run_e.embedding.Z)
+    assert run_s.separability == run_e.separability
+    assert run_s.probing.count == run_e.probing.count
+
+    report = verify_against_pipeline(variant, params)
+    assert report.variant is member
+    assert report.comparisons == verify_against_pipeline(member, params).comparisons
