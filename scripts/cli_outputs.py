@@ -5,13 +5,16 @@
 
 The matrix is the README's commands plus the golden corpus's toy points
 (``tests/test_golden.py``), with a few neighbours across all five
-subcommands.  Each command runs from inside OUT_DIR with relative paths,
-so two checkouts give comparable trees; ``OUT_DIR/commands.txt`` records
-every command line, its exit code and what it printed.  Run the script
-from two checkouts into two directories and compare them with
-``diff -r``.  With ``--drop-config`` the resolved-configuration record
-(the ``#`` line of a CSV, the ``config`` key of a JSON report) is removed
-after each run, so the diff shows only changed results.
+subcommands, and ``detect`` and ``factorize`` on population configs: the
+README's enumerated config, the same cells resampled as a wild mixture at
+two seeds, and the same cells under an explicit matrix.  Each command runs
+from inside OUT_DIR with relative paths, so two checkouts give comparable
+trees; ``OUT_DIR/commands.txt`` records every command line, its exit code
+and what it printed.  Run the script from two checkouts into two
+directories and compare them with ``diff -r``.  With ``--drop-config`` the
+resolved-configuration record (the ``#`` line of a CSV, the ``config`` key
+of a JSON report) is removed after each run, so the diff shows only
+changed results.
 """
 
 from __future__ import annotations
@@ -28,6 +31,31 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from test_golden import README_CONFIG, TOY_POINTS  # noqa: E402
 from wildgraph.cli import main as cli_main  # noqa: E402
+
+
+# The README's cells resampled: its 18 wild examples become 5 covariate,
+# 4 semantic and 9 wild-ID draws.
+MIXTURE_CONFIG = dict(README_CONFIG, pi_c=0.3, pi_s=0.2)
+
+
+def matrix_config() -> dict:
+    """The README's cells under an explicit, slightly asymmetric matrix."""
+    cells = README_CONFIG["cells"]
+    vertices = [(c["class"], c["domain"]) for c in cells for _ in range(c["count"])]
+    matrix = [
+        [(1.0 if cs == ct else 0.1) * (1.0 if ds == dt else 0.2) + 0.001 * ((i + 2 * j) % 3)
+         for j, (ct, dt) in enumerate(vertices)]
+        for i, (cs, ds) in enumerate(vertices)
+    ]
+    config = {k: v for k, v in README_CONFIG.items() if k != "augmentation"}
+    return dict(config, augmentation_matrix=matrix)
+
+
+CONFIGS = {
+    "readme.json": README_CONFIG,
+    "mixture.json": MIXTURE_CONFIG,
+    "matrix.json": matrix_config(),
+}
 
 
 def commands() -> list[list[str]]:
@@ -49,6 +77,13 @@ def commands() -> list[list[str]]:
     for neighbors in (1, 3, 5):
         out.append(["detect", "--config", "readme.json", "--k-neighbors", str(neighbors),
                     "--out", f"detect-readme-k{neighbors}.json"])
+    for seed in (1, 5):
+        out.append(["detect", "--config", "mixture.json", "--seed", str(seed), "--k-neighbors", "3",
+                    "--out", f"detect-mixture-seed{seed}.json"])
+    out.append(["detect", "--config", "matrix.json", "--k-neighbors", "3",
+                "--out", "detect-matrix.json"])
+    out.append(["factorize", "--config", "readme.json", "--k", "3", "--seed", "7",
+                "--out", "factorize-readme-seed7"])
     return out
 
 
@@ -72,7 +107,8 @@ def main() -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
-    Path("readme.json").write_text(json.dumps(README_CONFIG), encoding="utf-8")
+    for name, config in CONFIGS.items():
+        Path(name).write_text(json.dumps(config), encoding="utf-8")
     log = []
     for argv in commands():
         stdout, stderr = io.StringIO(), io.StringIO()

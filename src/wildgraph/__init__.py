@@ -12,7 +12,6 @@ from .population import (
     Cell,
     ExplicitAugmentation,
     Membership,
-    NaturalExample,
     ParametricAugmentation,
     Population,
     PopulationError,

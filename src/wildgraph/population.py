@@ -1,9 +1,15 @@
-"""Finite populations of natural examples and their augmentation models.
+"""Finite populations of natural examples, stored as cells, and their augmentation models.
 
 A population is an exactly enumerable set of "natural" examples, each
 carrying a class label, a domain label, and a membership tag saying which
 split it belongs to (labeled in-distribution, wild in-distribution, wild
-covariate-shifted, wild semantic-shifted).  An augmentation model assigns
+covariate-shifted, wild semantic-shifted).  It is stored as a list of
+cells: a cell is a run of ``count`` examples that share all three tags,
+and vertex i of the graph is the i-th example when the runs are laid end
+to end.  An enumerated config keeps its cells as written; a sampled wild
+mixture is its labeled cells followed by one count-1 cell per drawn wild
+example; a toy layout is five count-1 cells.  One rule set
+(:func:`_check_cells`) covers all of them.  An augmentation model assigns
 every (source, view) pair a nonnegative transformation probability, either
 through an explicit matrix or through the four-parameter rule
 
@@ -26,12 +32,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "Membership",
-    "NaturalExample",
     "Population",
     "Cell",
     "PopulationSpec",
@@ -74,70 +80,98 @@ class TheoryVariant(str, Enum):
 
 
 @dataclass(frozen=True)
-class NaturalExample:
-    index: int
+class Cell:
+    """A run of ``count`` examples sharing a class, a domain and a membership."""
+
     class_label: int
     domain_label: int
     membership: Membership
+    count: int
+
+
+def _check_cells(
+    classes: tuple[int, ...], domains: tuple[int, ...], cells: tuple[Cell, ...]
+) -> None:
+    """The one rule set for the cells of every spec and population; domains[0] is the ID domain."""
+    if not classes:
+        raise PopulationError("population has no known classes")
+    if not domains:
+        raise PopulationError("population has no domains")
+    if len(set(classes)) != len(classes):
+        raise PopulationError(f"duplicate class ids in {classes}")
+    if len(set(domains)) != len(domains):
+        raise PopulationError(f"duplicate domain ids in {domains}")
+    if not cells:
+        raise PopulationError("population has no cells")
+    for i, cell in enumerate(cells):
+        if cell.count <= 0:
+            raise PopulationError(f"cell {i} has nonpositive count {cell.count}")
+        if (cell.class_label not in classes) != (cell.membership is Membership.WILD_SEMANTIC):
+            raise PopulationError(
+                f"cell {i}: novel class ids and WILD_SEMANTIC membership must "
+                f"coincide (class={cell.class_label}, membership={cell.membership.value})"
+            )
+        if cell.domain_label not in domains:
+            raise PopulationError(f"cell {i} uses unknown domain id {cell.domain_label}")
+        in_distribution = cell.membership in (Membership.LABELED_ID, Membership.WILD_ID)
+        if in_distribution and cell.domain_label != domains[0]:
+            raise PopulationError(
+                f"cell {i}: {cell.membership.value} examples must live in the "
+                f"ID domain {domains[0]}, got domain {cell.domain_label}"
+            )
 
 
 @dataclass(frozen=True)
 class Population:
-    """Immutable collection of natural examples.
+    """Immutable population: known classes, domains, and cells in vertex order.
 
-    ``classes`` lists the known class ids; any example whose class id falls
-    outside this list is a novel-class example and must be tagged
-    WILD_SEMANTIC (and vice versa).  Labeled and wild in-distribution
-    examples must live in ``id_domain``.
+    ``classes`` lists the known class ids; ``domains`` lists the domain ids,
+    the first being the ID domain.  Vertex i is the i-th example of the
+    cells' runs laid end to end, and the cells obey :func:`_check_cells`.
+    The per-vertex class and domain arrays are built once, read-only, and
+    are not fields: equality and hashing compare ``(classes, domains, cells)``.
     """
 
-    examples: tuple[NaturalExample, ...]
     classes: tuple[int, ...]
     domains: tuple[int, ...]
-    id_domain: int
+    cells: tuple[Cell, ...]
 
     def __post_init__(self) -> None:
-        if not self.examples:
-            raise PopulationError("population has no examples")
-        if not self.classes:
-            raise PopulationError("population has no known classes")
-        known = set(self.classes)
-        for ex in self.examples:
-            novel = ex.class_label not in known
-            semantic = ex.membership is Membership.WILD_SEMANTIC
-            if novel != semantic:
-                raise PopulationError(
-                    f"example {ex.index}: novel class ids and WILD_SEMANTIC "
-                    f"membership must coincide (class={ex.class_label}, "
-                    f"membership={ex.membership.value})"
-                )
-            if ex.membership in (Membership.LABELED_ID, Membership.WILD_ID):
-                if ex.domain_label != self.id_domain:
-                    raise PopulationError(
-                        f"example {ex.index}: {ex.membership.value} example "
-                        f"must live in the ID domain {self.id_domain}, got "
-                        f"domain {ex.domain_label}"
-                    )
+        _check_cells(self.classes, self.domains, self.cells)
+        counts = [cell.count for cell in self.cells]
+        for name, values in (
+            ("_class_labels", [cell.class_label for cell in self.cells]),
+            ("_domain_labels", [cell.domain_label for cell in self.cells]),
+        ):
+            per_vertex = np.repeat(np.array(values, dtype=int), counts)
+            per_vertex.setflags(write=False)
+            object.__setattr__(self, name, per_vertex)
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self._class_labels)
+
+    def _runs(self) -> Iterator[tuple[Cell, range]]:
+        """Each cell with the range of vertices it covers, in vertex order."""
+        start = 0
+        for cell in self.cells:
+            yield cell, range(start, start + cell.count)
+            start += cell.count
 
     def indices(self, *memberships: Membership) -> list[int]:
-        wanted = set(memberships)
-        return [ex.index for ex in self.examples if ex.membership in wanted]
+        return [i for cell, run in self._runs() if cell.membership in memberships for i in run]
 
     def class_labels(self) -> np.ndarray:
-        return np.array([ex.class_label for ex in self.examples], dtype=int)
+        return self._class_labels
 
     def domain_labels(self) -> np.ndarray:
-        return np.array([ex.domain_label for ex in self.examples], dtype=int)
+        return self._domain_labels
 
     def labeled_indices_by_class(self) -> dict[int, list[int]]:
         """Known classes mapped to their labeled example indices (present ones only)."""
         out: dict[int, list[int]] = {}
-        for ex in self.examples:
-            if ex.membership is Membership.LABELED_ID:
-                out.setdefault(ex.class_label, []).append(ex.index)
+        for cell, run in self._runs():
+            if cell.membership is Membership.LABELED_ID:
+                out.setdefault(cell.class_label, []).extend(run)
         return out
 
 
@@ -209,20 +243,12 @@ def transformation_matrix(model: AugmentationModel, population: Population) -> n
 
 
 @dataclass(frozen=True)
-class Cell:
-    class_label: int
-    domain_label: int
-    membership: Membership
-    count: int
-
-
-@dataclass(frozen=True)
 class PopulationSpec:
-    """Declarative layout: known classes, domains, and per-cell counts.
+    """Declarative layout: known classes, domains, cells and mixture fractions.
 
-    ``pi_c`` and ``pi_s`` are the covariate and semantic fractions used only
-    by :func:`sample_wild_mixture`; exact enumerations ignore them.  The
-    first listed domain is the ID domain.
+    The cells obey the same rules as a :class:`Population`'s.  ``pi_c`` and
+    ``pi_s`` are the covariate and semantic fractions used only by
+    :func:`sample_wild_mixture`; exact enumerations ignore them.
     """
 
     classes: tuple[int, ...]
@@ -232,36 +258,13 @@ class PopulationSpec:
     pi_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.classes:
-            raise PopulationError("spec has an empty class list")
-        if not self.domains:
-            raise PopulationError("spec has an empty domain list")
-        if len(set(self.classes)) != len(self.classes):
-            raise PopulationError("duplicate class ids in spec")
-        if len(set(self.domains)) != len(self.domains):
-            raise PopulationError("duplicate domain ids in spec")
-        for cell in self.cells:
-            if cell.count <= 0:
-                raise PopulationError(f"cell {cell} has nonpositive count")
-            known = cell.class_label in self.classes
-            if cell.membership is Membership.WILD_SEMANTIC and known:
-                raise PopulationError(
-                    f"semantic cell {cell} must use a class id outside the known classes"
-                )
-            if cell.membership is not Membership.WILD_SEMANTIC and not known:
-                raise PopulationError(f"cell {cell} uses unknown class id")
-            if cell.domain_label not in self.domains:
-                raise PopulationError(f"cell {cell} uses unknown domain id")
+        _check_cells(self.classes, self.domains, self.cells)
         if not (0.0 <= self.pi_c <= 1.0 and 0.0 <= self.pi_s <= 1.0):
             raise PopulationError("mixture fractions must lie in [0, 1]")
         if self.pi_c + self.pi_s > 1.0 + 1e-12:
             raise PopulationError(
                 f"mixture fractions sum to {self.pi_c + self.pi_s}, must be <= 1"
             )
-
-    @property
-    def id_domain(self) -> int:
-        return self.domains[0]
 
 
 def _toy_examples(variant: TheoryVariant) -> Population:
@@ -271,14 +274,14 @@ def _toy_examples(variant: TheoryVariant) -> Population:
     own_domain = variant is not TheoryVariant.CASE_B
     semantic_domain = 2 if own_domain else 1
     domains = (0, 1, 2) if own_domain else (0, 1)
-    examples = (
-        NaturalExample(0, 0, 0, Membership.LABELED_ID),
-        NaturalExample(1, 1, 0, Membership.LABELED_ID),
-        NaturalExample(2, 0, 1, Membership.WILD_COVARIATE),
-        NaturalExample(3, 1, 1, Membership.WILD_COVARIATE),
-        NaturalExample(4, 2, semantic_domain, Membership.WILD_SEMANTIC),
+    cells = (
+        Cell(0, 0, Membership.LABELED_ID, 1),
+        Cell(1, 0, Membership.LABELED_ID, 1),
+        Cell(0, 1, Membership.WILD_COVARIATE, 1),
+        Cell(1, 1, Membership.WILD_COVARIATE, 1),
+        Cell(2, semantic_domain, Membership.WILD_SEMANTIC, 1),
     )
-    return Population(examples=examples, classes=(0, 1), domains=domains, id_domain=0)
+    return Population(classes=(0, 1), domains=domains, cells=cells)
 
 
 def build_toy_population(
@@ -296,21 +299,8 @@ def build_toy_population(
 
 
 def enumerate_population(spec: PopulationSpec) -> Population:
-    """Exact enumeration of the spec's cells, in cell order."""
-    examples = []
-    index = 0
-    for cell in spec.cells:
-        for _ in range(cell.count):
-            examples.append(
-                NaturalExample(index, cell.class_label, cell.domain_label, cell.membership)
-            )
-            index += 1
-    return Population(
-        examples=tuple(examples),
-        classes=spec.classes,
-        domains=spec.domains,
-        id_domain=spec.id_domain,
-    )
+    """Exact enumeration of the spec: its cells, in cell order."""
+    return Population(classes=spec.classes, domains=spec.domains, cells=spec.cells)
 
 
 def build_parametric_population(
@@ -350,33 +340,26 @@ def mixture_counts(total_wild: int, pi_c: float, pi_s: float) -> tuple[int, int,
 def sample_wild_mixture(spec: PopulationSpec, seed: int) -> Population:
     """Random population whose wild part follows the spec's mixture fractions.
 
-    Labeled cells are enumerated exactly.  The wild cells only size the wild
+    Labeled cells are kept as they are.  The wild cells only size the wild
     pool; each wild example is then assigned a membership so that the
     covariate/semantic fractions match pi_c and pi_s (see
     :func:`mixture_counts`), a uniformly random known class (novel class for
     semantic examples), and a uniformly random non-ID domain where the
-    membership requires one.  Deterministic for a fixed seed.
+    membership requires one, and appended as a count-1 cell.  Deterministic
+    for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     wild_kinds = (Membership.WILD_ID, Membership.WILD_COVARIATE, Membership.WILD_SEMANTIC)
     total_wild = sum(c.count for c in spec.cells if c.membership in wild_kinds)
     m_c, m_s, m_id = mixture_counts(total_wild, spec.pi_c, spec.pi_s)
 
-    shifted_domains = [d for d in spec.domains if d != spec.id_domain]
+    id_domain = spec.domains[0]
+    shifted_domains = [d for d in spec.domains if d != id_domain]
     if (m_c or m_s) and not shifted_domains:
         raise PopulationError("covariate or semantic examples need a non-ID domain")
     novel_class = max(spec.classes) + 1
 
-    examples = []
-    index = 0
-    for cell in spec.cells:
-        if cell.membership is Membership.LABELED_ID:
-            for _ in range(cell.count):
-                examples.append(
-                    NaturalExample(index, cell.class_label, cell.domain_label, cell.membership)
-                )
-                index += 1
-
+    cells = [cell for cell in spec.cells if cell.membership is Membership.LABELED_ID]
     memberships = (
         [Membership.WILD_COVARIATE] * m_c
         + [Membership.WILD_SEMANTIC] * m_s
@@ -387,22 +370,22 @@ def sample_wild_mixture(spec: PopulationSpec, seed: int) -> Population:
         kind = memberships[pos]
         if kind is Membership.WILD_ID:
             cls = int(rng.choice(spec.classes))
-            dom = spec.id_domain
+            dom = id_domain
         elif kind is Membership.WILD_COVARIATE:
             cls = int(rng.choice(spec.classes))
             dom = int(rng.choice(shifted_domains))
         else:
             cls = novel_class
             dom = int(rng.choice(shifted_domains))
-        examples.append(NaturalExample(index, cls, dom, kind))
-        index += 1
+        cells.append(Cell(cls, dom, kind, 1))
+    return Population(classes=spec.classes, domains=spec.domains, cells=tuple(cells))
 
-    return Population(
-        examples=tuple(examples),
-        classes=spec.classes,
-        domains=spec.domains,
-        id_domain=spec.id_domain,
-    )
+
+def _integer(value: object, key: str) -> int:
+    # JSON has one number type: 6.7 or true must not pass for a count or an id.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PopulationError(f"'{key}' must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, AugmentationModel]:
@@ -417,8 +400,8 @@ def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, A
          "augmentation": {"rho": f, "alpha": f, "beta": f, "gamma": f},
          "pi_c": f, "pi_s": f}
 
-    An explicit matrix may replace the parametric block via
-    ``{"augmentation_matrix": [[...], ...]}``.
+    Ids and counts must be JSON integers.  An explicit matrix may replace the
+    parametric block via ``{"augmentation_matrix": [[...], ...]}``.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -433,17 +416,31 @@ def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, A
             raise PopulationError(f"population config is missing '{key}'")
         return raw[key]
 
-    classes = tuple(int(c) for c in require("classes"))
-    domains = tuple(int(d) for d in require("domains"))
-    cells = []
-    for i, entry in enumerate(require("cells")):
+    def require_list(key: str) -> list:
+        value = require(key)
+        if not isinstance(value, list):
+            raise PopulationError(f"'{key}' must be a list, got {json.dumps(value)}")
+        return value
+
+    def fraction(key: str) -> float:
         try:
+            return float(raw.get(key, 0.0))
+        except (TypeError, ValueError) as exc:
+            raise PopulationError(f"'{key}' must be a number: {exc}") from exc
+
+    classes = tuple(_integer(c, "classes") for c in require_list("classes"))
+    domains = tuple(_integer(d, "domains") for d in require_list("domains"))
+    cells = []
+    for i, entry in enumerate(require_list("cells")):
+        try:
+            if not isinstance(entry, dict):
+                raise PopulationError(f"expected an object, got {json.dumps(entry)}")
             cells.append(
                 Cell(
-                    class_label=int(entry["class"]),
-                    domain_label=int(entry["domain"]),
+                    class_label=_integer(entry["class"], "class"),
+                    domain_label=_integer(entry["domain"], "domain"),
                     membership=Membership(entry["membership"]),
-                    count=int(entry["count"]),
+                    count=_integer(entry["count"], "count"),
                 )
             )
         except (KeyError, ValueError) as exc:
@@ -452,14 +449,16 @@ def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, A
         classes=classes,
         domains=domains,
         cells=tuple(cells),
-        pi_c=float(raw.get("pi_c", 0.0)),
-        pi_s=float(raw.get("pi_s", 0.0)),
+        pi_c=fraction("pi_c"),
+        pi_s=fraction("pi_s"),
     )
 
     if "augmentation_matrix" in raw:
-        model: AugmentationModel = ExplicitAugmentation(
-            np.array(raw["augmentation_matrix"], dtype=float)
-        )
+        try:
+            matrix = np.array(raw["augmentation_matrix"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise PopulationError(f"augmentation_matrix is malformed: {exc}") from exc
+        model: AugmentationModel = ExplicitAugmentation(matrix)
     else:
         aug = require("augmentation")
         try:

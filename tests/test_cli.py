@@ -244,6 +244,58 @@ class TestDetect:
         assert "k_neighbors=16 must be < reference count 16" in capsys.readouterr().err
 
 
+def edited(path, value, drop=None):
+    """SEPARATED_CONFIG with the entry at ``path`` (a key, or a key and a cell) set to ``value``."""
+    config = json.loads(json.dumps(SEPARATED_CONFIG))
+    config.pop(drop, None)
+    *outer, last = path
+    target = config
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    return config
+
+
+class TestConfigValidation:
+    # Each is a PopulationError naming the offending key: exit 2, never a
+    # silent coercion (int(6.7) == 6, int(True) == 1) or a TypeError traceback.
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            (edited(("cells", 0, "count"), 6.7), "count"),
+            (edited(("cells", 0, "count"), True), "count"),
+            (edited(("cells", 6, "class"), 2.9), "class"),
+            (edited(("cells", 4, "domain"), 1.0), "domain"),
+            (edited(("classes", 1), 1.0), "classes"),
+            (edited(("domains", 1), True), "domains"),
+            (edited(("classes",), 5), "classes"),
+            (edited(("cells",), 5), "cells"),
+            (edited(("cells", 0), [0, 0, "labeled_id", 8]), "cells[0]"),
+            (edited(("pi_c",), [0.5]), "pi_c"),
+            (edited(("augmentation_matrix",), {"rows": 1}, drop="augmentation"),
+             "augmentation_matrix"),
+        ],
+        ids=["count-float", "count-bool", "class-float", "domain-float", "classes-float",
+             "domains-bool", "classes-scalar", "cells-scalar", "cell-list", "pi_c-list",
+             "matrix-object"],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, payload, key):
+        config = write_config(tmp_path, payload)
+        assert main(["detect", "--config", config, "--k-neighbors", "3"]) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("pi_c, pi_s", [(0.0, 0.0), (0.3, 0.1)])
+    def test_wild_id_outside_id_domain_is_config_error(self, tmp_path, capsys, pi_c, pi_s):
+        # Enumerated and sampled configs obey one rule set.
+        payload = edited(("cells", 2, "domain"), 1)
+        payload.update(pi_c=pi_c, pi_s=pi_s)
+        config = write_config(tmp_path, payload)
+        assert main(["detect", "--config", config, "--k-neighbors", "3"]) == 2
+        assert "ID domain" in capsys.readouterr().err
+
+
 class TestFlags:
     # Flags the command does not read: each is a usage error, never ignored.
     @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildgraph import (
     Cell,
@@ -15,9 +17,9 @@ from wildgraph import (
     PopulationError,
     PopulationSpec,
     TheoryVariant,
-    NaturalExample,
     build_parametric_population,
     build_toy_population,
+    enumerate_population,
     load_population_config,
     sample_wild_mixture,
     transformation_matrix,
@@ -43,7 +45,8 @@ class TestToyPopulation:
 
     def test_ordering_and_memberships(self):
         population, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.1, 0.1, 0.01)
-        kinds = [ex.membership for ex in population.examples]
+        assert [cell.count for cell in population.cells] == [1] * 5
+        kinds = [cell.membership for cell in population.cells]
         assert kinds == [
             Membership.LABELED_ID,
             Membership.LABELED_ID,
@@ -51,13 +54,13 @@ class TestToyPopulation:
             Membership.WILD_COVARIATE,
             Membership.WILD_SEMANTIC,
         ]
-        assert population.examples[4].class_label not in population.classes
+        assert population.class_labels()[4] not in population.classes
 
     def test_case_b_shares_covariate_domain(self):
         pop_a, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.1, 0.1, 0.01)
         pop_b, _ = build_toy_population(TheoryVariant.CASE_B, 1.0, 0.1, 0.1, 0.01)
-        assert pop_a.examples[4].domain_label not in (0, 1)
-        assert pop_b.examples[4].domain_label == pop_b.examples[2].domain_label
+        assert pop_a.domain_labels()[4] not in (0, 1)
+        assert pop_b.domain_labels()[4] == pop_b.domain_labels()[2]
 
 
 TOY_SPEC = PopulationSpec(
@@ -129,33 +132,114 @@ class TestAugmentationValidation:
         ParametricAugmentation(0.1, 0.5, 0.9, 0.2)
 
 
+def one_cell(class_label, domain_label, membership, count=1):
+    cell = Cell(class_label, domain_label, membership, count)
+    return dict(classes=(0,), domains=(0, 1), cells=(cell,))
+
+
+# The remaining rules of the one cell validator, each broken once.
+BROKEN_LAYOUTS = {
+    "wild_id_outside_id_domain": one_cell(0, 1, Membership.WILD_ID),
+    "unknown_domain": one_cell(0, 5, Membership.WILD_COVARIATE),
+    "zero_count": one_cell(0, 0, Membership.LABELED_ID, count=0),
+    "negative_count": one_cell(0, 0, Membership.LABELED_ID, count=-2),
+    "no_cells": dict(classes=(0,), domains=(0,), cells=()),
+    "no_classes": dict(classes=(), domains=(0,), cells=(Cell(0, 0, Membership.LABELED_ID, 1),)),
+    "no_domains": dict(classes=(0,), domains=(), cells=(Cell(0, 0, Membership.LABELED_ID, 1),)),
+    "duplicate_classes": dict(
+        classes=(0, 0), domains=(0,), cells=(Cell(0, 0, Membership.LABELED_ID, 1),)
+    ),
+    "duplicate_domains": dict(
+        classes=(0,), domains=(0, 0), cells=(Cell(0, 0, Membership.LABELED_ID, 1),)
+    ),
+}
+
+
+def assert_rejected_by_population_and_spec(layout):
+    for kind in (Population, PopulationSpec):
+        with pytest.raises(PopulationError):
+            kind(**layout)
+
+
 class TestPopulationInvariants:
     def test_semantic_must_be_novel(self):
-        with pytest.raises(PopulationError):
-            Population(
-                examples=(NaturalExample(0, 0, 0, Membership.WILD_SEMANTIC),),
-                classes=(0,),
-                domains=(0,),
-                id_domain=0,
-            )
+        assert_rejected_by_population_and_spec(one_cell(0, 0, Membership.WILD_SEMANTIC))
 
     def test_novel_must_be_semantic(self):
-        with pytest.raises(PopulationError):
-            Population(
-                examples=(NaturalExample(0, 7, 0, Membership.WILD_ID),),
-                classes=(0,),
-                domains=(0,),
-                id_domain=0,
-            )
+        assert_rejected_by_population_and_spec(one_cell(7, 0, Membership.WILD_ID))
 
     def test_labeled_must_live_in_id_domain(self):
-        with pytest.raises(PopulationError):
-            Population(
-                examples=(NaturalExample(0, 0, 1, Membership.LABELED_ID),),
-                classes=(0,),
-                domains=(0, 1),
-                id_domain=0,
-            )
+        assert_rejected_by_population_and_spec(one_cell(0, 1, Membership.LABELED_ID))
+
+    @pytest.mark.parametrize("layout", list(BROKEN_LAYOUTS))
+    def test_population_and_spec_share_one_rule_set(self, layout):
+        assert_rejected_by_population_and_spec(BROKEN_LAYOUTS[layout])
+
+    def test_vertices_are_numbered_by_position(self):
+        population = Population(
+            classes=(0,), domains=(0, 1), cells=(Cell(0, 1, Membership.WILD_COVARIATE, 1),)
+        )
+        assert len(population) == 1
+        assert population.indices(Membership.WILD_COVARIATE) == [0]
+
+    def test_vertex_arrays_are_read_only(self):
+        population, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.1, 0.1, 0.01)
+        for labels in (population.class_labels(), population.domain_labels()):
+            with pytest.raises(ValueError):
+                labels[0] = 9
+
+
+KINDS = list(Membership)
+
+
+@st.composite
+def valid_layouts(draw):
+    """Random cells that obey the rule set, as (classes, domains, cells)."""
+    classes = tuple(range(draw(st.integers(1, 3))))
+    domains = tuple(range(draw(st.integers(1, 3))))
+    cells = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(KINDS))
+        if kind is Membership.WILD_SEMANTIC:
+            cls = draw(st.integers(len(classes), len(classes) + 2))
+        else:
+            cls = draw(st.sampled_from(classes))
+        if kind in (Membership.LABELED_ID, Membership.WILD_ID):
+            dom = domains[0]
+        else:
+            dom = draw(st.sampled_from(domains))
+        cells.append(Cell(cls, dom, kind, draw(st.integers(1, 4))))
+    return classes, domains, tuple(cells)
+
+
+class TestCellExpansion:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_layouts())
+    def test_vertex_arrays_match_per_example_expansion(self, layout):
+        classes, domains, cells = layout
+        population = Population(classes=classes, domains=domains, cells=cells)
+        expanded = [
+            (cell.class_label, cell.domain_label, cell.membership)
+            for cell in cells
+            for _ in range(cell.count)
+        ]
+        n = len(expanded)
+        assert len(population) == n
+        assert population.class_labels().tolist() == [c for c, _, _ in expanded]
+        assert population.domain_labels().tolist() == [d for _, d, _ in expanded]
+
+        rows = [population.indices(kind) for kind in KINDS]
+        for kind, kind_rows in zip(KINDS, rows):
+            assert kind_rows == [i for i, (_, _, m) in enumerate(expanded) if m is kind]
+        assert sorted(sum(rows, [])) == list(range(n))
+        assert population.indices(*KINDS) == list(range(n))
+
+        by_class: dict[int, list[int]] = {}
+        for i, (c, _, m) in enumerate(expanded):
+            if m is Membership.LABELED_ID:
+                by_class.setdefault(c, []).append(i)
+        assert population.labeled_indices_by_class() == by_class
+        assert enumerate_population(PopulationSpec(classes, domains, cells)) == population
 
 
 WILD_SPEC = PopulationSpec(
@@ -174,15 +258,43 @@ WILD_SPEC = PopulationSpec(
 class TestWildMixture:
     def test_reference_mixture_counts(self):
         population = sample_wild_mixture(WILD_SPEC, seed=3)
-        wild = [ex for ex in population.examples if ex.membership is not Membership.LABELED_ID]
+        wild = population.cells[2:]
         assert len(wild) == 100
+        assert all(cell.count == 1 for cell in wild)
         counts = {
-            kind: sum(1 for ex in wild if ex.membership is kind)
+            kind: sum(1 for cell in wild if cell.membership is kind)
             for kind in (Membership.WILD_COVARIATE, Membership.WILD_SEMANTIC, Membership.WILD_ID)
         }
         assert counts[Membership.WILD_COVARIATE] == 50
         assert counts[Membership.WILD_SEMANTIC] == 10
         assert counts[Membership.WILD_ID] == 40
+
+    def test_seeded_sequences_are_pinned(self):
+        # Recorded before populations were stored as cells; any change to the
+        # order of the sampler's RNG calls changes these strings.
+        population = sample_wild_mixture(WILD_SPEC, seed=3)
+        letter = {
+            Membership.LABELED_ID: "L",
+            Membership.WILD_ID: "I",
+            Membership.WILD_COVARIATE: "C",
+            Membership.WILD_SEMANTIC: "S",
+        }
+        memberships = [""] * len(population)
+        for kind in Membership:
+            for i in population.indices(kind):
+                memberships[i] = letter[kind]
+        assert "".join(map(str, population.class_labels())) == (
+            "000011111101101000001011000000012111102011111002110010112101011000120210"
+            "111100101100011010010020012000200201"
+        )
+        assert "".join(map(str, population.domain_labels())) == (
+            "000000000111110100100101111011011011001011100111011011001010111000111101"
+            "000000010111000100111110111111110111"
+        )
+        assert "".join(memberships) == (
+            "LLLLLLLLICCCCCICIICIICICCCCICCICSICCIISICCCIICCSICCICCIISICICCCIIICSCSIC"
+            "IIIIIIICICCCIIICIICCCCSICCSCCCSCISCC"
+        )
 
     def test_zero_fractions_give_all_wild_id(self):
         spec = PopulationSpec(
@@ -194,8 +306,7 @@ class TestWildMixture:
             ),
         )
         population = sample_wild_mixture(spec, seed=0)
-        wild = [ex for ex in population.examples if ex.membership is not Membership.LABELED_ID]
-        assert all(ex.membership is Membership.WILD_ID for ex in wild)
+        assert population.indices(Membership.WILD_ID) == list(range(2, 32))
 
     def test_same_seed_reproduces_population(self):
         assert sample_wild_mixture(WILD_SPEC, seed=11) == sample_wild_mixture(WILD_SPEC, seed=11)
@@ -273,8 +384,6 @@ class TestConfigLoading:
         del config["augmentation"]
         config["augmentation_matrix"] = np.eye(4).tolist()
         spec, model = load_population_config(config)
-        from wildgraph import enumerate_population
-
         with pytest.raises(PopulationError):
             transformation_matrix(model, enumerate_population(spec))
 
