@@ -4,7 +4,7 @@ Subcommands
 -----------
 toy-verify   closed-form predictions vs the exact numeric chain
 sweep        grid of verifications over the reduced ratios, as CSV
-factorize    gradient-descent factorization plus both gap checks
+factorize    conjugate-gradient factorization plus both gap checks
 detect       full pipeline with KNN detection metrics on a population config
 loss-check   constant-offset identity between the two objectives
 
@@ -65,6 +65,10 @@ from .theory import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
+
+# The five-example case's parameters; see add_toy_params.
+TOY_DEFAULTS = {"variant": "a", "rho": 1.0, "alpha_prime": 0.03, "beta_prime": 0.01,
+                "gamma_ratio": 1e-6}
 
 SWEEP_COLUMNS = (
     "alpha_prime,beta_prime,case,probing_error_count_numeric,probing_error_count_closed,"
@@ -230,10 +234,21 @@ def _population_from_config(config_path: str, seed: int):
 
 
 def _bundle_from_args(args: argparse.Namespace):
+    """The toy case, or the config's population when --config is given.
+
+    The toy flags default to None here, so that one given next to --config,
+    which would be ignored, is refused; the toy case fills in the defaults.
+    """
     weights = GraphWeights(args.eta_u, args.eta_l)
     if args.config:
+        for name in TOY_DEFAULTS:
+            if getattr(args, name) is not None:
+                raise ConfigError(f"--{name.replace('_', '-')} does not apply with --config")
         population, explicit = _population_from_config(args.config, args.seed)
         return build_graph(explicit, population, weights), population
+    for name, default in TOY_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     population, model = build_toy_population(
         args.variant,
         rho=args.rho,
@@ -247,7 +262,7 @@ def _bundle_from_args(args: argparse.Namespace):
 def cmd_factorize(args: argparse.Namespace) -> int:
     bundle, _ = _bundle_from_args(args)
     k = args.k
-    opts = FactorizerOptions(step=args.step, max_iters=args.max_iters, tol=args.tol, seed=args.seed)
+    opts = FactorizerOptions(max_iters=args.max_iters, tol=args.tol, seed=args.seed)
     state = lowrank_factorize(bundle.A_tilde, k, opts)
     embedding = eigendecompose(bundle.A_tilde, k)
     gaps = reconstruction_gap(state, embedding)
@@ -368,14 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    def add_toy_params(p, variants=tuple(v.value for v in TheoryVariant), point=True) -> None:
+    def add_toy_params(p, variants=tuple(v.value for v in TheoryVariant), point=True,
+                       defaults=TOY_DEFAULTS) -> None:
         """The five-example case: its layout, rho and the reduced ratios."""
-        p.add_argument("--variant", type=str, default="a", choices=variants)
-        p.add_argument("--rho", type=float, default=1.0)
+        p.add_argument("--variant", type=str, default=defaults["variant"], choices=variants)
+        p.add_argument("--rho", type=float, default=defaults["rho"])
         if point:
-            p.add_argument("--alpha-prime", type=float, default=0.03)
-            p.add_argument("--beta-prime", type=float, default=0.01)
-        p.add_argument("--gamma-ratio", type=float, default=1e-6)
+            p.add_argument("--alpha-prime", type=float, default=defaults["alpha_prime"])
+            p.add_argument("--beta-prime", type=float, default=defaults["beta_prime"])
+        p.add_argument("--gamma-ratio", type=float, default=defaults["gamma_ratio"])
 
     def add_graph_params(p, config_required=False) -> None:
         """A population config (sampled with --seed) and the edge weights."""
@@ -387,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_gap_params(p) -> None:
         """factorize and loss-check: the toy case or a config, the rank, the identity check."""
-        add_toy_params(p, variants=("a", "b"))
+        add_toy_params(p, variants=("a", "b"), defaults=dict.fromkeys(TOY_DEFAULTS))
         add_graph_params(p)
         p.add_argument("--k", type=int, default=3)
         p.add_argument("--trials", type=int, default=10)
@@ -406,9 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--beta-max", type=float, default=0.2)
     p_sweep.add_argument("--resolution", type=int, default=20)
 
-    p_fact = add_command("factorize", cmd_factorize, "gradient-descent factorization with gap checks")
+    p_fact = add_command("factorize", cmd_factorize, "conjugate-gradient factorization with gap checks")
     add_gap_params(p_fact)
-    p_fact.add_argument("--step", type=float, default=0.5)
     p_fact.add_argument("--max-iters", type=int, default=10000)
     p_fact.add_argument("--tol", type=float, default=1e-14)
     p_fact.add_argument("--loss-gap-tol", type=float, default=1e-4)

@@ -388,6 +388,13 @@ def _integer(value: object, key: str) -> int:
     return value
 
 
+def _number(value: object, key: str) -> float:
+    # float("0.1") and float(True) must not pass for a rate or a fraction.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise PopulationError(f"'{key}' must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, AugmentationModel]:
     """Parse the JSON population config.
 
@@ -400,7 +407,8 @@ def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, A
          "augmentation": {"rho": f, "alpha": f, "beta": f, "gamma": f},
          "pi_c": f, "pi_s": f}
 
-    Ids and counts must be JSON integers.  An explicit matrix may replace the
+    Ids and counts must be JSON integers, and the augmentation parameters
+    and fractions JSON numbers.  An explicit matrix may replace the
     parametric block via ``{"augmentation_matrix": [[...], ...]}``.
     """
     if isinstance(source, (str, Path)):
@@ -421,12 +429,6 @@ def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, A
         if not isinstance(value, list):
             raise PopulationError(f"'{key}' must be a list, got {json.dumps(value)}")
         return value
-
-    def fraction(key: str) -> float:
-        try:
-            return float(raw.get(key, 0.0))
-        except (TypeError, ValueError) as exc:
-            raise PopulationError(f"'{key}' must be a number: {exc}") from exc
 
     classes = tuple(_integer(c, "classes") for c in require_list("classes"))
     domains = tuple(_integer(d, "domains") for d in require_list("domains"))
@@ -449,8 +451,8 @@ def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, A
         classes=classes,
         domains=domains,
         cells=tuple(cells),
-        pi_c=fraction("pi_c"),
-        pi_s=fraction("pi_s"),
+        pi_c=_number(raw.get("pi_c", 0.0), "pi_c"),
+        pi_s=_number(raw.get("pi_s", 0.0), "pi_s"),
     )
 
     if "augmentation_matrix" in raw:
@@ -463,10 +465,7 @@ def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, A
         aug = require("augmentation")
         try:
             model = ParametricAugmentation(
-                rho=float(aug["rho"]),
-                alpha=float(aug["alpha"]),
-                beta=float(aug["beta"]),
-                gamma=float(aug["gamma"]),
+                **{key: _number(aug[key], key) for key in ("rho", "alpha", "beta", "gamma")}
             )
         except (KeyError, TypeError) as exc:
             raise PopulationError(f"augmentation block is malformed: {exc}") from exc

@@ -8,10 +8,11 @@ lexicographically.  The same input on the same machine gives identical
 bytes; across BLAS/LAPACK builds the low-order digits may differ.
 
 The factorizer minimizes the squared Frobenius residual between the
-normalized adjacency and F F^t by plain gradient descent with a halving
-line search.  Its optimum is the sum of squared trailing eigenvalues, which
-the embedding side computes independently; the two routes cross-check each
-other through :func:`reconstruction_gap`.
+normalized adjacency and F F^t by nonlinear conjugate gradient with an exact
+line search; no eigendecomposition enters it.  Its optimum is the sum of
+squared trailing eigenvalues, which the embedding side computes
+independently; the two routes cross-check each other through
+:func:`reconstruction_gap`.
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ def embed(bundle: GraphBundle, k: int) -> SpectralEmbedding:
 
 @dataclass(frozen=True)
 class FactorizerOptions:
-    step: float = 0.5
     max_iters: int = 10000
     tol: float = 1e-14
     seed: int = 0
@@ -175,21 +175,47 @@ class FactorizationState:
         return self.loss_trace[-1][0]
 
 
-def _residual_loss(F: np.ndarray, target: np.ndarray) -> float:
+def _residual(F: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     # overflow propagates to inf and is reported as FactorizationError
     with np.errstate(over="ignore", invalid="ignore"):
         r = F @ F.T - target
-        return float(np.sum(r * r))
+        return r, float(np.vdot(r, r))
+
+
+def _exact_step(R: np.ndarray, F: np.ndarray, d: np.ndarray, g: np.ndarray) -> float:
+    """The t minimizing ||R + t (F d^t + d F^t) + t^2 d d^t||^2, with R = F F^t - A.
+
+    The loss along d is a quartic in t whose coefficients reduce to k x k
+    Gram products plus one product R d.  Its minimizer is the real root of
+    the derivative cubic with the lowest value; a complex root's real part
+    never beats it, and t = 0 stands in when d = 0 leaves no cubic.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = F.T @ d
+        dd = d.T @ d
+        quartic = np.array([
+            np.vdot(dd, dd),
+            4.0 * np.vdot(m, dd),
+            2.0 * (np.vdot(F.T @ F, dd) + np.vdot(m, m.T) + np.vdot(d, R @ d)),
+            np.vdot(g, d),
+            0.0,
+        ])
+        if not np.all(np.isfinite(quartic)):
+            return float("nan")  # the caller reports the non-finite loss
+        t = np.append(np.roots(quartic[:4] * (4.0, 3.0, 2.0, 1.0)).real, 0.0)
+        return float(t[np.argmin(np.polyval(quartic, t))])
 
 
 def lowrank_factorize(
     A_tilde: np.ndarray, k: int, opts: FactorizerOptions = FactorizerOptions()
 ) -> FactorizationState:
-    """Gradient descent on ||A_tilde - F F^t||_F^2.
+    """Nonlinear conjugate gradient on ||A_tilde - F F^t||_F^2.
 
-    The gradient is 4 (F F^t - A_tilde) F.  Each iteration restarts the line
-    search at ``opts.step`` and halves until the loss strictly decreases, so
-    the recorded trace is strictly decreasing after the first accepted step.
+    The gradient is g = 4 (F F^t - A_tilde) F.  Directions follow
+    Polak-Ribiere+ and fall back to -g whenever they are not descent
+    directions; each step goes to the exact minimizer along the direction
+    (Nocedal & Wright, ch. 5).  A step is kept only if the residual loss
+    strictly decreases, so the recorded trace is strictly decreasing.
     Stops when the relative loss decrease falls below ``opts.tol``, when no
     decreasing step exists (numerical optimum), or at ``opts.max_iters``.
     Only the first two count as converged.
@@ -200,30 +226,28 @@ def lowrank_factorize(
     n = m.shape[0]
     rng = np.random.default_rng(opts.seed)
     F = rng.standard_normal((n, k)) / np.sqrt(n * k)
-    loss = _residual_loss(F, m)
+    R, loss = _residual(F, m)
     if not np.isfinite(loss):
         raise FactorizationError("non-finite loss at iteration 0")
     trace = [(0, loss)]
     converged = False
+    g_old = d = None
     for it in range(1, opts.max_iters + 1):
-        grad = 4.0 * ((F @ F.T - m) @ F)
-        eta = opts.step
-        accepted = None
-        for _ in range(80):
-            candidate = F - eta * grad
-            cand_loss = _residual_loss(candidate, m)
-            if not np.isfinite(cand_loss):
-                raise FactorizationError(f"non-finite loss at iteration {it}")
-            if cand_loss < loss:
-                accepted = (candidate, cand_loss)
-                break
-            eta *= 0.5
-        if accepted is None:
+        g = 4.0 * (R @ F)
+        if d is not None:
+            beta = max(0.0, float(np.vdot(g, g - g_old) / np.vdot(g_old, g_old)))
+            d = beta * d - g
+        if d is None or np.vdot(g, d) >= 0.0:
+            d = -g
+        candidate = F + _exact_step(R, F, d, g) * d
+        R_new, new_loss = _residual(candidate, m)
+        if not np.isfinite(new_loss):
+            raise FactorizationError(f"non-finite loss at iteration {it}")
+        if not new_loss < loss:
             converged = True
             break
-        F, new_loss = accepted
         relative_drop = (loss - new_loss) / max(loss, np.finfo(float).tiny)
-        loss = new_loss
+        F, R, loss, g_old = candidate, R_new, new_loss, g
         trace.append((it, loss))
         if relative_drop < opts.tol:
             converged = True

@@ -162,6 +162,17 @@ class TestFactorize:
         gaps = json.loads((out_dir / "gaps.json").read_text())
         assert gaps["final_loss"] <= 1e-10
 
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    @pytest.mark.parametrize("seed", ["7", "8", "9"])
+    def test_readme_loop_converges_in_few_iterations(self, tmp_path, variant, seed):
+        out_dir = tmp_path / "fact"
+        code = main(["factorize", "--variant", variant, "--k", "3", "--seed", seed,
+                     "--out", str(out_dir)])
+        assert code == 0
+        gaps = json.loads((out_dir / "gaps.json").read_text())
+        assert gaps["converged"] is True
+        assert gaps["iterations"] <= 200
+
     def test_single_iteration_fails(self, tmp_path):
         out_dir = tmp_path / "short"
         code = main(
@@ -272,12 +283,16 @@ class TestConfigValidation:
             (edited(("cells",), 5), "cells"),
             (edited(("cells", 0), [0, 0, "labeled_id", 8]), "cells[0]"),
             (edited(("pi_c",), [0.5]), "pi_c"),
+            (edited(("pi_c",), True), "pi_c"),
+            (edited(("pi_s",), "0.2"), "pi_s"),
+            (edited(("augmentation", "rho"), True), "rho"),
+            (edited(("augmentation", "alpha"), "0.1"), "alpha"),
             (edited(("augmentation_matrix",), {"rows": 1}, drop="augmentation"),
              "augmentation_matrix"),
         ],
         ids=["count-float", "count-bool", "class-float", "domain-float", "classes-float",
              "domains-bool", "classes-scalar", "cells-scalar", "cell-list", "pi_c-list",
-             "matrix-object"],
+             "pi_c-bool", "pi_s-string", "rho-bool", "alpha-string", "matrix-object"],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, payload, key):
         config = write_config(tmp_path, payload)
@@ -313,6 +328,7 @@ class TestFlags:
             ["loss-check", "--alpha", "0.03"],
             ["loss-check", "--beta", "0.01"],
             ["loss-check", "--gamma", "1e-6"],
+            ["factorize", "--step", "0.5"],
         ],
     )
     def test_dropped_flag_is_usage_error(self, tmp_path, monkeypatch, argv):
@@ -321,6 +337,19 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main([arg.format(config=config) for arg in argv])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["factorize", "loss-check"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--variant", "a"), ("--rho", "1.0"), ("--alpha-prime", "0.03"),
+         ("--beta-prime", "0.01"), ("--gamma-ratio", "1e-6")],
+    )
+    def test_toy_flag_with_config_is_config_error(self, tmp_path, capsys, command, flag, value):
+        # With --config the toy case is not built, so a toy flag would be ignored.
+        config = write_config(tmp_path, SEPARATED_CONFIG)
+        argv = [command, "--config", config, flag, value, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
 
     def test_detect_requires_config(self, capsys):
         with pytest.raises(SystemExit) as exc:

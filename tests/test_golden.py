@@ -14,8 +14,12 @@ Comparison: metrics within GOLDEN_RTOL relative, spectra elementwise within
 SPECTRUM_ATOL times the largest eigenvalue, counts, flags and exit codes
 exactly.  A toy point's projector deviation is compared within GOLDEN_RTOL
 absolute: a projector has unit scale, and where the closed form is exact
-(unsupervised layout) the deviation itself is rounding noise.  Every case keeps k at an eigengap (no tied eigenspace is cut), so
-the results are defined by whole eigenspaces and not by the solver's basis.
+(unsupervised layout) the deviation itself is rounding noise.  A
+factorization's final loss is compared with the recorded spectral optimum,
+the value any converged factorizer must reach, and not with the point where
+the recorded run happened to stop.  Every case keeps k at an eigengap (no
+tied eigenspace is cut), so the results are defined by whole eigenspaces and
+not by the solver's basis.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ TOY_POINTS = [
 
 # (seed, vertices, k) of the explicit-matrix factorize cases.
 FACTORIZE_CASES = [(1, 24, 4), (2, 30, 5)]
+# Metrics held to another recorded metric: the final loss to the optimum.
+REFERENCE_KEY = {"final_loss": "spectral_optimum"}
 FACTORIZE_CELLS = (
     (0, 0, "wild_id"), (1, 0, "wild_id"),
     (0, 1, "wild_covariate"), (1, 1, "wild_covariate"),
@@ -164,7 +170,8 @@ def test_matches_jacobi_corpus(corpus, golden, name):
     assert have["exit"] == want["exit"]
     assert have["counts"] == want["counts"]
     assert have["metrics"].keys() == want["metrics"].keys()
-    for key, value in want["metrics"].items():
+    for key in want["metrics"]:
+        value = want["metrics"][REFERENCE_KEY.get(key, key)]
         assert have["metrics"][key] == pytest.approx(value, rel=GOLDEN_RTOL, abs=0.0), key
     if "projector_deviation" in want:
         assert abs(have["projector_deviation"] - want["projector_deviation"]) <= GOLDEN_RTOL

@@ -255,6 +255,35 @@ class TestLowRankFactorize:
         assert matrix_loss(f, m) >= optimum - 1e-9
 
 
+def gapped_symmetric(seed, n, k, gap):
+    """Random symmetric matrix whose top k eigenvalues are positive and lie
+    ``gap`` above the rest; returns it with the optimum sum of the rest squared."""
+    rng = np.random.default_rng(seed)
+    rest = rng.uniform(-1.0, 1.0, n - k)
+    top = max(rest.max(initial=0.0), 0.0) + gap + rng.uniform(0.0, 1.0, k)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (q * np.concatenate([top, rest])) @ q.T
+    return 0.5 * (m + m.T), float(np.sum(rest**2))
+
+
+class TestConjugateGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=30),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.01, max_value=0.5),
+    )
+    def test_converges_to_optimum_with_decreasing_trace(self, seed, n, k_frac, gap):
+        k = 1 + int(k_frac * (n - 1))
+        m, optimum = gapped_symmetric(seed, n, k, gap)
+        state = lowrank_factorize(m, k, FactorizerOptions(seed=seed))
+        assert state.converged
+        losses = [loss for _, loss in state.loss_trace]
+        assert all(b < a for a, b in zip(losses, losses[1:]))
+        assert state.final_loss - optimum <= 1e-10 * (1.0 + float(np.sum(m * m)))
+
+
 class TestReconstructionGap:
     def test_converged_state_has_small_gaps(self, case_a_bundle):
         bundle, _ = case_a_bundle
