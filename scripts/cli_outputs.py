@@ -5,9 +5,11 @@
 
 The matrix is the README's commands plus the golden corpus's toy points
 (``tests/test_golden.py``), with a few neighbours across all five
-subcommands, and ``detect`` and ``factorize`` on population configs: the
-README's enumerated config, the same cells resampled as a wild mixture at
-two seeds, and the same cells under an explicit matrix.  Each command runs
+subcommands, sweeps of every variant over three boxes (one of them on
+both regime boundaries), and ``detect`` and ``factorize`` on population
+configs: the README's enumerated config, the same cells resampled as a
+wild mixture at two seeds, and the same cells under an explicit matrix.
+Each command runs
 from inside OUT_DIR with relative paths, so two checkouts give comparable
 trees; ``OUT_DIR/commands.txt`` records every command line, its exit code
 and what it printed.  Run the script from two checkouts into two
@@ -51,6 +53,16 @@ def matrix_config() -> dict:
     return dict(config, augmentation_matrix=matrix)
 
 
+# (file suffix, square box, resolution).  The last box's grid lies on the
+# unsupervised boundary a' = b' along its diagonal, where the eigenvalues
+# tie exactly, and on case a's boundary b' = 9/8 a' at (0.08, 0.09) and
+# (0.16, 0.18).
+SWEEP_BOXES = (
+    ("", ("0.01", "0.2"), "50"),
+    ("-wide", ("0.005", "0.25"), "40"),
+    ("-boundaries", ("0.02", "0.2"), "19"),
+)
+
 CONFIGS = {
     "readme.json": README_CONFIG,
     "mixture.json": MIXTURE_CONFIG,
@@ -64,9 +76,11 @@ def commands() -> list[list[str]]:
         out.append(["toy-verify", "--variant", variant, "--alpha-prime", repr(ap),
                     "--beta-prime", repr(bp), "--out", f"toy-verify-{variant}-{ap}-{bp}.json"])
     for variant in ("a", "b", "unsup"):
-        out.append(["sweep", "--variant", variant, "--alpha-min", "0.01", "--alpha-max", "0.2",
-                    "--beta-min", "0.01", "--beta-max", "0.2", "--resolution", "50",
-                    "--out", f"sweep-{variant}.csv"])
+        for name, box, resolution in SWEEP_BOXES:
+            bounds = ["--alpha-min", box[0], "--alpha-max", box[1],
+                      "--beta-min", box[0], "--beta-max", box[1]]
+            out.append(["sweep", "--variant", variant, *bounds, "--resolution", resolution,
+                        "--out", f"sweep-{variant}{name}.csv"])
     for variant in ("a", "b"):
         for seed in (7, 8, 9):
             out.append(["factorize", "--variant", variant, "--k", "3", "--seed", str(seed),

@@ -78,6 +78,7 @@ from .theory import (
     BOUNDARY_BAND,
     ClosedFormPrediction,
     DegenerateRegimeError,
+    GridVerification,
     ReducedParams,
     SeparabilityGap,
     VerificationReport,
@@ -88,6 +89,7 @@ from .theory import (
     run_toy_pipeline,
     separability_gap,
     verify_against_pipeline,
+    verify_grid,
 )
 
 __version__ = "0.1.0"

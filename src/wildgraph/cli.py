@@ -57,9 +57,8 @@ from .theory import (
     ReducedParams,
     TheoryVariant,
     boundary_margin,
-    run_toy_pipeline,
-    separability_gap,
     verify_against_pipeline,
+    verify_grid,
 )
 
 EXIT_OK = 0
@@ -70,6 +69,9 @@ EXIT_CONFIG = 2
 TOY_DEFAULTS = {"variant": "a", "rho": 1.0, "alpha_prime": 0.03, "beta_prime": 0.01,
                 "gamma_ratio": 1e-6}
 
+# Grid points evaluated as one batch: at the largest grid (200 x 200) this
+# keeps the stacked arrays to a few megabytes.
+SWEEP_BLOCK = 4096
 SWEEP_COLUMNS = (
     "alpha_prime,beta_prime,case,probing_error_count_numeric,probing_error_count_closed,"
     "separability_numeric,separability_closed,gap_ab,gap_label,eig_dev_max,projector_dev"
@@ -167,46 +169,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     variant = TheoryVariant(args.variant)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.resolution)
     betas = np.linspace(args.beta_min, args.beta_max, args.resolution)
-    nan = float("nan")
+    # Rows run over beta' within each alpha'; blocks of rows bound the memory.
+    grid_alpha = np.repeat(alphas, args.resolution)
+    grid_beta = np.tile(betas, args.resolution)
     lines = [f"# {_config_line(args)}", SWEEP_COLUMNS]
-    for ap in alphas:
-        for bp in betas:
-            params = ReducedParams(float(ap), float(bp), args.gamma_ratio)
-            try:
-                gaps = separability_gap(params)
-                gap_ab, gap_label = gaps.gap_ab, gaps.gap_label
-            except DegenerateRegimeError:
-                gap_ab, gap_label = nan, nan
-            try:
-                report = verify_against_pipeline(variant, params, rho=args.rho)
-                by_name = {c.name: c for c in report.comparisons}
-                numeric_count = int(by_name["probing_error_count"].numeric)
-                closed_count = int(by_name["probing_error_count"].closed)
-                numeric_sep = by_name["separability"].numeric
-                closed_sep = by_name["separability"].closed
-                eig_dev, proj_dev = report.eig_dev_max, report.projector_dev
-            except DegenerateRegimeError:
-                numeric = run_toy_pipeline(variant, params, rho=args.rho)
-                numeric_count, closed_count = numeric.probing.count, -1
-                numeric_sep, closed_sep = numeric.separability, nan
-                eig_dev, proj_dev = nan, nan
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(float(ap)),
-                        _fmt(float(bp)),
-                        variant.value,
-                        str(numeric_count),
-                        str(closed_count),
-                        _fmt(numeric_sep),
-                        _fmt(closed_sep),
-                        _fmt(gap_ab),
-                        _fmt(gap_label),
-                        _fmt(eig_dev),
-                        _fmt(proj_dev),
-                    ]
-                )
-            )
+    for start in range(0, grid_alpha.size, SWEEP_BLOCK):
+        ap = grid_alpha[start : start + SWEEP_BLOCK]
+        bp = grid_beta[start : start + SWEEP_BLOCK]
+        g = verify_grid(variant, ReducedParams(ap, bp, args.gamma_ratio), rho=args.rho)
+        columns = (
+            ap, bp, g.numeric_count, g.closed_count, g.numeric_separability,
+            g.closed_separability, g.gap_ab, g.gap_label, g.eig_dev_max, g.projector_dev,
+        )
+        for a, b, count_n, count_c, *values in zip(*(c.tolist() for c in columns)):
+            fields = [_fmt(a), _fmt(b), variant.value, str(count_n), str(count_c)]
+            lines.append(",".join(fields + [_fmt(v) for v in values]))
     out = args.out or "sweep.csv"
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:

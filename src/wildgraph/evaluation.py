@@ -17,7 +17,9 @@ above a percentile threshold of the reference scores.
 
 :func:`evaluate` is the one place that maps population memberships to
 embedding rows: it fits the probe and computes probing error, separability
-and both accuracies for every caller.
+and both accuracies for every caller.  The probe and everything
+:func:`evaluate` reports also take a stack of embeddings (leading batch
+axes before the rows) and return one value per embedding.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ class EvaluationError(ValueError):
     pass
 
 
+def _unstacked(value: np.ndarray, cast=float):
+    """``cast(value)`` for one embedding; a stack keeps its array."""
+    return cast(value) if np.ndim(value) == 0 else value
+
+
 @dataclass(frozen=True)
 class LinearProbe:
     M: np.ndarray
@@ -79,8 +86,8 @@ def fit_linear_probe(
     """
     z = np.asarray(Z_id, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    if z.ndim != 2 or z.shape[0] != labels.shape[0]:
-        raise EvaluationError(f"got {z.shape[0]} embedding rows for {labels.shape[0]} labels")
+    if z.ndim < 2 or z.shape[-2] != labels.shape[0]:
+        raise EvaluationError(f"got {z.shape[-2]} embedding rows for {labels.shape[0]} labels")
     class_list = tuple(sorted(set(int(c) for c in labels))) if classes is None else tuple(classes)
     if not class_list:
         raise EvaluationError("no classes to fit")
@@ -89,16 +96,16 @@ def fit_linear_probe(
     if missing:
         raise EvaluationError(f"classes {missing} have no training examples")
     onehot = (labels[:, None] == np.array(class_list)[None, :]).astype(float)
-    gram = z.T @ z
-    m = np.linalg.pinv(gram, rcond=PINV_RCOND, hermitian=True) @ z.T @ onehot
+    zt = np.swapaxes(z, -1, -2)
+    m = np.linalg.pinv(zt @ z, rcond=PINV_RCOND, hermitian=True) @ zt @ onehot
     return LinearProbe(M=m, classes=class_list)
 
 
 def probe_scores(probe: LinearProbe, Z: np.ndarray) -> np.ndarray:
     z = np.asarray(Z, dtype=float)
-    if z.shape[1] != probe.M.shape[0]:
+    if z.shape[-1] != probe.M.shape[-2]:
         raise EvaluationError(
-            f"embedding dimension {z.shape[1]} != probe dimension {probe.M.shape[0]}"
+            f"embedding dimension {z.shape[-1]} != probe dimension {probe.M.shape[-2]}"
         )
     return z @ probe.M
 
@@ -106,13 +113,13 @@ def probe_scores(probe: LinearProbe, Z: np.ndarray) -> np.ndarray:
 def predict(probe: LinearProbe, Z: np.ndarray) -> np.ndarray:
     """Argmax class prediction; exact ties go to the lowest class index."""
     scores = probe_scores(probe, Z)
-    return np.array(probe.classes)[np.argmax(scores, axis=1)]
+    return np.array(probe.classes)[np.argmax(scores, axis=-1)]
 
 
 def classification_accuracy(Z: np.ndarray, labels: Sequence[int], probe: LinearProbe) -> float:
     """Plain argmax accuracy of the probe on one split."""
     labels = np.asarray(labels, dtype=int)
-    return float(np.mean(predict(probe, Z) == labels))
+    return _unstacked(np.mean(predict(probe, Z) == labels, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -138,24 +145,23 @@ def probing_error(
     """
     labels = np.asarray(labels, dtype=int)
     scores = probe_scores(probe, Z_cov)
-    if labels.shape[0] != scores.shape[0]:
-        raise EvaluationError(f"got {scores.shape[0]} rows for {labels.shape[0]} labels")
+    if labels.shape[0] != scores.shape[-2]:
+        raise EvaluationError(f"got {scores.shape[-2]} rows for {labels.shape[0]} labels")
     class_arr = np.array(probe.classes)
-    preds = class_arr[np.argmax(scores, axis=1)]
-    errors = 0
-    for i, label in enumerate(labels):
-        where = np.flatnonzero(class_arr == label)
-        if where.size == 0:
-            errors += 1
-            continue
-        own = scores[i, where[0]]
-        others = np.delete(scores[i], where[0])
-        scale = float(np.max(np.abs(scores[i]))) or 1.0
-        strict_win = others.size == 0 or own > float(np.max(others)) + tie_tolerance * scale
-        if not strict_win:
-            errors += 1
+    preds = class_arr[np.argmax(scores, axis=-1)]
+    match = labels[:, None] == class_arr[None, :]
+    own_col = np.argmax(match, axis=-1)
+    own_mask = np.arange(class_arr.size) == own_col[:, None]
+    own = np.max(np.where(own_mask, scores, -np.inf), axis=-1)
+    others = np.max(np.where(own_mask, -np.inf, scores), axis=-1)
+    scale = np.max(np.abs(scores), axis=-1)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    strict_win = (class_arr.size == 1) | (own > others + tie_tolerance * scale)
+    errors = np.sum(~(match.any(axis=-1) & strict_win), axis=-1)
     return ProbingResult(
-        rate=errors / len(labels), count=errors, predictions=tuple(int(p) for p in preds)
+        rate=_unstacked(errors / len(labels)),
+        count=_unstacked(errors, int),
+        predictions=tuple(int(p) for p in preds) if preds.ndim == 1 else preds,
     )
 
 
@@ -165,10 +171,10 @@ def separability(Z_id: np.ndarray, Z_sem: np.ndarray) -> float:
     b = np.asarray(Z_sem, dtype=float)
     if a.size == 0 or b.size == 0:
         raise EvaluationError("separability needs nonempty ID and semantic sets")
-    if a.shape[1] != b.shape[1]:
-        raise EvaluationError(f"embedding dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    diff = a[:, None, :] - b[None, :, :]
-    return float(np.mean(np.sum(diff * diff, axis=2)))
+    if a.shape[-1] != b.shape[-1]:
+        raise EvaluationError(f"embedding dimensions differ: {a.shape[-1]} vs {b.shape[-1]}")
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    return _unstacked(np.mean(np.sum(diff * diff, axis=-1), axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -213,16 +219,20 @@ def evaluate(population: Population, Z: np.ndarray) -> Evaluation:
     if missing:
         raise EvaluationError(f"population lacks required membership kinds: {', '.join(missing)}")
     labels = population.class_labels()
-    probe = fit_linear_probe(z[labeled], labels[labeled], classes=population.classes)
+    probe = fit_linear_probe(z[..., labeled, :], labels[labeled], classes=population.classes)
     id_eval_rows = wild_id if wild_id else labeled
     return Evaluation(
         labeled_rows=labeled,
         wild_id_rows=wild_id,
         semantic_rows=semantic,
-        probing=probing_error(z[covariate], labels[covariate], probe),
-        separability=separability(z[labeled + wild_id], z[semantic]),
-        id_accuracy=classification_accuracy(z[id_eval_rows], labels[id_eval_rows], probe),
-        covariate_accuracy=classification_accuracy(z[covariate], labels[covariate], probe),
+        probing=probing_error(z[..., covariate, :], labels[covariate], probe),
+        separability=separability(z[..., labeled + wild_id, :], z[..., semantic, :]),
+        id_accuracy=classification_accuracy(
+            z[..., id_eval_rows, :], labels[id_eval_rows], probe
+        ),
+        covariate_accuracy=classification_accuracy(
+            z[..., covariate, :], labels[covariate], probe
+        ),
     )
 
 

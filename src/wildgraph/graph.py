@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .population import AugmentationModel, Population, transformation_matrix
+from .population import (
+    AugmentationModel,
+    ExplicitAugmentation,
+    ParametricAugmentation,
+    Population,
+    transformation_matrix,
+)
 
 __all__ = [
     "GraphWeights",
@@ -59,13 +65,15 @@ class GraphBundle:
     ``A`` is globally normalized: its entries sum to one, with ``C`` the raw
     total that was divided out.  ``D`` holds the degrees (row sums of ``A``)
     and ``A_tilde`` the degree-normalized adjacency, which is invariant to
-    both ``C`` and any common rescaling of the two edge weights.
+    both ``C`` and any common rescaling of the two edge weights.  A bundle
+    built from a stack of models carries the same leading axes on every
+    array, ``C`` included.
     """
 
     A_u: np.ndarray
     A_l: np.ndarray
     A: np.ndarray
-    C: float
+    C: float | np.ndarray
     D: np.ndarray
     A_tilde: np.ndarray
     weights: GraphWeights
@@ -81,11 +89,10 @@ def self_supervised_adjacency(model: AugmentationModel, population: Population) 
 
     Returns the views-by-views matrix (1/n) T^t T, where T is the
     transformation matrix of ``model`` over ``population`` and n the number
-    of natural examples.
+    of natural examples; a stack of models gives a stack of matrices.
     """
     t = transformation_matrix(model, population)
-    n_natural = t.shape[0]
-    return t.T @ t / n_natural
+    return np.swapaxes(t, -1, -2) @ t / t.shape[-2]
 
 
 def supervised_adjacency(model: AugmentationModel, population: Population) -> np.ndarray:
@@ -96,11 +103,10 @@ def supervised_adjacency(model: AugmentationModel, population: Population) -> np
     distribution).  Without any labeled examples the matrix is zero.
     """
     t = transformation_matrix(model, population)
-    n_views = t.shape[1]
-    out = np.zeros((n_views, n_views))
+    out = np.zeros(t.shape[:-2] + (t.shape[-1], t.shape[-1]))
     for _, rows in sorted(population.labeled_indices_by_class().items()):
-        mu = t[rows, :].mean(axis=0)
-        out += np.outer(mu, mu)
+        mu = t[..., rows, :].mean(axis=-2)
+        out += mu[..., :, None] * mu[..., None, :]
     return out
 
 
@@ -116,22 +122,27 @@ def combine_and_normalize(
     A_l = np.asarray(A_l, dtype=float)
     if A_u.shape != A_l.shape or A_u.ndim != 2 or A_u.shape[0] != A_u.shape[1]:
         raise GraphError(f"adjacency shapes {A_u.shape} and {A_l.shape} are incompatible")
+    return _normalize(A_u, A_l, weights)
+
+
+def _normalize(A_u: np.ndarray, A_l: np.ndarray, weights: GraphWeights) -> GraphBundle:
+    """:func:`combine_and_normalize` over any leading batch axes."""
     for name, m in (("A_u", A_u), ("A_l", A_l)):
-        if np.max(np.abs(m - m.T), initial=0.0) > 1e-10:
+        if np.max(np.abs(m - np.swapaxes(m, -1, -2)), initial=0.0) > 1e-10:
             raise GraphError(f"{name} is not symmetric")
     raw = weights.eta_u * A_u + weights.eta_l * A_l
-    C = float(raw.sum())
-    if C <= 0:
+    C = raw.sum(axis=(-2, -1))
+    if np.any(C <= 0):
         raise GraphError("combined adjacency has nonpositive total weight")
-    A = raw / C
-    D = A.sum(axis=1)
-    zero = np.flatnonzero(D <= 0)
+    A = raw / C[..., None, None]
+    D = A.sum(axis=-1)
+    zero = np.argwhere(D <= 0)
     if zero.size:
-        raise IsolatedVertexError(f"vertex {int(zero[0])} has zero degree")
+        raise IsolatedVertexError(f"vertex {int(zero[0, -1])} has zero degree")
     # The check above lets caller matrices be symmetric only to 1e-10, so
     # A_tilde is made exactly symmetric here.
-    A_tilde = A / np.sqrt(np.outer(D, D))
-    A_tilde = 0.5 * (A_tilde + A_tilde.T)
+    A_tilde = A / np.sqrt(D[..., :, None] * D[..., None, :])
+    A_tilde = 0.5 * (A_tilde + np.swapaxes(A_tilde, -1, -2))
     return GraphBundle(
         A_u=A_u.copy(), A_l=A_l.copy(), A=A, C=C, D=D, A_tilde=A_tilde, weights=weights
     )
@@ -141,7 +152,20 @@ def build_graph(
     model: AugmentationModel, population: Population, weights: GraphWeights
 ) -> GraphBundle:
     """Full assembly from an augmentation model and a population."""
-    return combine_and_normalize(
+    return _build_graph(model, population, weights)
+
+
+def _build_graph(
+    model: AugmentationModel, population: Population, weights: GraphWeights
+) -> GraphBundle:
+    """:func:`build_graph` for a model or a stack of models.
+
+    A parametric model is expanded once, and both adjacencies are built
+    from that one matrix.
+    """
+    if isinstance(model, ParametricAugmentation):
+        model = ExplicitAugmentation(transformation_matrix(model, population))
+    return _normalize(
         self_supervised_adjacency(model, population),
         supervised_adjacency(model, population),
         weights,

@@ -177,31 +177,43 @@ class Population:
 
 @dataclass(frozen=True)
 class ParametricAugmentation:
-    """Four-parameter transformation rule; see the module docstring."""
+    """Four-parameter transformation rule; see the module docstring.
 
-    rho: float
-    alpha: float
-    beta: float
-    gamma: float
+    Each parameter is a number or an array of them; arrays broadcast
+    against each other and describe a stack of models, one per entry.
+    """
+
+    rho: float | np.ndarray
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    gamma: float | np.ndarray
 
     def __post_init__(self) -> None:
-        vals = (self.rho, self.alpha, self.beta, self.gamma)
-        if any(not math.isfinite(v) or v < 0 for v in vals):
-            raise PopulationError(
-                f"augmentation parameters must be finite and nonnegative, got {vals}"
-            )
+        for name in ("rho", "alpha", "beta", "gamma"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            bad = ~(np.isfinite(v) & (v >= 0))
+            if np.any(bad):
+                raise PopulationError(
+                    f"augmentation parameter {name} must be finite and nonnegative, "
+                    f"got {v[bad].flat[0]}"
+                )
 
 
 @dataclass(frozen=True)
 class ExplicitAugmentation:
-    """Explicit nonnegative transformation matrix, sources by views."""
+    """Explicit nonnegative transformation matrix, sources by views.
+
+    Leading axes, if any, stack one matrix per model.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise PopulationError(f"transformation matrix must be 2-D, got shape {m.shape}")
+        if m.ndim < 2:
+            raise PopulationError(
+                f"transformation matrix must have at least two axes, got shape {m.shape}"
+            )
         if not np.all(np.isfinite(m)) or np.any(m < 0):
             raise PopulationError("transformation matrix entries must be finite and nonnegative")
         m = m.copy()
@@ -219,13 +231,14 @@ def transformation_matrix(model: AugmentationModel, population: Population) -> n
 
     For a parametric model the result is square (views are the natural
     examples themselves) and every entry is one of rho, alpha, beta, gamma
-    as selected by class/domain agreement.  An explicit model is checked for
-    a matching source count and returned as-is.
+    as selected by class/domain agreement; array-valued parameters give a
+    stack of such matrices along their leading axes.  An explicit model is
+    checked for a matching source count and returned as-is.
     """
     if isinstance(model, ExplicitAugmentation):
-        if model.matrix.shape[0] != len(population):
+        if model.matrix.shape[-2] != len(population):
             raise PopulationError(
-                f"transformation matrix has {model.matrix.shape[0]} source rows "
+                f"transformation matrix has {model.matrix.shape[-2]} source rows "
                 f"for a population of {len(population)} examples"
             )
         return model.matrix
@@ -233,11 +246,15 @@ def transformation_matrix(model: AugmentationModel, population: Population) -> n
     dom = population.domain_labels()
     class_match = cls[:, None] == cls[None, :]
     domain_match = dom[:, None] == dom[None, :]
+    rho, alpha, beta, gamma = (
+        np.asarray(v, dtype=float)[..., None, None]
+        for v in (model.rho, model.alpha, model.beta, model.gamma)
+    )
     t = np.where(
         class_match,
-        np.where(domain_match, model.rho, model.alpha),
-        np.where(domain_match, model.beta, model.gamma),
-    ).astype(float)
+        np.where(domain_match, rho, alpha),
+        np.where(domain_match, beta, gamma),
+    )
     t.setflags(write=False)
     return t
 
@@ -456,9 +473,19 @@ def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, A
     )
 
     if "augmentation_matrix" in raw:
+        rows = raw["augmentation_matrix"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise PopulationError(
+                f"augmentation_matrix must be a list of rows, got {json.dumps(rows)[:80]}"
+            )
+        # One set of entry types, so the common all-number case costs one pass.
+        if not {type(v) for row in rows for v in row} <= {int, float}:
+            for row in rows:
+                for v in row:
+                    _number(v, "augmentation_matrix")
         try:
-            matrix = np.array(raw["augmentation_matrix"], dtype=float)
-        except (TypeError, ValueError) as exc:
+            matrix = np.array(rows, dtype=float)
+        except ValueError as exc:
             raise PopulationError(f"augmentation_matrix is malformed: {exc}") from exc
         model: AugmentationModel = ExplicitAugmentation(matrix)
     else:

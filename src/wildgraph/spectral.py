@@ -64,7 +64,8 @@ class SpectralEmbedding:
     ``eigenvalues`` holds the full descending spectrum, ``V_k`` the leading
     orthonormal eigenvectors, and ``Sigma_k`` the leading eigenvalues
     clamped at zero so their square roots exist.  ``Z`` stays ``None`` until
-    :func:`closed_form_embedding` supplies the degrees.
+    :func:`closed_form_embedding` supplies the degrees.  An embedding of a
+    stack of graphs carries the stack's leading axes on every array.
     """
 
     eigenvalues: np.ndarray
@@ -95,29 +96,40 @@ def eigendecompose(A_tilde: np.ndarray, k: int) -> SpectralEmbedding:
     m = np.asarray(A_tilde, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpectralError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
+    return _decompose(m, k)
+
+
+def _decompose(m: np.ndarray, k: int) -> SpectralEmbedding:
+    """:func:`eigendecompose` over any leading batch axes, with one ``eigh`` call.
+
+    Only matrices with exactly tied eigenvalues go through the per-matrix
+    lexicographic ordering.
+    """
+    n = m.shape[-1]
     if not 1 <= k <= n:
         raise SpectralError(f"k must satisfy 1 <= k <= {n}, got {k}")
     if not np.all(np.isfinite(m)):
         raise SpectralError("input matrix has non-finite entries")
-    if np.max(np.abs(m - m.T), initial=0.0) > ASYMMETRY_TOLERANCE:
+    mt = np.swapaxes(m, -1, -2)
+    if np.max(np.abs(m - mt), initial=0.0) > ASYMMETRY_TOLERANCE:
         raise AsymmetricMatrixError("input matrix is not symmetric")
     try:
-        lam, v = np.linalg.eigh(0.5 * (m + m.T))
+        lam, v = np.linalg.eigh(0.5 * (m + mt))
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigh failed: {exc}") from exc
-    pivot = np.argmax(np.abs(v), axis=0)
-    v[:, v[pivot, np.arange(n)] < 0] *= -1.0
-    order = np.argsort(-lam, kind="stable")
-    if np.any(np.diff(lam[order]) == 0.0):
+    pivot = np.argmax(np.abs(v), axis=-2)
+    v = np.where(np.take_along_axis(v, pivot[..., None, :], axis=-2) < 0, -v, v)
+    order = np.argsort(-lam, axis=-1, kind="stable")
+    tied = np.any(np.diff(np.take_along_axis(lam, order, axis=-1), axis=-1) == 0.0, axis=-1)
+    for i in map(tuple, np.argwhere(tied)):
         # exactly equal eigenvalues are ordered by their sign-fixed vectors,
         # compared entry by entry (lexsort's last key is the primary one)
-        order = np.lexsort(np.vstack([v[::-1], -lam]))
-    eigenvalues = lam[order]
+        order[i] = np.lexsort(np.vstack([v[i][::-1], -lam[i]]))
+    eigenvalues = np.take_along_axis(lam, order, axis=-1)
     return SpectralEmbedding(
         eigenvalues=eigenvalues,
-        V_k=v[:, order[:k]],
-        Sigma_k=np.clip(eigenvalues[:k], 0.0, None),
+        V_k=np.take_along_axis(v, order[..., None, :k], axis=-1),
+        Sigma_k=np.clip(eigenvalues[..., :k], 0.0, None),
         k=k,
     )
 
@@ -128,24 +140,30 @@ def closed_form_embedding(bundle: GraphBundle, embedding: SpectralEmbedding) -> 
     Negative leading eigenvalues were already clamped in ``Sigma_k``; a
     warning flags when clamping actually discarded signal.
     """
-    if bundle.D.shape[0] != embedding.V_k.shape[0]:
+    if bundle.D.shape[-1] != embedding.V_k.shape[-2]:
         raise SpectralError(
-            f"bundle has {bundle.D.shape[0]} vertices but embedding has "
-            f"{embedding.V_k.shape[0]} rows"
+            f"bundle has {bundle.D.shape[-1]} vertices but embedding has "
+            f"{embedding.V_k.shape[-2]} rows"
         )
-    clipped = embedding.eigenvalues[: embedding.k]
+    clipped = embedding.eigenvalues[..., : embedding.k]
     if np.any(clipped < 0):
         warnings.warn(
             "negative leading eigenvalues clamped to zero before the square root",
             RuntimeWarning,
             stacklevel=2,
         )
-    return embedding.V_k * np.sqrt(embedding.Sigma_k) / np.sqrt(bundle.D)[:, None]
+    scale = np.sqrt(embedding.Sigma_k)[..., None, :]
+    return embedding.V_k * scale / np.sqrt(bundle.D)[..., :, None]
 
 
 def embed(bundle: GraphBundle, k: int) -> SpectralEmbedding:
-    """Eigendecompose the bundle's normalized adjacency and attach Z."""
-    embedding = eigendecompose(bundle.A_tilde, k)
+    """Eigendecompose the bundle's normalized adjacency and attach Z.
+
+    A bundle of one graph goes through :func:`eigendecompose`; a stack of
+    graphs through the same code with its batch axes.
+    """
+    decompose = eigendecompose if bundle.A_tilde.ndim == 2 else _decompose
+    embedding = decompose(bundle.A_tilde, k)
     z = closed_form_embedding(bundle, embedding)
     return replace(embedding, Z=z)
 

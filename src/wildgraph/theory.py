@@ -20,6 +20,12 @@ The two eigenvalues at 1 span a degenerate subspace, so all comparisons
 against the numeric pipeline go through projectors: the top pair jointly,
 the third vector on its own.  :func:`verify_against_pipeline` runs the full
 numeric chain at finite parameters and reports per-quantity deviations.
+
+The ratios in :class:`ReducedParams` may be arrays.  The closed forms,
+:func:`run_toy_pipeline` and :func:`verify_against_pipeline` then return
+one value per point along the arrays' shape, computed by the same code as
+for a single point; :func:`verify_grid` evaluates a whole grid this way
+for ``sweep``.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .evaluation import ProbingResult, evaluate
-from .graph import GraphWeights, build_graph
+from .evaluation import ProbingResult, _unstacked, evaluate
+from .graph import GraphWeights, _build_graph
 from .population import TheoryVariant, build_toy_population
 from .spectral import SpectralEmbedding, embed
 
@@ -42,6 +48,7 @@ __all__ = [
     "SeparabilityGap",
     "QuantityComparison",
     "VerificationReport",
+    "GridVerification",
     "DegenerateRegimeError",
     "BOUNDARY_BAND",
     "THEORY_WEIGHTS",
@@ -53,6 +60,7 @@ __all__ = [
     "boundary_margin",
     "run_toy_pipeline",
     "verify_against_pipeline",
+    "verify_grid",
 ]
 
 BOUNDARY_BAND = 0.005
@@ -66,26 +74,33 @@ class DegenerateRegimeError(ValueError):
 
 @dataclass(frozen=True)
 class ReducedParams:
-    alpha_prime: float
-    beta_prime: float
-    gamma_ratio: float = 0.0
+    """The ratios a' = alpha/rho, b' = beta/rho and gamma/rho.
+
+    Each is a number or an array; arrays broadcast against each other and
+    describe one point per entry.
+    """
+
+    alpha_prime: float | np.ndarray
+    beta_prime: float | np.ndarray
+    gamma_ratio: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha_prime < 1.0 and 0.0 < self.beta_prime < 1.0):
+        ap, bp = np.asarray(self.alpha_prime), np.asarray(self.beta_prime)
+        if not (np.all((0.0 < ap) & (ap < 1.0)) and np.all((0.0 < bp) & (bp < 1.0))):
             raise ValueError(
                 f"reduced ratios must lie in (0, 1), got "
                 f"({self.alpha_prime}, {self.beta_prime})"
             )
-        if self.gamma_ratio < 0:
+        if np.any(np.asarray(self.gamma_ratio) < 0):
             raise ValueError(f"gamma_ratio must be nonnegative, got {self.gamma_ratio}")
 
     @property
-    def case_a_margin(self) -> float:
+    def case_a_margin(self) -> float | np.ndarray:
         """Signed distance to the case-a regime boundary (9/8) a' = b'."""
         return 1.125 * self.alpha_prime - self.beta_prime
 
     @property
-    def unsup_margin(self) -> float:
+    def unsup_margin(self) -> float | np.ndarray:
         """Signed distance to the unsupervised regime boundary a' = b'."""
         return self.alpha_prime - self.beta_prime
 
@@ -96,8 +111,8 @@ class ClosedFormPrediction:
     eigenbasis: np.ndarray
     top_pair_projector: np.ndarray
     third_projector: np.ndarray
-    probing_error_count: int
-    separability: float
+    probing_error_count: int | np.ndarray
+    separability: float | np.ndarray
     degenerate_pair: bool
 
     def __post_init__(self) -> None:
@@ -105,7 +120,7 @@ class ClosedFormPrediction:
             getattr(self, name).setflags(write=False)
 
 
-def boundary_margin(variant: TheoryVariant | str, params: ReducedParams) -> float:
+def boundary_margin(variant: TheoryVariant | str, params: ReducedParams) -> float | np.ndarray:
     variant = TheoryVariant(variant)
     if variant is TheoryVariant.CASE_A:
         return params.case_a_margin
@@ -114,143 +129,184 @@ def boundary_margin(variant: TheoryVariant | str, params: ReducedParams) -> floa
     return math.inf
 
 
+def _square(x: float | np.ndarray) -> float | np.ndarray:
+    """``x ** 2`` of each entry as a Python float, that is through C ``pow``.
+
+    numpy squares by ``x * x``, which rounds differently from ``pow`` for
+    roughly one input in a thousand, and the gaps, differences of nearly
+    equal closed forms, magnify such a last-bit change up to twentyfold.
+    Squaring as Python floats keeps every closed-form value equal to the
+    formula evaluated point by point in plain Python.
+    """
+    return np.reshape([v**2 for v in np.ravel(x).tolist()], np.shape(x))
+
+
+def _last_axis(*values) -> np.ndarray:
+    """Stack numbers, vectors or their grids along a new last axis."""
+    return np.stack(np.broadcast_arrays(*values), axis=-1)
+
+
 def _prediction(
     eigenvalues: np.ndarray,
     basis: np.ndarray,
-    count: int,
-    sep: float,
+    count: np.ndarray,
+    sep: np.ndarray,
     degenerate_pair: bool,
 ) -> ClosedFormPrediction:
-    pair = basis[:, :2] @ basis[:, :2].T
-    third = np.outer(basis[:, 2], basis[:, 2])
+    pair = basis[..., :2] @ np.swapaxes(basis[..., :2], -1, -2)
+    third = basis[..., :, 2, None] * basis[..., None, :, 2]
     return ClosedFormPrediction(
         eigenvalues=eigenvalues,
         eigenbasis=basis,
         top_pair_projector=pair,
         third_projector=third,
-        probing_error_count=count,
-        separability=sep,
+        probing_error_count=_unstacked(count, int),
+        separability=_unstacked(sep),
         degenerate_pair=degenerate_pair,
     )
 
 
-def closed_form_case_a(params: ReducedParams) -> ClosedFormPrediction:
+def _case_a(params: ReducedParams) -> ClosedFormPrediction:
     ap, bp = params.alpha_prime, params.beta_prime
-    if abs(params.case_a_margin) <= DEGENERACY_EPS:
-        raise DegenerateRegimeError(
-            f"degenerate regime: (9/8) alpha' = {1.125 * ap} coincides with beta' = {bp}"
-        )
+    generalizes = np.asarray(params.case_a_margin > 0)
     normalization = 7.0 + 12.0 * bp + 12.0 * ap
     s2, s6 = math.sqrt(2.0), math.sqrt(6.0)
     v1 = np.array([s2, s2, 1.0, 1.0, 0.0]) / s6
     v2 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-    generalizes = params.case_a_margin > 0
-    if generalizes:
-        v3 = np.array([-s2, s2, -1.0, 1.0, 0.0]) / s6
-        count = 0
-        sep = normalization * ((1.0 - 2.0 * bp) / 3.0 * (1.0 - bp - 0.75 * ap) ** 2 + 1.0)
-        third_value = 1.0 - 4.0 * bp
-    else:
-        v3 = np.array([-1.0, -1.0, s2, s2, 0.0]) / s6
-        count = 2
-        sep = normalization * ((2.0 - 3.0 * ap) / 8.0 * (1.0 - bp - 0.75 * ap) ** 2 + 1.0)
-        third_value = 1.0 - 4.5 * ap
-    eigenvalues = np.array(
-        [1.0, 1.0, third_value, min(1.0 - 4.0 * bp, 1.0 - 4.5 * ap), 1.0 - 4.0 * bp - 4.5 * ap]
+    v3 = np.where(
+        generalizes[..., None],
+        np.array([-s2, s2, -1.0, 1.0, 0.0]) / s6,
+        np.array([-1.0, -1.0, s2, s2, 0.0]) / s6,
+    )
+    weight = np.where(generalizes, (1.0 - 2.0 * bp) / 3.0, (2.0 - 3.0 * ap) / 8.0)
+    sep = normalization * (weight * _square(1.0 - bp - 0.75 * ap) + 1.0)
+    eigenvalues = _last_axis(
+        1.0,
+        1.0,
+        np.where(generalizes, 1.0 - 4.0 * bp, 1.0 - 4.5 * ap),
+        np.minimum(1.0 - 4.0 * bp, 1.0 - 4.5 * ap),
+        1.0 - 4.0 * bp - 4.5 * ap,
     )
     return _prediction(
-        eigenvalues, np.column_stack([v1, v2, v3]), count, sep, True
+        eigenvalues, _last_axis(v1, v2, v3), np.where(generalizes, 0, 2), sep, True
     )
 
 
-def _case_b_eigenvalues(ap: float, bp: float) -> np.ndarray:
-    root_inner = math.sqrt(3.0) * math.sqrt(27.0 * ap**2 - 40.0 * ap * bp + 48.0 * bp**2)
-    root_outer = math.sqrt(81.0 * ap**2 + 24.0 * ap * bp + 16.0 * bp**2)
+def _case_b_eigenvalues(ap: float | np.ndarray, bp: float | np.ndarray) -> np.ndarray:
+    root_inner = math.sqrt(3.0) * np.sqrt(
+        27.0 * _square(ap) - 40.0 * ap * bp + 48.0 * _square(bp)
+    )
+    root_outer = np.sqrt(81.0 * _square(ap) + 24.0 * ap * bp + 16.0 * _square(bp))
     lam2 = 1.0 - 3.0 * bp + (root_inner - 9.0 * ap) / 4.0
     lam3 = 1.0 - 5.0 * bp + (root_outer - 9.0 * ap) / 4.0
     lam4 = 1.0 - 3.0 * bp - (root_inner + 9.0 * ap) / 4.0
     lam5 = 1.0 - 5.0 * bp - (root_outer + 9.0 * ap) / 4.0
-    return np.array([1.0, lam2, lam3, lam4, lam5])
+    return _last_axis(1.0, lam2, lam3, lam4, lam5)
 
 
-def _case_b_coeffs(ap: float, bp: float, lam: float) -> tuple[float, float, float]:
+def _case_b_coeffs(
+    ap: float | np.ndarray, bp: float | np.ndarray, lam: float | np.ndarray
+) -> tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray]:
     a = math.sqrt(2.0) * (1.0 - 6.0 * bp - lam) / (8.0 * bp)
     b = (4.0 * bp - 1.0 + lam) / (4.0 * bp)
     c = math.sqrt(2.0) * (1.0 - 3.0 * ap - 6.0 * bp - lam) / (3.0 * ap)
     return a, b, c
 
 
-def closed_form_case_b(params: ReducedParams) -> ClosedFormPrediction:
+def _case_b(params: ReducedParams) -> ClosedFormPrediction:
     ap, bp = params.alpha_prime, params.beta_prime
     normalization = 7.0 + 20.0 * bp + 12.0 * ap
     eigenvalues = _case_b_eigenvalues(ap, bp)
-    lam2, lam3 = float(eigenvalues[1]), float(eigenvalues[2])
+    lam2, lam3 = eigenvalues[..., 1], eigenvalues[..., 2]
     a2, b2, _ = _case_b_coeffs(ap, bp, lam2)
     _, _, c3 = _case_b_coeffs(ap, bp, lam3)
     s2, s7 = math.sqrt(2.0), math.sqrt(7.0)
-    norm2 = math.sqrt(2.0 * a2**2 + 2.0 * b2**2 + 1.0)
-    norm3 = math.sqrt(2.0 * c3**2 + 2.0)
+    norm2 = np.sqrt(2.0 * _square(a2) + 2.0 * _square(b2) + 1.0)
+    norm3 = np.sqrt(2.0 * _square(c3) + 2.0)
     v1 = np.array([s2, s2, 1.0, 1.0, 1.0]) / s7
-    v2 = np.array([a2, a2, b2, b2, 1.0]) / norm2
-    v3 = np.array([c3, -c3, -1.0, 1.0, 0.0]) / norm3
+    v2 = _last_axis(a2, a2, b2, b2, 1.0) / norm2[..., None]
+    v3 = _last_axis(c3, -c3, -1.0, 1.0, 0.0) / norm3[..., None]
 
     # Feature rows of one ID example and the novel-class example; the other
     # ID row only flips the third component, which the novel row lacks.
-    scale_id = (1.0 - bp - 0.75 * ap) * math.sqrt(normalization) / s2
-    z_id = scale_id * np.array(
-        [s2 / s7, a2 * math.sqrt(max(lam2, 0.0)) / norm2, c3 * math.sqrt(max(lam3, 0.0)) / norm3]
+    root2, root3 = np.sqrt(np.maximum(lam2, 0.0)), np.sqrt(np.maximum(lam3, 0.0))
+    scale_id = (1.0 - bp - 0.75 * ap) * np.sqrt(normalization) / s2
+    z_id = scale_id[..., None] * _last_axis(s2 / s7, a2 * root2 / norm2, c3 * root3 / norm3)
+    z_sem = ((1.0 - 2.0 * bp) * np.sqrt(normalization))[..., None] * _last_axis(
+        1.0 / s7, root2 / norm2, 0.0
     )
-    z_sem = (1.0 - 2.0 * bp) * math.sqrt(normalization) * np.array(
-        [1.0 / s7, math.sqrt(max(lam2, 0.0)) / norm2, 0.0]
+    sep = np.sum(np.square(z_id - z_sem), axis=-1)
+    return _prediction(
+        eigenvalues, _last_axis(v1, v2, v3), np.zeros(sep.shape, dtype=int), sep, False
     )
-    sep = float(np.sum((z_id - z_sem) ** 2))
-    return _prediction(eigenvalues, np.column_stack([v1, v2, v3]), 0, sep, False)
 
 
-def closed_form_unsupervised(params: ReducedParams) -> ClosedFormPrediction:
+def _unsupervised(params: ReducedParams) -> ClosedFormPrediction:
     ap, bp = params.alpha_prime, params.beta_prime
-    if abs(params.unsup_margin) <= DEGENERACY_EPS:
-        raise DegenerateRegimeError(
-            f"degenerate regime: alpha' = beta' = {ap} without label information"
-        )
+    generalizes = np.asarray(params.unsup_margin > 0)
     normalization = 5.0 + 8.0 * bp + 8.0 * ap
     v1 = np.array([1.0, 1.0, 1.0, 1.0, 0.0]) / 2.0
     v2 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-    generalizes = params.unsup_margin > 0
-    if generalizes:
-        v3 = np.array([-1.0, 1.0, -1.0, 1.0, 0.0]) / 2.0
-        count = 0
-        third_value = 1.0 - 4.0 * bp
-        sep = normalization * ((1.0 - ap - bp) ** 2 * (1.0 - 2.0 * bp) / 2.0 + 1.0)
-    else:
-        v3 = np.array([-1.0, -1.0, 1.0, 1.0, 0.0]) / 2.0
-        count = 2
-        third_value = 1.0 - 4.0 * ap
-        sep = normalization * ((1.0 - ap - bp) ** 2 * (1.0 - 2.0 * ap) / 2.0 + 1.0)
-    eigenvalues = np.array(
-        [1.0, 1.0, third_value, min(1.0 - 4.0 * bp, 1.0 - 4.0 * ap), 1.0 - 4.0 * ap - 4.0 * bp]
+    v3 = np.where(
+        generalizes[..., None],
+        np.array([-1.0, 1.0, -1.0, 1.0, 0.0]) / 2.0,
+        np.array([-1.0, -1.0, 1.0, 1.0, 0.0]) / 2.0,
+    )
+    weight = np.where(generalizes, 1.0 - 2.0 * bp, 1.0 - 2.0 * ap)
+    sep = normalization * (_square(1.0 - ap - bp) * weight / 2.0 + 1.0)
+    eigenvalues = _last_axis(
+        1.0,
+        1.0,
+        np.where(generalizes, 1.0 - 4.0 * bp, 1.0 - 4.0 * ap),
+        np.minimum(1.0 - 4.0 * bp, 1.0 - 4.0 * ap),
+        1.0 - 4.0 * ap - 4.0 * bp,
     )
     return _prediction(
-        eigenvalues, np.column_stack([v1, v2, v3]), count, sep, True
+        eigenvalues, _last_axis(v1, v2, v3), np.where(generalizes, 0, 2), sep, True
     )
+
+
+# Each layout's closed form at every point, the regime picked by the sign
+# of its boundary margin; closed_form refuses points on the boundary.
+_CLOSED_FORMS = {
+    TheoryVariant.CASE_A: _case_a,
+    TheoryVariant.CASE_B: _case_b,
+    TheoryVariant.UNSUPERVISED: _unsupervised,
+}
 
 
 def closed_form(variant: TheoryVariant | str, params: ReducedParams) -> ClosedFormPrediction:
+    """The variant's closed form; raises if any point is on its regime boundary."""
     variant = TheoryVariant(variant)
-    if variant is TheoryVariant.CASE_A:
-        return closed_form_case_a(params)
-    if variant is TheoryVariant.CASE_B:
-        return closed_form_case_b(params)
-    return closed_form_unsupervised(params)
+    if np.any(np.abs(boundary_margin(variant, params)) <= DEGENERACY_EPS):
+        ap, bp = params.alpha_prime, params.beta_prime
+        raise DegenerateRegimeError(
+            f"degenerate regime: (9/8) alpha' = {1.125 * ap} coincides with beta' = {bp}"
+            if variant is TheoryVariant.CASE_A
+            else f"degenerate regime: alpha' = beta' = {ap} without label information"
+        )
+    return _CLOSED_FORMS[variant](params)
+
+
+def closed_form_case_a(params: ReducedParams) -> ClosedFormPrediction:
+    return closed_form(TheoryVariant.CASE_A, params)
+
+
+def closed_form_case_b(params: ReducedParams) -> ClosedFormPrediction:
+    return closed_form(TheoryVariant.CASE_B, params)
+
+
+def closed_form_unsupervised(params: ReducedParams) -> ClosedFormPrediction:
+    return closed_form(TheoryVariant.UNSUPERVISED, params)
 
 
 @dataclass(frozen=True)
 class SeparabilityGap:
-    s_case_a: float
-    s_case_b: float
-    s_unsup: float
-    gap_ab: float
-    gap_label: float
+    s_case_a: float | np.ndarray
+    s_case_b: float | np.ndarray
+    s_unsup: float | np.ndarray
+    gap_ab: float | np.ndarray
+    gap_label: float | np.ndarray
 
 
 def separability_gap(params: ReducedParams) -> SeparabilityGap:
@@ -261,9 +317,15 @@ def separability_gap(params: ReducedParams) -> SeparabilityGap:
     unsupervised edges on the same layout and stays positive whenever both
     ratios are positive.
     """
-    s_a = closed_form_case_a(params).separability
-    s_b = closed_form_case_b(params).separability
-    s_u = closed_form_unsupervised(params).separability
+    return _gap(
+        closed_form_case_a(params), closed_form_case_b(params), closed_form_unsupervised(params)
+    )
+
+
+def _gap(
+    case_a: ClosedFormPrediction, case_b: ClosedFormPrediction, unsup: ClosedFormPrediction
+) -> SeparabilityGap:
+    s_a, s_b, s_u = case_a.separability, case_b.separability, unsup.separability
     return SeparabilityGap(
         s_case_a=s_a, s_case_b=s_b, s_unsup=s_u, gap_ab=s_a - s_b, gap_label=s_a - s_u
     )
@@ -273,15 +335,18 @@ def separability_gap(params: ReducedParams) -> SeparabilityGap:
 class ToyPipelineResult:
     embedding: SpectralEmbedding
     probing: ProbingResult
-    separability: float
-    id_accuracy: float
-    covariate_accuracy: float
+    separability: float | np.ndarray
+    id_accuracy: float | np.ndarray
+    covariate_accuracy: float | np.ndarray
 
 
 def run_toy_pipeline(
     variant: TheoryVariant | str, params: ReducedParams, rho: float = 1.0, k: int = 3
 ) -> ToyPipelineResult:
-    """Exact numeric chain at finite parameters: graph, spectrum, probe, metrics."""
+    """Exact numeric chain at finite parameters: graph, spectrum, probe, metrics.
+
+    Arrays of ratios run the chain once over the stack of their graphs.
+    """
     variant = TheoryVariant(variant)
     weights = (
         THEORY_WEIGHTS["unsupervised"]
@@ -295,7 +360,7 @@ def run_toy_pipeline(
         beta=params.beta_prime * rho,
         gamma=params.gamma_ratio * rho,
     )
-    embedding = embed(build_graph(model, population, weights), k)
+    embedding = embed(_build_graph(model, population, weights), k)
     ev = evaluate(population, embedding.Z)
     return ToyPipelineResult(
         embedding=embedding,
@@ -309,17 +374,17 @@ def run_toy_pipeline(
 @dataclass(frozen=True)
 class QuantityComparison:
     name: str
-    closed: float
-    numeric: float
-    abs_dev: float
-    rel_dev: float
-    tolerance: Optional[float]
+    closed: float | np.ndarray
+    numeric: float | np.ndarray
+    abs_dev: float | np.ndarray
+    rel_dev: float | np.ndarray
+    tolerance: Optional[float | np.ndarray]
 
     @property
     def passed(self) -> bool:
         if self.tolerance is None:
             return True
-        return self.abs_dev <= self.tolerance
+        return bool(np.all(self.abs_dev <= self.tolerance))
 
 
 @dataclass(frozen=True)
@@ -327,27 +392,63 @@ class VerificationReport:
     variant: TheoryVariant
     params: ReducedParams
     comparisons: tuple[QuantityComparison, ...]
-    eig_dev_max: float
-    projector_dev: float
+    eig_dev_max: float | np.ndarray
+    projector_dev: float | np.ndarray
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.comparisons)
 
 
+def _compare(
+    name: str, closed, numeric, tolerance, relative: bool = True
+) -> QuantityComparison:
+    dev = np.abs(np.subtract(closed, numeric, dtype=float))
+    rel = dev / np.maximum(np.abs(closed), 1e-300) if relative else dev
+    return QuantityComparison(
+        name=name,
+        closed=_unstacked(closed),
+        numeric=_unstacked(numeric),
+        abs_dev=_unstacked(dev),
+        rel_dev=_unstacked(rel),
+        tolerance=None if tolerance is None else _unstacked(tolerance),
+    )
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each trailing matrix, as ``np.linalg.norm`` sums it."""
+    f = x.reshape(x.shape[:-2] + (1, -1))
+    return np.sqrt(f @ np.swapaxes(f, -1, -2))[..., 0, 0]
+
+
 def _projector_deviation(
     closed: ClosedFormPrediction, embedding: SpectralEmbedding
-) -> float:
-    v = embedding.V_k
+) -> float | np.ndarray:
+    v, b = embedding.V_k, closed.eigenbasis
+
+    def outer(m, i):
+        return m[..., :, i, None] * m[..., None, :, i]
+
     if closed.degenerate_pair:
-        pair = np.linalg.norm(v[:, :2] @ v[:, :2].T - closed.top_pair_projector)
-        third = np.linalg.norm(np.outer(v[:, 2], v[:, 2]) - closed.third_projector)
-        return float(max(pair, third))
-    devs = [
-        np.linalg.norm(np.outer(v[:, i], v[:, i]) - np.outer(closed.eigenbasis[:, i], closed.eigenbasis[:, i]))
-        for i in range(3)
-    ]
-    return float(max(devs))
+        pair = _frobenius(v[..., :2] @ np.swapaxes(v[..., :2], -1, -2) - closed.top_pair_projector)
+        third = _frobenius(outer(v, 2) - closed.third_projector)
+        return _unstacked(np.maximum(pair, third))
+    devs = [_frobenius(outer(v, i) - outer(b, i)) for i in range(3)]
+    return _unstacked(np.max(devs, axis=0))
+
+
+def _require_connected(params: ReducedParams) -> None:
+    if np.any(np.asarray(params.gamma_ratio) <= 0):
+        raise ValueError("pipeline comparison needs gamma_ratio > 0 to keep the graph connected")
+
+
+def _deviations(
+    closed: ClosedFormPrediction, embedding: SpectralEmbedding
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Largest deviation among the three kept eigenvalues, and the projector deviation."""
+    lam = embedding.eigenvalues
+    eig_dev = np.max(np.abs(closed.eigenvalues[..., :3] - lam[..., :3]), axis=-1)
+    return _unstacked(eig_dev), _projector_deviation(closed, embedding)
 
 
 def verify_against_pipeline(
@@ -369,67 +470,81 @@ def verify_against_pipeline(
     error count must match exactly.
     """
     variant = TheoryVariant(variant)
-    if params.gamma_ratio <= 0:
-        raise ValueError("pipeline comparison needs gamma_ratio > 0 to keep the graph connected")
+    _require_connected(params)
     if eig_tolerance is None:
-        envelope = (params.alpha_prime + params.beta_prime) ** 2 + params.gamma_ratio
-        eig_tolerance = max(0.01, 20.0 * envelope)
+        envelope = _square(params.alpha_prime + params.beta_prime) + params.gamma_ratio
+        eig_tolerance = np.maximum(0.01, 20.0 * envelope)
     closed = closed_form(variant, params)
     numeric = run_toy_pipeline(variant, params, rho=rho)
-    lam = numeric.embedding.eigenvalues
-
-    comparisons = []
-    for i in range(5):
-        gate = eig_tolerance * tolerance_scale if i < 3 else None
-        c, n = float(closed.eigenvalues[i]), float(lam[i])
-        comparisons.append(
-            QuantityComparison(
-                name=f"eigenvalue_{i + 1}",
-                closed=c,
-                numeric=n,
-                abs_dev=abs(c - n),
-                rel_dev=abs(c - n) / max(abs(c), 1e-300),
-                tolerance=gate,
-            )
-        )
-    count_c, count_n = closed.probing_error_count, numeric.probing.count
-    comparisons.append(
-        QuantityComparison(
-            name="probing_error_count",
-            closed=float(count_c),
-            numeric=float(count_n),
-            abs_dev=float(abs(count_c - count_n)),
-            rel_dev=float(abs(count_c - count_n)),
-            tolerance=0.0,
-        )
-    )
-    sep_c, sep_n = closed.separability, numeric.separability
-    comparisons.append(
-        QuantityComparison(
-            name="separability",
-            closed=sep_c,
-            numeric=sep_n,
-            abs_dev=abs(sep_c - sep_n),
-            rel_dev=abs(sep_c - sep_n) / max(abs(sep_c), 1e-300),
-            tolerance=sep_rel_tolerance * tolerance_scale * max(abs(sep_c), 1e-300),
-        )
-    )
-    projector_dev = _projector_deviation(closed, numeric.embedding)
-    comparisons.append(
-        QuantityComparison(
-            name="projector_deviation",
-            closed=0.0,
-            numeric=projector_dev,
-            abs_dev=projector_dev,
-            rel_dev=projector_dev,
-            tolerance=projector_tolerance * tolerance_scale,
-        )
-    )
-    eig_dev_max = float(max(abs(closed.eigenvalues[i] - lam[i]) for i in range(3)))
+    eig_dev_max, projector_dev = _deviations(closed, numeric.embedding)
+    lam, sep_c = numeric.embedding.eigenvalues, closed.separability
+    comparisons = [
+        _compare(f"eigenvalue_{i + 1}", closed.eigenvalues[..., i], lam[..., i],
+                 eig_tolerance * tolerance_scale if i < 3 else None)
+        for i in range(5)
+    ] + [
+        _compare("probing_error_count", closed.probing_error_count, numeric.probing.count,
+                 0.0, relative=False),
+        _compare("separability", sep_c, numeric.separability,
+                 sep_rel_tolerance * tolerance_scale * np.maximum(np.abs(sep_c), 1e-300)),
+        _compare("projector_deviation", 0.0, projector_dev,
+                 projector_tolerance * tolerance_scale, relative=False),
+    ]
     return VerificationReport(
         variant=variant,
         params=params,
         comparisons=tuple(comparisons),
         eig_dev_max=eig_dev_max,
         projector_dev=projector_dev,
+    )
+
+
+@dataclass(frozen=True)
+class GridVerification:
+    """The ``sweep`` columns of :func:`verify_grid`, one entry per point."""
+
+    numeric_count: np.ndarray
+    closed_count: np.ndarray
+    numeric_separability: np.ndarray
+    closed_separability: np.ndarray
+    gap_ab: np.ndarray
+    gap_label: np.ndarray
+    eig_dev_max: np.ndarray
+    projector_dev: np.ndarray
+
+
+def verify_grid(
+    variant: TheoryVariant | str, params: ReducedParams, rho: float = 1.0
+) -> GridVerification:
+    """:func:`verify_against_pipeline` and :func:`separability_gap` over arrays of ratios.
+
+    The numeric chain runs once over the stack of graphs, and each layout's
+    closed form is evaluated once per point, for both the comparison and
+    the gaps.  Where a point lies within ``DEGENERACY_EPS`` of the
+    variant's regime boundary, its closed count is -1 and its closed
+    separability and deviations NaN; the gaps are NaN wherever case a or
+    the unsupervised layout is degenerate.  Each entry depends on its own
+    point alone, not on the other points in ``params``.
+    """
+    variant = TheoryVariant(variant)
+    _require_connected(params)
+    numeric = run_toy_pipeline(variant, params, rho=rho)
+    forms = {v: form(params) for v, form in _CLOSED_FORMS.items()}
+    defined = {v: np.abs(boundary_margin(v, params)) > DEGENERACY_EPS for v in forms}
+    closed = forms[variant]
+    eig_dev_max, projector_dev = _deviations(closed, numeric.embedding)
+    gaps = _gap(
+        forms[TheoryVariant.CASE_A], forms[TheoryVariant.CASE_B], forms[TheoryVariant.UNSUPERVISED]
+    )
+    own = defined[variant]
+    both = defined[TheoryVariant.CASE_A] & defined[TheoryVariant.UNSUPERVISED]
+    return GridVerification(
+        numeric_count=numeric.probing.count,
+        closed_count=np.where(own, closed.probing_error_count, -1),
+        numeric_separability=numeric.separability,
+        closed_separability=np.where(own, closed.separability, np.nan),
+        gap_ab=np.where(both, gaps.gap_ab, np.nan),
+        gap_label=np.where(both, gaps.gap_label, np.nan),
+        eig_dev_max=np.where(own, eig_dev_max, np.nan),
+        projector_dev=np.where(own, projector_dev, np.nan),
     )

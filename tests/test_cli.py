@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wildgraph import cli
 from wildgraph.cli import main
 
 TOY_A_CONFIG = {
@@ -121,6 +122,29 @@ class TestSweep:
 
     def test_out_of_range_bounds_rejected(self):
         assert main(["sweep", "--alpha-max", "0.5"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--gamma-ratio", "0"), ("--gamma-ratio", "-1"), ("--gamma-ratio", "nan"),
+         ("--rho", "0"), ("--rho", "-1"), ("--rho", "nan"), ("--rho", "inf")],
+    )
+    def test_ill_posed_chain_is_config_error(self, tmp_path, capsys, flag, value):
+        # gamma_ratio <= 0 disconnects the graph; a rho that is not finite and
+        # positive gives no valid augmentation, or no edges at all.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--resolution", "3", flag, value, "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rows_do_not_depend_on_the_block(self, tmp_path, monkeypatch):
+        argv = ["sweep", "--variant", "unsup", "--resolution", "9", "--alpha-min", "0.02",
+                "--alpha-max", "0.2", "--beta-min", "0.02", "--beta-max", "0.2"]
+        assert main(argv + ["--out", str(tmp_path / "one.csv")]) == 0
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+        assert main(argv + ["--out", str(tmp_path / "blocks.csv")]) == 0
+        one = (tmp_path / "one.csv").read_text().splitlines()[1:]
+        assert one == (tmp_path / "blocks.csv").read_text().splitlines()[1:]
+        assert len(one) == 1 + 81
 
     def test_label_benefit_column_positive(self, tmp_path):
         out = tmp_path / "gaps.csv"
@@ -267,6 +291,12 @@ def edited(path, value, drop=None):
     return config
 
 
+# A well-shaped matrix for SEPARATED_CONFIG's 46 examples, but one entry is
+# a JSON boolean, which np.array(..., dtype=float) would read as 1.0.
+MATRIX_WITH_A_BOOL = np.eye(46).tolist()
+MATRIX_WITH_A_BOOL[3][7] = True
+
+
 class TestConfigValidation:
     # Each is a PopulationError naming the offending key: exit 2, never a
     # silent coercion (int(6.7) == 6, int(True) == 1) or a TypeError traceback.
@@ -289,10 +319,15 @@ class TestConfigValidation:
             (edited(("augmentation", "alpha"), "0.1"), "alpha"),
             (edited(("augmentation_matrix",), {"rows": 1}, drop="augmentation"),
              "augmentation_matrix"),
+            (edited(("augmentation_matrix",), [["0.5", True], [1, "2"]], drop="augmentation"),
+             "augmentation_matrix"),
+            (edited(("augmentation_matrix",), MATRIX_WITH_A_BOOL, drop="augmentation"),
+             "augmentation_matrix"),
         ],
         ids=["count-float", "count-bool", "class-float", "domain-float", "classes-float",
              "domains-bool", "classes-scalar", "cells-scalar", "cell-list", "pi_c-list",
-             "pi_c-bool", "pi_s-string", "rho-bool", "alpha-string", "matrix-object"],
+             "pi_c-bool", "pi_s-string", "rho-bool", "alpha-string", "matrix-object",
+             "matrix-entries", "matrix-bool-entry"],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, payload, key):
         config = write_config(tmp_path, payload)

@@ -106,6 +106,19 @@ class TestProbingError:
         assert result.count == 1
         assert result.predictions == (0, 0)
 
+    def test_stack_scores_each_embedding_on_its_own_scale(self):
+        # The first embedding's row 0 wins by 2e-8 of its own score scale,
+        # a strict win; next to a 1e6 times larger embedding in the same
+        # stack it must stay one.
+        probe = fit_linear_probe(np.eye(2), [0, 1])
+        stack = np.array([[[1.0, 1.0 - 2e-8], [0.0, 1.0]], [[1e6, 0.0], [0.0, 1e6]]])
+        stacked = probing_error(stack, [0, 1], probe)
+        for i, z in enumerate(stack):
+            one = probing_error(z, [0, 1], probe)
+            assert (stacked.count[i], stacked.rate[i]) == (one.count, one.rate)
+            assert tuple(stacked.predictions[i]) == one.predictions
+        assert stacked.count.tolist() == [0, 0]
+
 
 class TestClassificationAccuracy:
     def test_perfect_embeddings(self):

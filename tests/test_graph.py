@@ -7,7 +7,9 @@ from wildgraph import (
     GraphWeights,
     IsolatedVertexError,
     Membership,
+    ParametricAugmentation,
     TheoryVariant,
+    build_graph,
     build_toy_population,
     combine_and_normalize,
     self_supervised_adjacency,
@@ -213,3 +215,37 @@ class TestCombineAndNormalize:
         with pytest.raises(GraphError):
             GraphWeights(-1.0, 2.0)
 
+
+
+class TestBuildGraph:
+    def test_parametric_model_is_expanded_once(self, toy_a, monkeypatch):
+        import wildgraph.graph as graph_module
+
+        population, explicit = toy_a
+        expansions = []
+        real = graph_module.transformation_matrix
+
+        def counting(model, pop):
+            expansions.append(isinstance(model, ParametricAugmentation))
+            return real(model, pop)
+
+        monkeypatch.setattr(graph_module, "transformation_matrix", counting)
+        weights = GraphWeights(5.0, 1.0)
+        bundle = build_graph(ParametricAugmentation(RHO, ALPHA, BETA, GAMMA), population, weights)
+        assert expansions.count(True) == 1
+        reference = build_graph(explicit, population, weights)
+        np.testing.assert_array_equal(bundle.A_tilde, reference.A_tilde)
+
+    def test_stack_of_models_matches_each_model(self, toy_a):
+        # Array-valued parameters build one graph per entry, each equal to
+        # the graph of that entry's own model.
+        population, _ = toy_a
+        alphas, betas = np.array([0.05, 0.2, 0.1]), np.array([0.1, 0.1, 0.02])
+        weights = GraphWeights(5.0, 1.0)
+        stack = build_graph(ParametricAugmentation(RHO, alphas, betas, GAMMA), population, weights)
+        assert stack.A_tilde.shape == (3, 5, 5) and stack.C.shape == (3,)
+        for i, (a, b) in enumerate(zip(alphas, betas)):
+            one = build_graph(ParametricAugmentation(RHO, a, b, GAMMA), population, weights)
+            for name in ("A_u", "A_l", "A", "D", "A_tilde"):
+                np.testing.assert_array_equal(getattr(stack, name)[i], getattr(one, name))
+            assert stack.C[i] == one.C

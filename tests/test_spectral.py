@@ -16,7 +16,7 @@ from wildgraph import (
     matrix_loss,
     reconstruction_gap,
 )
-from wildgraph.spectral import write_trace_csv, FactorizationError
+from wildgraph.spectral import _decompose, write_trace_csv, FactorizationError
 from conftest import random_symmetric, toy_bundle
 
 
@@ -85,6 +85,22 @@ class TestEigendecompose:
         lam, vecs = reference_canonical(m)
         assert np.array_equal(emb.eigenvalues, lam)
         assert np.array_equal(emb.V_k, vecs)
+
+    def test_stack_matches_each_matrix(self):
+        # Tied matrices take the per-matrix lexicographic order inside a
+        # stack too, next to untied ones.
+        stack = np.stack([
+            random_symmetric(6, seed=1),
+            np.kron(np.eye(2), np.ones((3, 3))),
+            random_symmetric(6, seed=2),
+            np.eye(6),
+        ])
+        emb = _decompose(stack, 4)
+        for i, m in enumerate(stack):
+            one = eigendecompose(m, 4)
+            assert np.array_equal(emb.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(emb.V_k[i], one.V_k)
+            assert np.array_equal(emb.Sigma_k[i], one.Sigma_k)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):

@@ -1,22 +1,29 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildgraph import (
     DegenerateRegimeError,
     ReducedParams,
     TheoryVariant,
+    build_graph,
     build_toy_population,
     closed_form,
     closed_form_case_a,
     closed_form_case_b,
     closed_form_unsupervised,
+    embed,
+    evaluate,
     run_toy_pipeline,
     separability_gap,
     verify_against_pipeline,
+    verify_grid,
 )
-from wildgraph.theory import _case_b_eigenvalues, _case_b_coeffs, boundary_margin
+from wildgraph.theory import THEORY_WEIGHTS, _case_b_eigenvalues, _case_b_coeffs, boundary_margin
 
 
 def first_order_matrix(variant: str, ap: float, bp: float) -> np.ndarray:
@@ -334,3 +341,71 @@ def test_string_variant_matches_enum(variant):
     report = verify_against_pipeline(variant, params)
     assert report.variant is member
     assert report.comparisons == verify_against_pipeline(member, params).comparisons
+
+
+# Sweep boxes for the grid property: a random box, one whose grid lies on
+# the unsupervised boundary a' = b' (exact eigenvalue ties) along its
+# diagonal, and one whose grid lies on case a's boundary b' = 9/8 a'.
+_ratio = st.floats(0.005, 0.2)
+
+
+@st.composite
+def sweep_grids(draw):
+    kind = draw(st.sampled_from(["random", "unsup-boundary", "case-a-boundary"]))
+    lo, hi = sorted((draw(_ratio), draw(_ratio)))
+    if kind == "random":
+        b_lo, b_hi = sorted((draw(_ratio), draw(_ratio)))
+    elif kind == "unsup-boundary":
+        b_lo, b_hi = lo, hi
+    else:
+        b_lo, b_hi = 1.125 * lo, 1.125 * hi
+    resolution = draw(st.integers(1, 6))
+    alphas, betas = np.linspace(lo, hi, resolution), np.linspace(b_lo, b_hi, resolution)
+    return (
+        draw(st.sampled_from(list(TheoryVariant))),
+        np.repeat(alphas, resolution),
+        np.tile(betas, resolution),
+        draw(st.floats(1e-7, 1e-3)),
+        draw(st.one_of(st.just(1.0), st.floats(0.3, 4.0))),
+    )
+
+
+class TestVerifyGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_grids())
+    def test_rows_match_single_points_and_the_general_chain(self, grid):
+        variant, ap, bp, gamma, rho = grid
+        rows = verify_grid(variant, ReducedParams(ap, bp, gamma), rho=rho)
+        stacked = run_toy_pipeline(variant, ReducedParams(ap, bp, gamma), rho=rho)
+        unsup = variant is TheoryVariant.UNSUPERVISED
+        weights = THEORY_WEIGHTS["unsupervised" if unsup else "supervised"]
+        for i in range(ap.size):
+            # the row of a one-point grid, bit for bit
+            one = verify_grid(variant, ReducedParams(ap[i : i + 1], bp[i : i + 1], gamma), rho=rho)
+            for field in dataclasses.fields(rows):
+                name = field.name
+                np.testing.assert_array_equal(getattr(rows, name)[i : i + 1], getattr(one, name))
+            # the general chain on the same point
+            population, model = build_toy_population(
+                variant, rho, ap[i] * rho, bp[i] * rho, gamma * rho
+            )
+            bundle = build_graph(model, population, weights)
+            ev = evaluate(population, embed(bundle, 3).Z)
+            assert rows.numeric_count[i] == ev.probing.count
+            assert rows.numeric_separability[i] == pytest.approx(ev.separability, rel=1e-12)
+            a = bundle.A_tilde
+            v, lam = stacked.embedding.V_k[i], stacked.embedding.eigenvalues[i]
+            assert np.linalg.norm(a @ v - v * lam[:3]) <= 1e-8 * np.linalg.norm(a)
+            np.testing.assert_allclose(lam, np.linalg.eigvalsh(a)[::-1], rtol=0, atol=1e-12)
+
+    def test_degenerate_points_are_marked(self):
+        # (0.08, 0.09) lies on case a's boundary, (0.1, 0.1) on the unsupervised one.
+        params = ReducedParams(np.array([0.08, 0.1, 0.05]), np.array([0.09, 0.1, 0.02]), 1e-6)
+        expected = {"a": [False, True, True], "unsup": [True, False, True], "b": [True] * 3}
+        for variant, own in expected.items():
+            rows = verify_grid(variant, params)
+            assert list(rows.closed_count >= 0) == own
+            assert list(np.isfinite(rows.closed_separability)) == own
+            assert list(np.isfinite(rows.projector_dev)) == own
+            assert list(np.isfinite(rows.gap_ab)) == [False, False, True]
+            assert np.all(np.isfinite(rows.numeric_separability))
