@@ -7,10 +7,11 @@ The matrix is the README's commands plus the golden corpus's toy points
 (``tests/test_golden.py``), with a few neighbours across all five
 subcommands, sweeps of every variant over three boxes (one of them on
 both regime boundaries), and ``detect`` and ``factorize`` on population
-configs: the README's enumerated config, the same cells resampled as a
-wild mixture at two seeds, and the same cells under an explicit matrix.
-Each command runs
-from inside OUT_DIR with relative paths, so two checkouts give comparable
+configs: the README's enumerated config (also at ranks 5 and 6, the
+second past the graph's rank), the same cells resampled as a wild mixture
+at two seeds, under an explicit matrix, and blown up twentyfold, and a
+three-class layout with unequal counts.  Each command runs from inside
+OUT_DIR with relative paths, so two checkouts give comparable
 trees; ``OUT_DIR/commands.txt`` records every command line, its exit code
 and what it printed.  Run the script from two checkouts into two
 directories and compare them with ``diff -r``.  With ``--drop-config`` the
@@ -31,26 +32,32 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from test_golden import README_CONFIG, TOY_POINTS  # noqa: E402
+from test_golden import MIXTURE_CONFIG, README_CONFIG, TOY_POINTS, matrix_config  # noqa: E402
 from wildgraph.cli import main as cli_main  # noqa: E402
 
 
-# The README's cells resampled: its 18 wild examples become 5 covariate,
-# 4 semantic and 9 wild-ID draws.
-MIXTURE_CONFIG = dict(README_CONFIG, pi_c=0.3, pi_s=0.2)
+def blown_up(config: dict, factor: int) -> dict:
+    """The same cells with every count multiplied by ``factor``."""
+    cells = [dict(c, count=c["count"] * factor) for c in config["cells"]]
+    return dict(config, cells=cells)
 
 
-def matrix_config() -> dict:
-    """The README's cells under an explicit, slightly asymmetric matrix."""
-    cells = README_CONFIG["cells"]
-    vertices = [(c["class"], c["domain"]) for c in cells for _ in range(c["count"])]
-    matrix = [
-        [(1.0 if cs == ct else 0.1) * (1.0 if ds == dt else 0.2) + 0.001 * ((i + 2 * j) % 3)
-         for j, (ct, dt) in enumerate(vertices)]
-        for i, (cs, ds) in enumerate(vertices)
-    ]
-    config = {k: v for k, v in README_CONFIG.items() if k != "augmentation"}
-    return dict(config, augmentation_matrix=matrix)
+# Three known classes with unequal counts over two shifted domains, with
+# beta above alpha so that part of the covariate examples is misprobed.
+THREE_CLASS_CONFIG = {
+    "classes": [0, 1, 2],
+    "domains": [0, 1, 2],
+    "cells": [
+        {"class": c, "domain": d, "membership": m, "count": n}
+        for c, d, m, n in [
+            (0, 0, "labeled_id", 7), (1, 0, "labeled_id", 4), (2, 0, "labeled_id", 9),
+            (0, 0, "wild_id", 3), (2, 0, "wild_id", 5),
+            (0, 1, "wild_covariate", 6), (1, 2, "wild_covariate", 2), (2, 1, "wild_covariate", 4),
+            (3, 2, "wild_semantic", 5),
+        ]
+    ],
+    "augmentation": {"rho": 1.0, "alpha": 0.03, "beta": 0.12, "gamma": 0.004},
+}
 
 
 # (file suffix, square box, resolution).  The last box's grid lies on the
@@ -67,6 +74,8 @@ CONFIGS = {
     "readme.json": README_CONFIG,
     "mixture.json": MIXTURE_CONFIG,
     "matrix.json": matrix_config(),
+    "readme-x20.json": blown_up(README_CONFIG, 20),
+    "three-class.json": THREE_CLASS_CONFIG,
 }
 
 
@@ -96,6 +105,12 @@ def commands() -> list[list[str]]:
                     "--out", f"detect-mixture-seed{seed}.json"])
     out.append(["detect", "--config", "matrix.json", "--k-neighbors", "3",
                 "--out", "detect-matrix.json"])
+    for name in ("readme-x20", "three-class"):
+        out.append(["detect", "--config", f"{name}.json", "--k-neighbors", "3",
+                    "--out", f"detect-{name}.json"])
+    for k in (5, 6):  # the README graph has rank 5
+        out.append(["detect", "--config", "readme.json", "--k", str(k), "--k-neighbors", "3",
+                    "--out", f"detect-readme-rank-k{k}.json"])
     out.append(["factorize", "--config", "readme.json", "--k", "3", "--seed", "7",
                 "--out", "factorize-readme-seed7"])
     return out

@@ -11,6 +11,7 @@ from .population import (
     AugmentationModel,
     Cell,
     ExplicitAugmentation,
+    Groups,
     Membership,
     ParametricAugmentation,
     Population,

@@ -34,14 +34,15 @@ from .evaluation import (
 from .graph import GraphError, GraphWeights, build_graph
 from .loss import equivalence_gap, matrix_loss, surrogate_loss_from_parts
 from .population import (
-    ExplicitAugmentation,
+    AugmentationModel,
     ParametricAugmentation,
+    Population,
     PopulationError,
+    PopulationSpec,
     build_toy_population,
     enumerate_population,
     load_population_config,
     sample_wild_mixture,
-    transformation_matrix,
 )
 from .spectral import (
     FactorizerOptions,
@@ -192,22 +193,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _population_from_config(config_path: str, seed: int):
-    """Population plus explicit augmentation from a config file.
+def _sampled(spec: PopulationSpec) -> bool:
+    return spec.pi_c > 0 or spec.pi_s > 0
+
+
+def _population(spec: PopulationSpec, model: AugmentationModel, seed: int) -> Population:
+    """The config's population: seeded samples of a mixture, or its cells as written."""
+    if not _sampled(spec):
+        return enumerate_population(spec)
+    if not isinstance(model, ParametricAugmentation):
+        raise ConfigError("sampled populations need a parametric augmentation block")
+    return sample_wild_mixture(spec, seed)
+
+
+def _population_from_config(config_path: str, seed: int) -> tuple[Population, AugmentationModel]:
+    """Population plus augmentation model from a config file.
 
     Configs with nonzero mixture fractions go through the seeded sampler;
     otherwise the cells are enumerated exactly.
     """
     spec, model = load_population_config(config_path)
-    if spec.pi_c > 0 or spec.pi_s > 0:
-        if not isinstance(model, ParametricAugmentation):
-            raise ConfigError("sampled populations need a parametric augmentation block")
-        population = sample_wild_mixture(spec, seed)
-        return population, ExplicitAugmentation(transformation_matrix(model, population))
-    population = enumerate_population(spec)
-    if isinstance(model, ParametricAugmentation):
-        return population, ExplicitAugmentation(transformation_matrix(model, population))
-    return population, model
+    return _population(spec, model, seed), model
 
 
 def _bundle_from_args(args: argparse.Namespace):
@@ -221,8 +227,8 @@ def _bundle_from_args(args: argparse.Namespace):
         for name in TOY_DEFAULTS:
             if getattr(args, name) is not None:
                 raise ConfigError(f"--{name.replace('_', '-')} does not apply with --config")
-        population, explicit = _population_from_config(args.config, args.seed)
-        return build_graph(explicit, population, weights), population
+        population, model = _population_from_config(args.config, args.seed)
+        return build_graph(model, population, weights), population
     for name, default in TOY_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -310,21 +316,30 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    population, explicit = _population_from_config(args.config, args.seed)
-    weights = GraphWeights(args.eta_u, args.eta_l)
-    bundle = build_graph(explicit, population, weights)
+    spec, model = load_population_config(args.config)
+    if args.seed is None:
+        args.seed = 0 if _sampled(spec) else None
+    elif not _sampled(spec):
+        raise ConfigError(
+            "--seed applies only to a sampled mixture (nonzero pi_c or pi_s); "
+            "this config's cells are enumerated exactly"
+        )
+    population = _population(spec, model, args.seed)
+    bundle = build_graph(model, population, GraphWeights(args.eta_u, args.eta_l))
     k = args.k if args.k else len(population.classes) + 1
-    if not 1 <= k <= len(population):
-        raise ConfigError(f"--k {k} must lie in [1, {len(population)}]")
+    if k < 1:
+        raise ConfigError(f"--k {k} must be at least 1")
     z = embed(bundle, k).Z
-    ev = evaluate(population, z)
+    groups = bundle.groups
+    n = groups.counts
+    ev = evaluate(groups.population, z, n)
 
-    detector = fit_knn_detector(z[ev.labeled_rows], args.k_neighbors, args.percentile)
+    labeled, wild_id, semantic = ev.labeled_rows, ev.wild_id_rows, ev.semantic_rows
+    detector = fit_knn_detector(z[labeled], args.k_neighbors, args.percentile, n[labeled])
     # Wild-ID examples are the held-out ID side; without any, the
     # self-excluded reference scores stand in.
-    wild_id = ev.wild_id_rows
-    scores_id = knn_scores(detector, z[wild_id]) if wild_id else detector.reference_scores
-    scores_sem = knn_scores(detector, z[ev.semantic_rows])
+    scores_id = knn_scores(detector, z[wild_id], n[wild_id]) if wild_id else detector.reference_scores
+    scores_sem = knn_scores(detector, z[semantic], n[semantic])
     detection = detection_metrics(scores_id, scores_sem, detector)
 
     report = MetricsReport(
@@ -370,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--beta-prime", type=float, default=defaults["beta_prime"])
         p.add_argument("--gamma-ratio", type=float, default=defaults["gamma_ratio"])
 
-    def add_graph_params(p, config_required=False) -> None:
+    def add_graph_params(p, config_required=False, seed_default=0) -> None:
         """A population config (sampled with --seed) and the edge weights."""
         p.add_argument("--config", type=str, default=None, required=config_required,
                        help="population config JSON")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=seed_default)
         p.add_argument("--eta-u", type=float, default=5.0)
         p.add_argument("--eta-l", type=float, default=1.0)
 
@@ -411,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect = add_command(
         "detect", cmd_detect, "full pipeline with KNN detection metrics", tolerance_scale=False
     )
-    add_graph_params(p_detect, config_required=True)
+    # --seed only seeds a mixture's sampling here, so it is refused on an
+    # enumerated config rather than recorded and ignored.
+    add_graph_params(p_detect, config_required=True, seed_default=None)
     p_detect.add_argument("--k", type=int, default=0, help="embedding rank; 0 = classes + 1")
     p_detect.add_argument("--k-neighbors", type=int, default=5)
     p_detect.add_argument("--percentile", type=float, default=0.95)

@@ -15,6 +15,14 @@ The detector scores a query by its Euclidean distance to the k-th nearest
 reference embedding (reference points exclude themselves) and flags OUT
 above a percentile threshold of the reference scores.
 
+Every metric takes one embedding row per group of interchangeable
+examples with the group's size as its count: the probe's Gram matrix, the
+probing count, separability and the accuracies weigh each row by it, and
+the k-th-neighbour search counts a reference row once per example, so a
+reference group of n examples gives each of them n - 1 neighbours at
+distance zero.  Rows of one example each reproduce the per-example
+definitions exactly.
+
 :func:`evaluate` is the one place that maps population memberships to
 embedding rows: it fits the probe and computes probing error, separability
 and both accuracies for every caller.  The probe and everything
@@ -65,6 +73,16 @@ def _unstacked(value: np.ndarray, cast=float):
     return cast(value) if np.ndim(value) == 0 else value
 
 
+def _counts(counts: Optional[Sequence[int]], rows: int) -> np.ndarray:
+    """Examples each of ``rows`` embedding rows stands for; one each by default."""
+    if counts is None:
+        return np.ones(rows, dtype=int)
+    c = np.asarray(counts, dtype=int)
+    if c.shape != (rows,):
+        raise EvaluationError(f"got {c.shape[0] if c.ndim else 0} counts for {rows} rows")
+    return c
+
+
 @dataclass(frozen=True)
 class LinearProbe:
     M: np.ndarray
@@ -78,11 +96,13 @@ def fit_linear_probe(
     Z_id: np.ndarray,
     labels: Sequence[int],
     classes: Optional[Sequence[int]] = None,
+    counts: Optional[Sequence[int]] = None,
 ) -> LinearProbe:
-    """Least-squares head M = (Z^t Z)^+ Z^t Y with one-hot targets Y.
+    """Least-squares head M = (Z^t W Z)^+ Z^t W Y with one-hot targets Y.
 
-    ``classes`` defaults to the sorted distinct labels; every class must
-    appear at least once among ``labels``.
+    W weighs each row by the examples it stands for (``counts``, one each
+    by default).  ``classes`` defaults to the sorted distinct labels; every
+    class must appear at least once among ``labels``.
     """
     z = np.asarray(Z_id, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -96,8 +116,11 @@ def fit_linear_probe(
     if missing:
         raise EvaluationError(f"classes {missing} have no training examples")
     onehot = (labels[:, None] == np.array(class_list)[None, :]).astype(float)
-    zt = np.swapaxes(z, -1, -2)
-    m = np.linalg.pinv(zt @ z, rcond=PINV_RCOND, hermitian=True) @ zt @ onehot
+    # Z^t W Z as (sqrt(W) Z)^t (sqrt(W) Z), one operand and its transpose.
+    root = np.sqrt(_counts(counts, labels.shape[0]))[:, None]
+    zr = z * root
+    zrt = np.swapaxes(zr, -1, -2)
+    m = np.linalg.pinv(zrt @ zr, rcond=PINV_RCOND, hermitian=True) @ zrt @ (onehot * root)
     return LinearProbe(M=m, classes=class_list)
 
 
@@ -116,10 +139,16 @@ def predict(probe: LinearProbe, Z: np.ndarray) -> np.ndarray:
     return np.array(probe.classes)[np.argmax(scores, axis=-1)]
 
 
-def classification_accuracy(Z: np.ndarray, labels: Sequence[int], probe: LinearProbe) -> float:
-    """Plain argmax accuracy of the probe on one split."""
+def classification_accuracy(
+    Z: np.ndarray,
+    labels: Sequence[int],
+    probe: LinearProbe,
+    counts: Optional[Sequence[int]] = None,
+) -> float:
+    """Plain argmax accuracy of the probe on one split, each row weighed by its count."""
     labels = np.asarray(labels, dtype=int)
-    return _unstacked(np.mean(predict(probe, Z) == labels, axis=-1))
+    n = _counts(counts, labels.shape[0])
+    return _unstacked(np.sum((predict(probe, Z) == labels) * n, axis=-1) / n.sum())
 
 
 @dataclass(frozen=True)
@@ -134,14 +163,16 @@ def probing_error(
     labels: Sequence[int],
     probe: LinearProbe,
     tie_tolerance: float = TIE_TOLERANCE,
+    counts: Optional[Sequence[int]] = None,
 ) -> ProbingResult:
     """Strict-margin misclassification on covariate-shifted embeddings.
 
     An example is correct only when the score of its true class exceeds
     every other class score by more than ``tie_tolerance`` times the
     example's score scale.  Degenerate decisions (collapsed embeddings)
-    therefore count as errors for every example.  ``predictions`` carry the
-    plain tie-broken argmax for inspection.
+    therefore count as errors for every example.  A row stands for
+    ``counts`` examples (one each by default).  ``predictions`` carry the
+    plain tie-broken argmax of each row for inspection.
     """
     labels = np.asarray(labels, dtype=int)
     scores = probe_scores(probe, Z_cov)
@@ -157,24 +188,35 @@ def probing_error(
     scale = np.max(np.abs(scores), axis=-1)
     scale = np.where(scale == 0.0, 1.0, scale)
     strict_win = (class_arr.size == 1) | (own > others + tie_tolerance * scale)
-    errors = np.sum(~(match.any(axis=-1) & strict_win), axis=-1)
+    n = _counts(counts, labels.shape[0])
+    errors = np.sum(~(match.any(axis=-1) & strict_win) * n, axis=-1)
     return ProbingResult(
-        rate=_unstacked(errors / len(labels)),
+        rate=_unstacked(errors / n.sum()),
         count=_unstacked(errors, int),
         predictions=tuple(int(p) for p in preds) if preds.ndim == 1 else preds,
     )
 
 
-def separability(Z_id: np.ndarray, Z_sem: np.ndarray) -> float:
-    """Mean squared Euclidean distance over all ID x semantic embedding pairs."""
+def separability(
+    Z_id: np.ndarray,
+    Z_sem: np.ndarray,
+    counts_id: Optional[Sequence[int]] = None,
+    counts_sem: Optional[Sequence[int]] = None,
+) -> float:
+    """Mean squared Euclidean distance over all ID x semantic example pairs.
+
+    A row stands for its count of examples (one each by default).
+    """
     a = np.asarray(Z_id, dtype=float)
     b = np.asarray(Z_sem, dtype=float)
     if a.size == 0 or b.size == 0:
         raise EvaluationError("separability needs nonempty ID and semantic sets")
     if a.shape[-1] != b.shape[-1]:
         raise EvaluationError(f"embedding dimensions differ: {a.shape[-1]} vs {b.shape[-1]}")
+    n_a, n_b = _counts(counts_id, a.shape[-2]), _counts(counts_sem, b.shape[-2])
     diff = a[..., :, None, :] - b[..., None, :, :]
-    return _unstacked(np.mean(np.sum(diff * diff, axis=-1), axis=(-2, -1)))
+    pairs = np.sum(diff * diff, axis=-1) * (n_a[:, None] * n_b)
+    return _unstacked(np.sum(pairs, axis=(-2, -1)) / (n_a.sum() * n_b.sum()))
 
 
 @dataclass(frozen=True)
@@ -194,15 +236,21 @@ class Evaluation:
     covariate_accuracy: float
 
 
-def evaluate(population: Population, Z: np.ndarray) -> Evaluation:
+def evaluate(
+    population: Population, Z: np.ndarray, counts: Optional[Sequence[int]] = None
+) -> Evaluation:
     """Probe, probing error, separability and accuracies of an embedding.
 
-    The probe is fit on the labeled ID rows and scored on the covariate
-    rows.  Separability pairs the labeled and then the wild ID rows with the
-    semantic rows.  ID accuracy is scored on the wild ID rows, the held-out
-    ID side, or on the labeled rows when there are none.
+    Row x of ``Z`` embeds vertex x of ``population`` and stands for
+    ``counts[x]`` examples (one each by default), so a group's embedding
+    row enters every metric with its group's size.  The probe is fit on
+    the labeled ID rows and scored on the covariate rows.  Separability
+    pairs the labeled and then the wild ID rows with the semantic rows.  ID
+    accuracy is scored on the wild ID rows, the held-out ID side, or on the
+    labeled rows when there are none.
     """
     z = np.asarray(Z, dtype=float)
+    n = _counts(counts, len(population))
     labeled = population.indices(Membership.LABELED_ID)
     wild_id = population.indices(Membership.WILD_ID)
     covariate = population.indices(Membership.WILD_COVARIATE)
@@ -219,34 +267,48 @@ def evaluate(population: Population, Z: np.ndarray) -> Evaluation:
     if missing:
         raise EvaluationError(f"population lacks required membership kinds: {', '.join(missing)}")
     labels = population.class_labels()
-    probe = fit_linear_probe(z[..., labeled, :], labels[labeled], classes=population.classes)
+    probe = fit_linear_probe(
+        z[..., labeled, :], labels[labeled], classes=population.classes, counts=n[labeled]
+    )
+    id_side = labeled + wild_id
     id_eval_rows = wild_id if wild_id else labeled
     return Evaluation(
         labeled_rows=labeled,
         wild_id_rows=wild_id,
         semantic_rows=semantic,
-        probing=probing_error(z[..., covariate, :], labels[covariate], probe),
-        separability=separability(z[..., labeled + wild_id, :], z[..., semantic, :]),
+        probing=probing_error(
+            z[..., covariate, :], labels[covariate], probe, counts=n[covariate]
+        ),
+        separability=separability(
+            z[..., id_side, :], z[..., semantic, :], n[id_side], n[semantic]
+        ),
         id_accuracy=classification_accuracy(
-            z[..., id_eval_rows, :], labels[id_eval_rows], probe
+            z[..., id_eval_rows, :], labels[id_eval_rows], probe, n[id_eval_rows]
         ),
         covariate_accuracy=classification_accuracy(
-            z[..., covariate, :], labels[covariate], probe
+            z[..., covariate, :], labels[covariate], probe, n[covariate]
         ),
     )
 
 
 @dataclass(frozen=True)
 class KnnDetector:
+    """Reference rows with their example counts, and the calibrated threshold.
+
+    ``reference_scores`` holds one score per reference example: a row's
+    score repeated by its count.
+    """
+
     reference: np.ndarray
+    counts: np.ndarray
     k_neighbors: int
     percentile: float
     threshold: float
     reference_scores: np.ndarray
 
     def __post_init__(self) -> None:
-        self.reference.setflags(write=False)
-        self.reference_scores.setflags(write=False)
+        for name in ("reference", "counts", "reference_scores"):
+            getattr(self, name).setflags(write=False)
 
 
 def _pairwise_distances(queries: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -258,30 +320,46 @@ def _pairwise_distances(queries: np.ndarray, reference: np.ndarray) -> np.ndarra
     return np.sqrt(np.clip(d2, 0.0, None))
 
 
+def _kth_smallest(d: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th smallest entry, with column j counted counts[j] times."""
+    rows = np.arange(d.shape[0])
+    order = np.argsort(d, axis=-1, kind="stable")
+    at = np.argmax(np.cumsum(counts[order], axis=-1) >= k, axis=-1)
+    return d[rows, order[rows, at]]
+
+
 def fit_knn_detector(
-    Z_ref: np.ndarray, k_neighbors: int, percentile: float = 0.95
+    Z_ref: np.ndarray,
+    k_neighbors: int,
+    percentile: float = 0.95,
+    counts: Optional[Sequence[int]] = None,
 ) -> KnnDetector:
     """Calibrate the distance threshold on a clean reference set.
 
-    Reference scores exclude the zero self-distance; the threshold is the
-    requested percentile of those scores under linear interpolation between
+    Row x of ``Z_ref`` stands for ``counts[x]`` reference examples (one
+    each by default) at one point, so each of them has ``counts[x] - 1``
+    neighbours at distance zero.  Reference scores exclude the example's
+    own zero self-distance; the threshold is the requested percentile of
+    the scores of all reference examples under linear interpolation between
     order statistics.
     """
     ref = np.asarray(Z_ref, dtype=float)
-    n = ref.shape[0]
+    n = _counts(counts, ref.shape[0])
     if not 0.0 < percentile < 1.0:
         raise EvaluationError(f"percentile must lie in (0, 1), got {percentile}")
-    if k_neighbors >= n:
-        raise EvaluationError(f"k_neighbors={k_neighbors} must be < reference count {n}")
+    if k_neighbors >= n.sum():
+        raise EvaluationError(f"k_neighbors={k_neighbors} must be < reference count {n.sum()}")
     if k_neighbors < 1:
         raise EvaluationError(f"k_neighbors must be >= 1, got {k_neighbors}")
     d = _pairwise_distances(ref, ref)
-    np.fill_diagonal(d, np.inf)
-    d.sort(axis=1)
-    scores = d[:, k_neighbors - 1]
+    # An example's own zero distance is the first of its row, so its k-th
+    # neighbour is the (k+1)-th entry.
+    np.fill_diagonal(d, 0.0)
+    scores = np.repeat(_kth_smallest(d, n, k_neighbors + 1), n)
     threshold = float(np.quantile(scores, percentile, method="linear"))
     return KnnDetector(
         reference=ref.copy(),
+        counts=n,
         k_neighbors=k_neighbors,
         percentile=percentile,
         threshold=threshold,
@@ -289,12 +367,18 @@ def fit_knn_detector(
     )
 
 
-def knn_scores(detector: KnnDetector, Z: np.ndarray) -> np.ndarray:
-    """Distance of external queries to their k-th nearest reference point."""
+def knn_scores(
+    detector: KnnDetector, Z: np.ndarray, counts: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Distance of external queries to their k-th nearest reference example.
+
+    Row x of ``Z`` stands for ``counts[x]`` queries (one each by default),
+    and its score is repeated that often.
+    """
     q = np.asarray(Z, dtype=float)
     d = _pairwise_distances(q, detector.reference)
-    d.sort(axis=1)
-    return d[:, detector.k_neighbors - 1]
+    scores = _kth_smallest(d, detector.counts, detector.k_neighbors)
+    return np.repeat(scores, _counts(counts, q.shape[0]))
 
 
 @dataclass(frozen=True)

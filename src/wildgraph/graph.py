@@ -8,17 +8,30 @@ contributing through the empirical mean of its labeled rows.  The combined
 adjacency is scaled by a single global constant so its entries sum to one,
 degrees are its row sums, and the normalized adjacency divides each entry
 by the square root of both endpoint degrees.
+
+Under the four-parameter rule, examples that share a class, a domain and a
+membership have identical rows in every adjacency, so the graph is built
+over groups of them (:meth:`Population.groups`).  With group sizes n and
+T expanded over one example per group, A_u = T^t diag(n) T / N, each
+labeled class is one group whose row is its mean, C = n^t raw n and
+D = raw n / C; no array grows with the number of examples, and the
+vertex-level arrays are expansions of the group ones.  An explicit
+matrix's rows are arbitrary, so each of its vertices is a group of one and
+the same code runs with n = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from .population import (
     AugmentationModel,
     ExplicitAugmentation,
+    Groups,
     ParametricAugmentation,
     Population,
     transformation_matrix,
@@ -60,39 +73,66 @@ class GraphWeights:
 
 @dataclass(frozen=True)
 class GraphBundle:
-    """All adjacency views of one population graph.
+    """All adjacency views of one population graph, held over groups.
 
-    ``A`` is globally normalized: its entries sum to one, with ``C`` the raw
-    total that was divided out.  ``D`` holds the degrees (row sums of ``A``)
-    and ``A_tilde`` the degree-normalized adjacency, which is invariant to
-    both ``C`` and any common rescaling of the two edge weights.  A bundle
-    built from a stack of models carries the same leading axes on every
-    array, ``C`` included.
+    The graph's vertices fall into ``groups`` of interchangeable ones, and
+    every array ending in ``_g`` has one row (and column) per group: the
+    weight between two single vertices of those groups, or a vertex's
+    degree.  ``A_g`` is globally normalized, so that the entries of its
+    vertex expansion sum to one, with ``C`` the raw total that was divided
+    out.  ``D_g`` holds the degrees and ``A_tilde_g`` the degree-normalized
+    adjacency, which is invariant to both ``C`` and any common rescaling of
+    the two edge weights.  The vertex-level ``A_u``, ``A_l``, ``A``, ``D``
+    and ``A_tilde`` expand the group arrays on first use; with groups of
+    one they are the group arrays themselves.  A bundle built from a stack
+    of models carries the same leading axes on every array, ``C`` included.
     """
 
-    A_u: np.ndarray
-    A_l: np.ndarray
-    A: np.ndarray
+    A_u_g: np.ndarray
+    A_l_g: np.ndarray
+    A_g: np.ndarray
     C: float | np.ndarray
-    D: np.ndarray
-    A_tilde: np.ndarray
+    D_g: np.ndarray
+    A_tilde_g: np.ndarray
     weights: GraphWeights
+    groups: Groups
 
     def __post_init__(self) -> None:
-        for name in ("A_u", "A_l", "A", "D", "A_tilde"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+        for name in ("A_u_g", "A_l_g", "A_g", "D_g", "A_tilde_g"):
+            getattr(self, name).setflags(write=False)
+
+    def _expand(self, m: np.ndarray) -> np.ndarray:
+        index = self.groups.index
+        if index.shape[0] == m.shape[-1]:
+            return m
+        out = m[..., index] if m.ndim == self.D_g.ndim else m[..., index[:, None], index]
+        out.setflags(write=False)
+        return out
+
+    A_u = cached_property(lambda self: self._expand(self.A_u_g))
+    A_l = cached_property(lambda self: self._expand(self.A_l_g))
+    A = cached_property(lambda self: self._expand(self.A_g))
+    D = cached_property(lambda self: self._expand(self.D_g))
+    A_tilde = cached_property(lambda self: self._expand(self.A_tilde_g))
 
 
-def self_supervised_adjacency(model: AugmentationModel, population: Population) -> np.ndarray:
+def self_supervised_adjacency(
+    model: AugmentationModel, population: Population, counts: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Positive-pair weights under a uniform draw of the source example.
 
-    Returns the views-by-views matrix (1/n) T^t T, where T is the
-    transformation matrix of ``model`` over ``population`` and n the number
-    of natural examples; a stack of models gives a stack of matrices.
+    Returns the views-by-views matrix (1/n) T^t diag(counts) T, where T is
+    the transformation matrix of ``model`` over ``population``, source row
+    a stands for ``counts[a]`` natural examples (one each by default) and
+    n is their total; a stack of models gives a stack of matrices.
     """
     t = transformation_matrix(model, population)
-    return np.swapaxes(t, -1, -2) @ t / t.shape[-2]
+    if counts is None:
+        return np.swapaxes(t, -1, -2) @ t / t.shape[-2]
+    # As (sqrt(n) T)^t (sqrt(n) T): one operand and its transpose, which
+    # matmul evaluates as a symmetric product.
+    root_t = t * np.sqrt(counts)[:, None]
+    return np.swapaxes(root_t, -1, -2) @ root_t / counts.sum()
 
 
 def supervised_adjacency(model: AugmentationModel, population: Population) -> np.ndarray:
@@ -101,6 +141,8 @@ def supervised_adjacency(model: AugmentationModel, population: Population) -> np
     Each known class with labeled examples contributes the outer product of
     the mean of its labeled rows of T (the empirical per-class view
     distribution).  Without any labeled examples the matrix is zero.
+    Labeled examples live in the ID domain, so a class's labeled examples
+    form one group, and over groups its mean is that group's row.
     """
     t = transformation_matrix(model, population)
     out = np.zeros(t.shape[:-2] + (t.shape[-1], t.shape[-1]))
@@ -115,36 +157,45 @@ def combine_and_normalize(
 ) -> GraphBundle:
     """Combine the two adjacencies, normalize globally, and derive degrees.
 
-    Raises :class:`IsolatedVertexError` if any vertex ends up with zero
-    degree; silently dropping it would desynchronize vertex indices.
+    Every vertex is a group of its own.  Raises
+    :class:`IsolatedVertexError` if any vertex ends up with zero degree;
+    silently dropping it would desynchronize vertex indices.
     """
     A_u = np.asarray(A_u, dtype=float)
     A_l = np.asarray(A_l, dtype=float)
     if A_u.shape != A_l.shape or A_u.ndim != 2 or A_u.shape[0] != A_u.shape[1]:
         raise GraphError(f"adjacency shapes {A_u.shape} and {A_l.shape} are incompatible")
-    return _normalize(A_u, A_l, weights)
+    return _normalize(A_u.copy(), A_l.copy(), weights, Groups.of_one(None, A_u.shape[0]))
 
 
-def _normalize(A_u: np.ndarray, A_l: np.ndarray, weights: GraphWeights) -> GraphBundle:
-    """:func:`combine_and_normalize` over any leading batch axes."""
+def _normalize(
+    A_u: np.ndarray, A_l: np.ndarray, weights: GraphWeights, groups: Groups
+) -> GraphBundle:
+    """:func:`combine_and_normalize` over groups and any leading batch axes.
+
+    Group a's row stands for ``groups.counts[a]`` vertices, so every sum
+    over vertices weighs it by that count.
+    """
     for name, m in (("A_u", A_u), ("A_l", A_l)):
         if np.max(np.abs(m - np.swapaxes(m, -1, -2)), initial=0.0) > 1e-10:
             raise GraphError(f"{name} is not symmetric")
+    n = groups.counts.astype(float)
     raw = weights.eta_u * A_u + weights.eta_l * A_l
-    C = raw.sum(axis=(-2, -1))
+    C = (raw * np.outer(n, n)).sum(axis=(-2, -1))
     if np.any(C <= 0):
         raise GraphError("combined adjacency has nonpositive total weight")
     A = raw / C[..., None, None]
-    D = A.sum(axis=-1)
+    D = (A * n).sum(axis=-1)
     zero = np.argwhere(D <= 0)
     if zero.size:
-        raise IsolatedVertexError(f"vertex {int(zero[0, -1])} has zero degree")
+        vertex = np.argmax(groups.index == zero[0, -1])
+        raise IsolatedVertexError(f"vertex {vertex} has zero degree")
     # The check above lets caller matrices be symmetric only to 1e-10, so
     # A_tilde is made exactly symmetric here.
     A_tilde = A / np.sqrt(D[..., :, None] * D[..., None, :])
     A_tilde = 0.5 * (A_tilde + np.swapaxes(A_tilde, -1, -2))
     return GraphBundle(
-        A_u=A_u.copy(), A_l=A_l.copy(), A=A, C=C, D=D, A_tilde=A_tilde, weights=weights
+        A_u_g=A_u, A_l_g=A_l, A_g=A, C=C, D_g=D, A_tilde_g=A_tilde, weights=weights, groups=groups
     )
 
 
@@ -160,13 +211,22 @@ def _build_graph(
 ) -> GraphBundle:
     """:func:`build_graph` for a model or a stack of models.
 
-    A parametric model is expanded once, and both adjacencies are built
-    from that one matrix.
+    Under a parametric model the population's groups (:meth:`Population.groups`)
+    are interchangeable, and T is expanded once, over one example per
+    group, so no array grows with the number of examples.  An explicit
+    matrix's rows are arbitrary: every vertex is a group of its own.
     """
     if isinstance(model, ParametricAugmentation):
+        groups = population.groups()
+        population, counts = groups.population, groups.counts
         model = ExplicitAugmentation(transformation_matrix(model, population))
+    else:
+        counts = None
+        views = model.matrix.shape[-1]
+        groups = Groups.of_one(population if views == len(population) else None, views)
     return _normalize(
-        self_supervised_adjacency(model, population),
+        self_supervised_adjacency(model, population, counts),
         supervised_adjacency(model, population),
         weights,
+        groups,
     )

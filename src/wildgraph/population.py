@@ -9,7 +9,10 @@ and vertex i of the graph is the i-th example when the runs are laid end
 to end.  An enumerated config keeps its cells as written; a sampled wild
 mixture is its labeled cells followed by one count-1 cell per drawn wild
 example; a toy layout is five count-1 cells.  One rule set
-(:func:`_check_cells`) covers all of them.  An augmentation model assigns
+(:func:`_check_cells`) covers all of them.  Examples that share all three
+tags are interchangeable under the four-parameter rule below, so
+:meth:`Population.groups` merges such cells into groups with summed counts;
+the graph is then solved on one row per group.  An augmentation model assigns
 every (source, view) pair a nonnegative transformation probability, either
 through an explicit matrix or through the four-parameter rule
 
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -40,6 +43,7 @@ __all__ = [
     "Membership",
     "Population",
     "Cell",
+    "Groups",
     "PopulationSpec",
     "ParametricAugmentation",
     "ExplicitAugmentation",
@@ -173,6 +177,55 @@ class Population:
             if cell.membership is Membership.LABELED_ID:
                 out.setdefault(cell.class_label, []).extend(run)
         return out
+
+    def groups(self) -> Groups:
+        """Cells with equal (class, domain, membership) merged into groups.
+
+        Groups follow the order of their first cell, and each is one count-1
+        cell of the returned ``population`` with its summed count.
+        """
+        first: dict[tuple, int] = {}
+        of_cell = [
+            first.setdefault((c.class_label, c.domain_label, c.membership), len(first))
+            for c in self.cells
+        ]
+        sizes = [cell.count for cell in self.cells]
+        counts = [0] * len(first)
+        for group, size in zip(of_cell, sizes):
+            counts[group] += size
+        return Groups(
+            population=Population(
+                classes=self.classes,
+                domains=self.domains,
+                cells=tuple(Cell(*key, 1) for key in first),
+            ),
+            counts=np.array(counts),
+            index=np.repeat(of_cell, sizes),
+        )
+
+
+@dataclass(frozen=True)
+class Groups:
+    """A partition of a graph's vertices into groups of interchangeable ones.
+
+    Vertex a of ``population`` stands for group a, whose ``counts[a]``
+    vertices share one row of every adjacency; ``index[x]`` is the group
+    of vertex x.  ``population`` is ``None`` for a graph built from bare
+    adjacency matrices.
+    """
+
+    population: Optional[Population]
+    counts: np.ndarray
+    index: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("counts", "index"):
+            getattr(self, name).setflags(write=False)
+
+    @classmethod
+    def of_one(cls, population: Optional[Population], n: int) -> Groups:
+        """Every one of n vertices a group of its own."""
+        return cls(population, np.ones(n, dtype=int), np.arange(n))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,14 @@ exactly equal eigenvalues are ordered by comparing the sign-fixed vectors
 lexicographically.  The same input on the same machine gives identical
 bytes; across BLAS/LAPACK builds the low-order digits may differ.
 
+:func:`embed` solves a graph on its quotient over groups of
+interchangeable vertices: a g x g eigenproblem whatever the number of
+vertices, whose eigenvectors lift back to the vertex-level ones.  A graph
+given by an explicit matrix has groups of one, where the quotient is the
+normalized adjacency itself, so one path serves every graph.  ``embed``
+refuses a rank k past the number of eigenvalues that are not numerically
+zero.
+
 The factorizer minimizes the squared Frobenius residual between the
 normalized adjacency and F F^t by nonlinear conjugate gradient with an exact
 line search; no eigendecomposition enters it.  Its optimum is the sum of
@@ -43,6 +51,10 @@ __all__ = [
 ]
 
 ASYMMETRY_TOLERANCE = 1e-10
+# An eigenvalue counts toward the rank when it exceeds this fraction of
+# the largest one; null directions of a 34-vertex graph come out near
+# 1e-16, and negative ones are clamped to zero in the embedding anyway.
+RANK_TOLERANCE = 1e-10
 
 
 class SpectralError(ValueError):
@@ -64,8 +76,11 @@ class SpectralEmbedding:
     ``eigenvalues`` holds the full descending spectrum, ``V_k`` the leading
     orthonormal eigenvectors, and ``Sigma_k`` the leading eigenvalues
     clamped at zero so their square roots exist.  ``Z`` stays ``None`` until
-    :func:`closed_form_embedding` supplies the degrees.  An embedding of a
-    stack of graphs carries the stack's leading axes on every array.
+    :func:`closed_form_embedding` supplies the degrees.  From :func:`embed`
+    the rows are the bundle's groups, each shared by every vertex of its
+    group, so ``V_k``'s columns are orthonormal once each row is counted
+    as often as its group has vertices.  An embedding of a stack of graphs
+    carries the stack's leading axes on every array.
     """
 
     eigenvalues: np.ndarray
@@ -117,8 +132,7 @@ def _decompose(m: np.ndarray, k: int) -> SpectralEmbedding:
         lam, v = np.linalg.eigh(0.5 * (m + mt))
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigh failed: {exc}") from exc
-    pivot = np.argmax(np.abs(v), axis=-2)
-    v = np.where(np.take_along_axis(v, pivot[..., None, :], axis=-2) < 0, -v, v)
+    v = _fix_signs(v)
     order = np.argsort(-lam, axis=-1, kind="stable")
     tied = np.any(np.diff(np.take_along_axis(lam, order, axis=-1), axis=-1) == 0.0, axis=-1)
     for i in map(tuple, np.argwhere(tied)):
@@ -134,15 +148,21 @@ def _decompose(m: np.ndarray, k: int) -> SpectralEmbedding:
     )
 
 
+def _fix_signs(v: np.ndarray) -> np.ndarray:
+    """Columns flipped so that each one's first largest-magnitude entry is positive."""
+    pivot = np.argmax(np.abs(v), axis=-2)
+    return np.where(np.take_along_axis(v, pivot[..., None, :], axis=-2) < 0, -v, v)
+
+
 def closed_form_embedding(bundle: GraphBundle, embedding: SpectralEmbedding) -> np.ndarray:
-    """Feature rows Z with Z[x, :] = V_k[x, :] * sqrt(Sigma_k) / sqrt(D[x]).
+    """Feature rows Z with Z[a, :] = V_k[a, :] * sqrt(Sigma_k) / sqrt(D_g[a]), one per group.
 
     Negative leading eigenvalues were already clamped in ``Sigma_k``; a
     warning flags when clamping actually discarded signal.
     """
-    if bundle.D.shape[-1] != embedding.V_k.shape[-2]:
+    if bundle.D_g.shape[-1] != embedding.V_k.shape[-2]:
         raise SpectralError(
-            f"bundle has {bundle.D.shape[-1]} vertices but embedding has "
+            f"bundle has {bundle.D_g.shape[-1]} groups but embedding has "
             f"{embedding.V_k.shape[-2]} rows"
         )
     clipped = embedding.eigenvalues[..., : embedding.k]
@@ -153,19 +173,42 @@ def closed_form_embedding(bundle: GraphBundle, embedding: SpectralEmbedding) -> 
             stacklevel=2,
         )
     scale = np.sqrt(embedding.Sigma_k)[..., None, :]
-    return embedding.V_k * scale / np.sqrt(bundle.D)[..., :, None]
+    return embedding.V_k * scale / np.sqrt(bundle.D_g)[..., :, None]
 
 
 def embed(bundle: GraphBundle, k: int) -> SpectralEmbedding:
-    """Eigendecompose the bundle's normalized adjacency and attach Z.
+    """Spectral embedding of the bundle's graph, solved on its group quotient.
 
-    A bundle of one graph goes through :func:`eigendecompose`; a stack of
-    graphs through the same code with its batch axes.
+    With group sizes n, the g x g quotient Q = diag(sqrt n) A_tilde_g
+    diag(sqrt n) has the nonzero spectrum of the vertex-level A_tilde, and
+    each eigenvector u of Q lifts to the unit eigenvector of A_tilde whose
+    entries are u[a] / sqrt(n[a]) on group a (Godsil & Royle, *Algebraic
+    Graph Theory*, ch. 9).  ``V_k`` and ``Z`` hold one row per group, the
+    lifted signs follow the module's convention, and ``eigenvalues`` is
+    Q's spectrum.  A k beyond the graph's numerical rank (eigenvalues above
+    ``RANK_TOLERANCE`` times the largest) is refused: the extra columns
+    would come from the null space.  A bundle of one graph
+    goes through :func:`eigendecompose`; a stack of graphs through the
+    same code with its batch axes.
     """
-    decompose = eigendecompose if bundle.A_tilde.ndim == 2 else _decompose
-    embedding = decompose(bundle.A_tilde, k)
-    z = closed_form_embedding(bundle, embedding)
-    return replace(embedding, Z=z)
+    # With groups of one (every explicit matrix), Q is A_tilde_g and the
+    # lift is the identity, so both are skipped.
+    counts = bundle.groups.counts
+    lifted = bundle.groups.index.shape[0] != counts.shape[0]
+    root = np.sqrt(counts)
+    q = root[:, None] * bundle.A_tilde_g * root if lifted else bundle.A_tilde_g
+    decompose = eigendecompose if q.ndim == 2 else _decompose
+    embedding = decompose(q, min(k, q.shape[-1]))
+    lam = embedding.eigenvalues
+    rank = int(np.min(np.sum(lam > RANK_TOLERANCE * lam[..., :1], axis=-1)))
+    if k > rank:
+        raise SpectralError(
+            f"k={k} exceeds the graph's rank {rank}: only {rank} eigenvalues exceed "
+            f"{RANK_TOLERANCE:g} times the largest"
+        )
+    if lifted:
+        embedding = replace(embedding, V_k=_fix_signs(embedding.V_k / root[:, None]))
+    return replace(embedding, Z=closed_form_embedding(bundle, embedding))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from test_golden import README_CONFIG
 from wildgraph import cli
 from wildgraph.cli import main
 
@@ -278,6 +280,50 @@ class TestDetect:
         assert code == 2
         assert "k_neighbors=16 must be < reference count 16" in capsys.readouterr().err
 
+    # The README config: five cells, so its graph has rank 5.
+    @pytest.mark.parametrize("k,code", [(5, 0), (6, 2), (10, 2)])
+    def test_k_beyond_the_rank_is_config_error(self, tmp_path, capsys, k, code):
+        config = write_config(tmp_path, README_CONFIG)
+        out = tmp_path / "metrics.json"
+        assert main(["detect", "--config", config, "--k", str(k), "--out", str(out)]) == code
+        if code:
+            assert f"k={k} exceeds the graph's rank 5" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_large_groups_allocate_no_example_square(self, tmp_path):
+        # The README cells a hundredfold: 3400 examples in five groups.  One
+        # 3400 x 3400 float array would be 92 MB.
+        cells = [dict(c, count=100 * c["count"]) for c in README_CONFIG["cells"]]
+        config = write_config(tmp_path, dict(README_CONFIG, cells=cells))
+        out = tmp_path / "metrics.json"
+        tracemalloc.start()
+        try:
+            assert main(["detect", "--config", config, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert json.loads(out.read_text())["separability"] == pytest.approx(15.828078419019425)
+
+    def test_seed_on_an_enumerated_config_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, SEPARATED_CONFIG)
+        out = tmp_path / "metrics.json"
+        assert main(["detect", "--config", config, "--seed", "1", "--out", str(out)]) == 2
+        assert "--seed applies only to a sampled mixture" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["detect", "--config", config, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["seed"] is None
+
+    def test_sampled_mixture_records_its_seed(self, tmp_path):
+        config = write_config(tmp_path, dict(SEPARATED_CONFIG, pi_c=0.3, pi_s=0.2))
+        reports = []
+        for seed_args in ([], ["--seed", "0"], ["--seed", "3"]):
+            out = tmp_path / "metrics.json"
+            assert main(["detect", "--config", config, *seed_args, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert [r["config"]["seed"] for r in reports] == [0, 0, 3]
+        assert reports[0] == reports[1]
+
 
 def edited(path, value, drop=None):
     """SEPARATED_CONFIG with the entry at ``path`` (a key, or a key and a cell) set to ``value``."""
@@ -409,7 +455,8 @@ class TestFlags:
 
 class TestDeterminism:
     def test_identical_command_lines_identical_bytes(self, tmp_path):
-        config = write_config(tmp_path, SEPARATED_CONFIG)
+        # A sampled mixture, so that detect's --seed seeds its sampling.
+        config = write_config(tmp_path, dict(SEPARATED_CONFIG, pi_c=0.3, pi_s=0.2))
         commands = [
             ["toy-verify", "--variant", "a", "--alpha-prime", "0.03", "--beta-prime", "0.01",
              "--out", str(tmp_path / "verify.json")],

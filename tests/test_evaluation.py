@@ -269,3 +269,56 @@ class TestOrthogonalInvariance:
         base = probing_error(z_eval, eval_labels, probe)
         rotated = probing_error(z_eval @ q, eval_labels, probe_rot)
         assert base.count == rotated.count
+
+
+class TestCounts:
+    """A row with count c scores as c copies of that row."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_counts_equal_repeated_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        # Small integer coordinates, so that copies of one row are exactly
+        # zero apart in both forms.
+        z_id = rng.integers(-3, 4, size=(7, 3)).astype(float)
+        labels = np.array([0, 1, 2, 0, 1, 2, 0])
+        n_id = rng.integers(1, 5, size=7)
+        z_eval = rng.integers(-3, 4, size=(5, 3)).astype(float)
+        eval_labels = rng.integers(0, 3, size=5)
+        n_eval = rng.integers(1, 5, size=5)
+        rep_id, rep_labels = np.repeat(z_id, n_id, axis=0), np.repeat(labels, n_id)
+        rep_eval, rep_eval_labels = np.repeat(z_eval, n_eval, axis=0), np.repeat(eval_labels, n_eval)
+
+        probe = fit_linear_probe(z_id, labels, counts=n_id)
+        np.testing.assert_allclose(probe.M, fit_linear_probe(rep_id, rep_labels).M, atol=1e-12)
+        assert classification_accuracy(z_eval, eval_labels, probe, n_eval) == pytest.approx(
+            classification_accuracy(rep_eval, rep_eval_labels, probe), abs=1e-15
+        )
+        weighted = probing_error(z_eval, eval_labels, probe, counts=n_eval)
+        repeated = probing_error(rep_eval, rep_eval_labels, probe)
+        assert weighted.count == repeated.count
+        assert weighted.rate == pytest.approx(repeated.rate, abs=1e-15)
+        assert separability(z_id, z_eval, n_id, n_eval) == pytest.approx(
+            separability(rep_id, rep_eval), rel=1e-12
+        )
+
+        k = int(rng.integers(1, n_id.sum()))
+        detector = fit_knn_detector(z_id, k, counts=n_id)
+        reference = fit_knn_detector(rep_id, k)
+        np.testing.assert_array_equal(detector.reference_scores, reference.reference_scores)
+        assert detector.threshold == reference.threshold
+        np.testing.assert_array_equal(
+            knn_scores(detector, z_eval, n_eval), knn_scores(reference, rep_eval)
+        )
+
+    def test_examples_of_one_row_are_zero_apart(self):
+        # Their distance is exactly zero, not the rounding left over by the
+        # expanded |x|^2 + |y|^2 - 2 x.y of a row with itself.
+        ref = np.random.default_rng(5).standard_normal((6, 4)) * 3.7
+        detector = fit_knn_detector(ref, k_neighbors=2, counts=[3] * 6)
+        np.testing.assert_array_equal(detector.reference_scores, np.zeros(18))
+        assert detector.threshold == 0.0
+
+    def test_mismatched_counts_rejected(self):
+        with pytest.raises(EvaluationError, match="counts"):
+            separability(np.zeros((3, 2)), np.ones((2, 2)), counts_id=[1, 2])

@@ -8,7 +8,10 @@ implementation with
     PYTHONPATH=src python tests/test_golden.py --write
 
 and must not be rewritten to make a later change pass; a deliberate change
-of these numbers needs its own CHANGES.md entry.
+of these numbers needs its own CHANGES.md entry.  ``--write`` adds only the
+cases the corpus lacks: ``detect`` on a sampled mixture and on an explicit
+matrix were added that way from the LAPACK ``eigh`` engine, before ``detect``
+moved to the cell quotient.
 
 Comparison: metrics within GOLDEN_RTOL relative, spectra elementwise within
 SPECTRUM_ATOL times the largest eigenvalue, counts, flags and exit codes
@@ -55,6 +58,33 @@ README_CONFIG = {
     "pi_s": 0.0,
 }
 
+# The README's cells resampled: its 18 wild examples become 5 covariate,
+# 4 semantic and 9 wild-ID draws.
+MIXTURE_CONFIG = dict(README_CONFIG, pi_c=0.3, pi_s=0.2)
+
+
+def matrix_config() -> dict:
+    """The README's cells under an explicit, slightly asymmetric matrix."""
+    cells = README_CONFIG["cells"]
+    vertices = [(c["class"], c["domain"]) for c in cells for _ in range(c["count"])]
+    matrix = [
+        [(1.0 if cs == ct else 0.1) * (1.0 if ds == dt else 0.2) + 0.001 * ((i + 2 * j) % 3)
+         for j, (ct, dt) in enumerate(vertices)]
+        for i, (cs, ds) in enumerate(vertices)
+    ]
+    config = {k: v for k, v in README_CONFIG.items() if k != "augmentation"}
+    return dict(config, augmentation_matrix=matrix)
+
+
+# (case name, config, seed) of the detect cases.  The mixture's wild
+# examples are count-1 cells that the engine merges into groups; the
+# explicit matrix has no interchangeable vertices at all.
+DETECT_CASES = [
+    ("detect-readme", README_CONFIG, None),
+    ("detect-mixture-seed1", MIXTURE_CONFIG, 1),
+    ("detect-matrix", matrix_config(), None),
+]
+
 # (variant, alpha', beta'): each side of the case-a boundary b' = 9/8 a' and
 # of the unsupervised boundary a' = b', at small and at larger ratios.  The
 # last case-a point lies outside the excluded band but past the exact flip,
@@ -81,8 +111,8 @@ def _run(argv: list[str]) -> int:
         return main(argv)
 
 
-def _spectrum(config_path: Path) -> list[float]:
-    population, explicit = _population_from_config(str(config_path), 0)
+def _spectrum(config_path: Path, seed: int = 0) -> list[float]:
+    population, explicit = _population_from_config(str(config_path), seed)
     bundle = build_graph(explicit, population, GraphWeights(5.0, 1.0))
     return eigendecompose(bundle.A_tilde, 1).eigenvalues.tolist()
 
@@ -104,17 +134,20 @@ def compute_corpus(work: Path) -> dict:
     """Run every corpus command in ``work`` and collect its reported numbers."""
     cases = {}
 
-    config = work / "readme.json"
-    config.write_text(json.dumps(README_CONFIG), encoding="utf-8")
-    out = work / "detect.json"
-    rc = _run(["detect", "--config", str(config), "--k-neighbors", "5", "--out", str(out)])
-    report = json.loads(out.read_text(encoding="utf-8"))
-    cases["detect-readme"] = {
-        "exit": rc,
-        "metrics": {k: v for k, v in report.items() if k != "config" and isinstance(v, float)},
-        "counts": {k: v for k, v in report.items() if isinstance(v, int)},
-        "spectrum": _spectrum(config),
-    }
+    for name, payload, seed in DETECT_CASES:
+        config = work / f"{name}.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        out = work / f"{name}-out.json"
+        seed_args = [] if seed is None else ["--seed", str(seed)]
+        rc = _run(["detect", "--config", str(config), *seed_args, "--k-neighbors", "5",
+                   "--out", str(out)])
+        report = json.loads(out.read_text(encoding="utf-8"))
+        cases[name] = {
+            "exit": rc,
+            "metrics": {k: v for k, v in report.items() if k != "config" and isinstance(v, float)},
+            "counts": {k: v for k, v in report.items() if isinstance(v, int)},
+            "spectrum": _spectrum(config, seed or 0),
+        }
 
     for variant, ap, bp in TOY_POINTS:
         out = work / f"toy-{variant}-{ap}-{bp}.json"
@@ -153,7 +186,7 @@ def corpus(tmp_path_factory):
 
 
 CASE_NAMES = (
-    ["detect-readme"]
+    [name for name, _, _ in DETECT_CASES]
     + [f"toy-verify-{variant}-{ap}-{bp}" for variant, ap, bp in TOY_POINTS]
     + [f"factorize-explicit-{seed}" for seed, _, _ in FACTORIZE_CASES]
 )
@@ -186,8 +219,11 @@ if __name__ == "__main__":
 
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         cases = compute_corpus(Path(tmp))
     assert sorted(cases) == sorted(CASE_NAMES)
+    # Only cases the corpus lacks are written; recorded ones stay as they are.
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    GOLDEN.write_text(json.dumps(dict(cases, **recorded), indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")

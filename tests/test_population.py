@@ -337,6 +337,36 @@ class TestWildMixture:
         assert (m_c, m_s) == (2, 1)
 
 
+class TestGroups:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_layouts())
+    def test_groups_merge_equal_cells_in_order_of_first_appearance(self, layout):
+        classes, domains, cells = layout
+        population = Population(classes=classes, domains=domains, cells=cells)
+        groups = population.groups()
+        keys = [(c.class_label, c.domain_label, c.membership) for c in cells]
+        distinct = list(dict.fromkeys(keys))
+        merged = groups.population.cells
+        assert [(c.class_label, c.domain_label, c.membership) for c in merged] == distinct
+        assert all(c.count == 1 for c in merged)
+        assert groups.counts.tolist() == [
+            sum(c.count for c, key in zip(cells, keys) if key == want) for want in distinct
+        ]
+        vertex_keys = [key for c, key in zip(cells, keys) for _ in range(c.count)]
+        assert groups.index.tolist() == [distinct.index(key) for key in vertex_keys]
+        assert groups.population.classes == classes and groups.population.domains == domains
+
+    def test_sampled_mixture_cells_merge(self):
+        population = sample_wild_mixture(WILD_SPEC, seed=3)
+        groups = population.groups()
+        # two labeled cells, wild-ID of two classes, covariate of two classes, one semantic
+        assert len(groups.population) == 7
+        assert groups.counts.sum() == len(population)
+        np.testing.assert_array_equal(
+            groups.population.class_labels()[groups.index], population.class_labels()
+        )
+
+
 class TestConfigLoading:
     CONFIG = {
         "classes": [0, 1],

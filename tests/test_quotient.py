@@ -1,0 +1,169 @@
+"""Metamorphic checks of the cell-quotient engine.
+
+``detect`` solves a parametric population on its g x g quotient over
+groups of interchangeable examples and weighs every metric by the groups'
+sizes.  The same cells under their expanded ``augmentation_matrix`` have
+no groups to merge, so that run is the dense per-example computation.
+Over random layouts of 2-4 classes with counts 1-6:
+
+(a) the quotient agrees with the dense run;
+(b) multiplying every count by m leaves rates and distances unchanged and
+    multiplies the example count by m;
+(c) permuting the cells leaves every metric unchanged;
+(d) the lifted eigenvectors are eigenvectors of the expanded A_tilde.
+
+Rates and distances are compared within 1e-9 relative, counts exactly.
+Labeled counts differ between classes, so that no class permutation is a
+symmetry of the graph (which could tie eigenvalues at k or the class
+scores of the plain argmax), and layouts whose eigengap at k is not clear
+of rounding are skipped.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from wildgraph import (
+    ExplicitAugmentation,
+    GraphWeights,
+    build_graph,
+    embed,
+    enumerate_population,
+    load_population_config,
+    transformation_matrix,
+)
+from wildgraph.cli import main
+
+REL = 1e-9
+WEIGHTS = GraphWeights(5.0, 1.0)
+
+
+@st.composite
+def layouts(draw):
+    """A parametric detect config: labeled, wild-ID, covariate and semantic cells."""
+    n_classes = draw(st.integers(2, 4))
+    shifted = draw(st.integers(1, 2))
+    counts = st.integers(1, 6)
+    labeled = draw(st.permutations(range(1, 7)))[:n_classes]
+    cells = [(c, 0, "labeled_id", labeled[c]) for c in range(n_classes)]
+    for c in range(n_classes):
+        if draw(st.booleans()):
+            cells.append((c, 0, "wild_id", draw(counts)))
+        cells.append((c, draw(st.integers(1, shifted)), "wild_covariate", draw(counts)))
+    cells.append((n_classes, draw(st.integers(1, shifted)), "wild_semantic", draw(counts)))
+    rho = draw(st.floats(0.5, 2.0))
+    return {
+        "classes": list(range(n_classes)),
+        "domains": list(range(shifted + 1)),
+        "cells": [{"class": c, "domain": d, "membership": m, "count": n} for c, d, m, n in cells],
+        "augmentation": {
+            "rho": rho,
+            "alpha": rho * draw(st.floats(0.01, 0.3)),
+            "beta": rho * draw(st.floats(0.01, 0.3)),
+            "gamma": rho * draw(st.floats(1e-3, 0.05)),
+        },
+    }
+
+
+def _well_posed(config: dict) -> bool:
+    """Rank at least k = C + 1, and a clear eigengap at k."""
+    spec, model = load_population_config(config)
+    k = len(spec.classes) + 1
+    bundle = build_graph(model, enumerate_population(spec), WEIGHTS)
+    root = np.sqrt(bundle.groups.counts)
+    lam = np.linalg.eigvalsh(root[:, None] * bundle.A_tilde_g * root)[::-1]
+    return lam.size > k and lam[k - 1] > 1e-6 and lam[k - 1] - lam[k] > 1e-6
+
+
+def _detect(config: dict, k_neighbors: int = 1) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["detect", "--config", str(path), "--k-neighbors", str(k_neighbors),
+                         "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+    del report["config"]
+    return report
+
+
+def _assert_same(have: dict, want: dict, count_factor: int = 1) -> None:
+    assert have.keys() == want.keys()
+    for key, value in want.items():
+        if key == "probing_error_count":
+            assert have[key] == count_factor * value
+        else:
+            assert have[key] == pytest.approx(value, rel=REL, abs=1e-300), key
+
+
+def _expanded(config: dict) -> dict:
+    """The same cells under their parametric matrix, written out per example."""
+    spec, model = load_population_config(config)
+    matrix = transformation_matrix(model, enumerate_population(spec))
+    return dict({k: v for k, v in config.items() if k != "augmentation"},
+                augmentation_matrix=matrix.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(layouts(), st.integers(1, 3))
+def test_quotient_agrees_with_the_dense_run(config, k_neighbors):
+    assume(_well_posed(config))
+    labeled = sum(c["count"] for c in config["cells"] if c["membership"] == "labeled_id")
+    assume(k_neighbors < labeled)
+    _assert_same(_detect(config, k_neighbors), _detect(_expanded(config), k_neighbors))
+
+
+@settings(max_examples=40, deadline=None)
+@given(layouts(), st.sampled_from([2, 3, 7]))
+def test_blow_up_leaves_rates_and_distances(config, m):
+    # With one neighbour and at least two examples per labeled group, every
+    # reference score is zero at both sizes and every query scores its
+    # nearest reference group, so detection is size-free as well.
+    config = dict(config, cells=[
+        dict(c, count=c["count"] + 1) if c["membership"] == "labeled_id" else c
+        for c in config["cells"]
+    ])
+    assume(_well_posed(config))
+    grown = dict(config, cells=[dict(c, count=m * c["count"]) for c in config["cells"]])
+    _assert_same(_detect(grown), _detect(config), count_factor=m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layouts(), st.randoms(use_true_random=False))
+def test_cell_order_leaves_every_metric(config, random):
+    assume(_well_posed(config))
+    cells = list(config["cells"])
+    random.shuffle(cells)
+    _assert_same(_detect(dict(config, cells=cells)), _detect(config))
+
+
+@settings(max_examples=40, deadline=None)
+@given(layouts())
+def test_lifted_vectors_are_eigenvectors_of_the_expanded_graph(config):
+    assume(_well_posed(config))
+    spec, model = load_population_config(config)
+    population = enumerate_population(spec)
+    bundle = build_graph(model, population, WEIGHTS)
+    k = len(spec.classes) + 1
+    embedding = embed(bundle, k)
+    v = embedding.V_k[bundle.groups.index]
+    a = bundle.A_tilde
+    residual = np.linalg.norm(a @ v - v * embedding.eigenvalues[:k])
+    assert residual <= 1e-10 * np.linalg.norm(a)
+    np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-10)
+    # The expansion is the graph of the per-example matrix.
+    dense = build_graph(
+        ExplicitAugmentation(transformation_matrix(model, population)), population, WEIGHTS
+    )
+    np.testing.assert_allclose(a, dense.A_tilde, rtol=0.0, atol=1e-14)
+
