@@ -70,6 +70,10 @@ EXIT_CONFIG = 2
 TOY_DEFAULTS = {"variant": "a", "rho": 1.0, "alpha_prime": 0.03, "beta_prime": 0.01,
                 "gamma_ratio": 1e-6}
 
+# detect's k may not pass the count of eigenvalues above this fraction of
+# the largest; null directions of a 34-vertex graph come out near 1e-16.
+RANK_TOLERANCE = 1e-10
+
 # Grid points evaluated as one batch: at the largest grid (200 x 200) this
 # keeps the stacked arrays to a few megabytes.
 SWEEP_BLOCK = 4096
@@ -329,9 +333,18 @@ def cmd_detect(args: argparse.Namespace) -> int:
     k = args.k if args.k else len(population.classes) + 1
     if k < 1:
         raise ConfigError(f"--k {k} must be at least 1")
-    z = embed(bundle, k).Z
     groups = bundle.groups
     n = groups.counts
+    # Past the rank, the extra columns would come from the null space.
+    embedding = embed(bundle, min(k, len(n)))
+    lam = embedding.eigenvalues
+    rank = int(np.sum(lam > RANK_TOLERANCE * lam[0]))
+    if k > rank:
+        raise ConfigError(
+            f"k={k} exceeds the graph's rank {rank}: only {rank} eigenvalues exceed "
+            f"{RANK_TOLERANCE:g} times the largest"
+        )
+    z = embedding.Z
     ev = evaluate(groups.population, z, n)
 
     labeled, wild_id, semantic = ev.labeled_rows, ev.wild_id_rows, ev.semantic_rows

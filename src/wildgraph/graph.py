@@ -127,12 +127,11 @@ def self_supervised_adjacency(
     n is their total; a stack of models gives a stack of matrices.
     """
     t = transformation_matrix(model, population)
-    if counts is None:
-        return np.swapaxes(t, -1, -2) @ t / t.shape[-2]
+    n = np.ones(t.shape[-2]) if counts is None else counts
     # As (sqrt(n) T)^t (sqrt(n) T): one operand and its transpose, which
     # matmul evaluates as a symmetric product.
-    root_t = t * np.sqrt(counts)[:, None]
-    return np.swapaxes(root_t, -1, -2) @ root_t / counts.sum()
+    root_t = t * np.sqrt(n)[:, None]
+    return np.swapaxes(root_t, -1, -2) @ root_t / n.sum()
 
 
 def supervised_adjacency(model: AugmentationModel, population: Population) -> np.ndarray:
@@ -218,14 +217,13 @@ def _build_graph(
     """
     if isinstance(model, ParametricAugmentation):
         groups = population.groups()
-        population, counts = groups.population, groups.counts
+        population = groups.population
         model = ExplicitAugmentation(transformation_matrix(model, population))
     else:
-        counts = None
         views = model.matrix.shape[-1]
         groups = Groups.of_one(population if views == len(population) else None, views)
     return _normalize(
-        self_supervised_adjacency(model, population, counts),
+        self_supervised_adjacency(model, population, groups.counts),
         supervised_adjacency(model, population),
         weights,
         groups,

@@ -11,9 +11,7 @@ bytes; across BLAS/LAPACK builds the low-order digits may differ.
 interchangeable vertices: a g x g eigenproblem whatever the number of
 vertices, whose eigenvectors lift back to the vertex-level ones.  A graph
 given by an explicit matrix has groups of one, where the quotient is the
-normalized adjacency itself, so one path serves every graph.  ``embed``
-refuses a rank k past the number of eigenvalues that are not numerically
-zero.
+normalized adjacency itself, so one path serves every graph.
 
 The factorizer minimizes the squared Frobenius residual between the
 normalized adjacency and F F^t by nonlinear conjugate gradient with an exact
@@ -51,10 +49,6 @@ __all__ = [
 ]
 
 ASYMMETRY_TOLERANCE = 1e-10
-# An eigenvalue counts toward the rank when it exceeds this fraction of
-# the largest one; null directions of a 34-vertex graph come out near
-# 1e-16, and negative ones are clamped to zero in the embedding anyway.
-RANK_TOLERANCE = 1e-10
 
 
 class SpectralError(ValueError):
@@ -185,11 +179,9 @@ def embed(bundle: GraphBundle, k: int) -> SpectralEmbedding:
     entries are u[a] / sqrt(n[a]) on group a (Godsil & Royle, *Algebraic
     Graph Theory*, ch. 9).  ``V_k`` and ``Z`` hold one row per group, the
     lifted signs follow the module's convention, and ``eigenvalues`` is
-    Q's spectrum.  A k beyond the graph's numerical rank (eigenvalues above
-    ``RANK_TOLERANCE`` times the largest) is refused: the extra columns
-    would come from the null space.  A bundle of one graph
-    goes through :func:`eigendecompose`; a stack of graphs through the
-    same code with its batch axes.
+    Q's spectrum, so k may not exceed the number of groups.  A bundle of
+    one graph goes through :func:`eigendecompose`; a stack of graphs
+    through the same code with its batch axes.
     """
     # With groups of one (every explicit matrix), Q is A_tilde_g and the
     # lift is the identity, so both are skipped.
@@ -198,14 +190,7 @@ def embed(bundle: GraphBundle, k: int) -> SpectralEmbedding:
     root = np.sqrt(counts)
     q = root[:, None] * bundle.A_tilde_g * root if lifted else bundle.A_tilde_g
     decompose = eigendecompose if q.ndim == 2 else _decompose
-    embedding = decompose(q, min(k, q.shape[-1]))
-    lam = embedding.eigenvalues
-    rank = int(np.min(np.sum(lam > RANK_TOLERANCE * lam[..., :1], axis=-1)))
-    if k > rank:
-        raise SpectralError(
-            f"k={k} exceeds the graph's rank {rank}: only {rank} eigenvalues exceed "
-            f"{RANK_TOLERANCE:g} times the largest"
-        )
+    embedding = decompose(q, k)
     if lifted:
         embedding = replace(embedding, V_k=_fix_signs(embedding.V_k / root[:, None]))
     return replace(embedding, Z=closed_form_embedding(bundle, embedding))

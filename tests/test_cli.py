@@ -61,6 +61,17 @@ class TestToyVerify:
         assert report["config"]["alpha_prime"] == 0.03
         assert "RESULT: pass" in capsys.readouterr().out
 
+    def test_negative_closed_form_eigenvalue_still_reports(self, tmp_path):
+        # Closed-form lambda3 = 1 - 4 b' < 0: the check runs and fails on
+        # separability, it is not refused as a rank error.
+        out = tmp_path / "report.json"
+        code = main(
+            ["toy-verify", "--variant", "a", "--alpha-prime", "0.3", "--beta-prime", "0.26",
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert json.loads(out.read_text())["passed"] is False
+
     def test_boundary_band_is_config_error(self, capsys):
         code = main(
             ["toy-verify", "--variant", "a", "--alpha-prime", "0.027", "--beta-prime", "0.030"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from wildgraph import (
     closed_form_embedding,
     eigendecompose,
     embed,
+    GraphWeights,
+    combine_and_normalize,
     lowrank_factorize,
     matrix_loss,
     reconstruction_gap,
@@ -212,6 +216,18 @@ class TestClosedFormEmbedding:
             direct = np.max(np.abs(emb.Z[:, j] - ref[:, j]))
             flipped = np.max(np.abs(emb.Z[:, j] + ref[:, j]))
             assert min(direct, flipped) <= 1e-8
+
+    def test_k_past_the_rank_is_embedded(self):
+        # The toy chain embeds at k = 3 whatever the rank; refusing such a k
+        # is detect's choice, not embed's.
+        u = np.vstack([np.ones(5), np.arange(1.0, 6.0)])
+        bundle = combine_and_normalize(u.T @ u, np.zeros((5, 5)), GraphWeights(1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            emb = embed(bundle, 4)
+        assert np.sum(emb.eigenvalues > 1e-10) == 2
+        assert emb.Z.shape == (5, 4)
+        assert np.all(np.isfinite(emb.Z))
 
     def test_clamp_warns_on_indefinite_matrix(self, case_a_bundle):
         bundle, _ = case_a_bundle
