@@ -9,14 +9,16 @@ detect       full pipeline with KNN detection metrics on a population config
 loss-check   constant-offset identity between the two objectives
 
 Exit codes: 0 all checks passed, 1 a tolerance or assertion failed,
-2 configuration error.  Every CSV starts with a comment line carrying the
-resolved configuration; JSON reports carry it as their first key.  Output
-bytes depend only on the command line and seeds.
+2 configuration error, 3 numerical failure (a non-finite factorizer loss).
+Every CSV starts with a comment line carrying the resolved configuration;
+JSON reports carry it as their first key.  Output bytes depend only on the
+command line and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -45,6 +47,7 @@ from .population import (
     sample_wild_mixture,
 )
 from .spectral import (
+    FactorizationError,
     FactorizerOptions,
     embed,
     eigendecompose,
@@ -65,13 +68,14 @@ from .theory import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
+EXIT_NUMERICAL = 3
 
 # The five-example case's parameters; see add_toy_params.
 TOY_DEFAULTS = {"variant": "a", "rho": 1.0, "alpha_prime": 0.03, "beta_prime": 0.01,
                 "gamma_ratio": 1e-6}
 
-# detect's k may not pass the count of eigenvalues above this fraction of
-# the largest; null directions of a 34-vertex graph come out near 1e-16.
+# detect's and factorize's k may not pass the count of eigenvalues above this
+# fraction of the largest; null directions of a 34-vertex graph come near 1e-16.
 RANK_TOLERANCE = 1e-10
 
 # Grid points evaluated as one batch: at the largest grid (200 x 200) this
@@ -246,12 +250,23 @@ def _bundle_from_args(args: argparse.Namespace):
     return build_graph(model, population, weights), population
 
 
+def _require_rank(k: int, eigenvalues: np.ndarray) -> None:
+    """Refuse a k past the graph's numerical rank, whose extra columns are null directions."""
+    rank = int(np.sum(eigenvalues > RANK_TOLERANCE * eigenvalues[0]))
+    if k > rank:
+        raise ConfigError(
+            f"k={k} exceeds the graph's rank {rank}: only {rank} eigenvalues exceed "
+            f"{RANK_TOLERANCE:g} times the largest"
+        )
+
+
 def cmd_factorize(args: argparse.Namespace) -> int:
     bundle, _ = _bundle_from_args(args)
     k = args.k
+    embedding = eigendecompose(bundle.A_tilde, k)
+    _require_rank(k, embedding.eigenvalues)
     opts = FactorizerOptions(max_iters=args.max_iters, tol=args.tol, seed=args.seed)
     state = lowrank_factorize(bundle.A_tilde, k, opts)
-    embedding = eigendecompose(bundle.A_tilde, k)
     gaps = reconstruction_gap(state, embedding)
     equivalence = equivalence_gap(args.trials, args.seed, bundle, k)
 
@@ -335,15 +350,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise ConfigError(f"--k {k} must be at least 1")
     groups = bundle.groups
     n = groups.counts
-    # Past the rank, the extra columns would come from the null space.
     embedding = embed(bundle, min(k, len(n)))
-    lam = embedding.eigenvalues
-    rank = int(np.sum(lam > RANK_TOLERANCE * lam[0]))
-    if k > rank:
-        raise ConfigError(
-            f"k={k} exceeds the graph's rank {rank}: only {rank} eigenvalues exceed "
-            f"{RANK_TOLERANCE:g} times the largest"
-        )
+    _require_rank(k, embedding.eigenvalues)
     z = embedding.Z
     ev = evaluate(groups.population, z, n)
 
@@ -371,7 +379,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; each ``parse_args`` call still returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="wildgraph",
         description="Augmentation-graph spectral embeddings and shift diagnostics.",
@@ -450,10 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except FactorizationError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, PopulationError, GraphError, DegenerateRegimeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,6 +23,7 @@ independently; the two routes cross-check each other through
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -222,34 +223,57 @@ class FactorizationState:
 
 
 def _residual(F: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
-    # overflow propagates to inf and is reported as FactorizationError
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = F @ F.T - target
-        return r, float(np.vdot(r, r))
+    r = F @ F.T
+    r -= target
+    return r, float(np.vdot(r, r))
 
 
 def _exact_step(R: np.ndarray, F: np.ndarray, d: np.ndarray, g: np.ndarray) -> float:
     """The t minimizing ||R + t (F d^t + d F^t) + t^2 d d^t||^2, with R = F F^t - A.
 
-    The loss along d is a quartic in t whose coefficients reduce to k x k
-    Gram products plus one product R d.  Its minimizer is the real root of
-    the derivative cubic with the lowest value; a complex root's real part
-    never beats it, and t = 0 stands in when d = 0 leaves no cubic.
+    That quartic's coefficients are k x k Gram products and R d; NaN if one is not finite.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = F.T @ d
-        dd = d.T @ d
-        quartic = np.array([
-            np.vdot(dd, dd),
-            4.0 * np.vdot(m, dd),
-            2.0 * (np.vdot(F.T @ F, dd) + np.vdot(m, m.T) + np.vdot(d, R @ d)),
-            np.vdot(g, d),
-            0.0,
-        ])
-        if not np.all(np.isfinite(quartic)):
-            return float("nan")  # the caller reports the non-finite loss
-        t = np.append(np.roots(quartic[:4] * (4.0, 3.0, 2.0, 1.0)).real, 0.0)
-        return float(t[np.argmin(np.polyval(quartic, t))])
+    m = F.T @ d
+    dd = d.T @ d
+    q4 = float(np.vdot(dd, dd))
+    q3 = 4.0 * float(np.vdot(m, dd))
+    q2 = 2.0 * float(np.vdot(F.T @ F, dd) + np.vdot(m, m.T) + np.vdot(d, R @ d))
+    q1 = float(np.vdot(g, d))
+    if not all(map(math.isfinite, (q4, q3, q2, q1))):
+        return math.nan  # the caller reports the non-finite loss
+    return _quartic_argmin(q4, q3, q2, q1)
+
+
+def _quartic_argmin(q4: float, q3: float, q2: float, q1: float) -> float:
+    """The t minimizing q4 t^4 + q3 t^3 + q2 t^2 + q1 t (0 unless q4 > 0).
+
+    That is the derivative cubic's real root of lowest value (a complex root's
+    real part never beats it), found trigonometrically when all three roots
+    are real, else by Cardano with the cube root's sign chosen against
+    cancellation (Numerical Recipes, section 5.6), then one Newton step.
+    """
+    if not q4 > 0.0:
+        return 0.0
+    # t^3 + a t^2 + b t + c, with t = s u and u's coefficients at most 1
+    a, b, c = 0.75 * q3 / q4, 0.5 * q2 / q4, 0.25 * q1 / q4
+    s = max(abs(a), math.sqrt(abs(b)), abs(c) ** (1.0 / 3.0)) or 1.0
+    a, b, c = a / s, b / s / s, c / s / s / s
+    q, r = (a * a - 3.0 * b) / 9.0, (a * (2.0 * a * a - 9.0 * b) + 27.0 * c) / 54.0
+    if r * r < q * q * q:  # the middle of three real roots is the quartic's local maximum
+        theta = math.acos(max(-1.0, min(1.0, r / (q * math.sqrt(q)))))
+        roots = [-2.0 * math.sqrt(q) * math.cos((theta + turn) / 3.0) - a / 3.0
+                 for turn in (0.0, 2.0 * math.pi)]
+    else:
+        big = -math.copysign((abs(r) + math.sqrt(r * r - q * q * q)) ** (1.0 / 3.0), r)
+        roots = [big + (q / big if big else 0.0) - a / 3.0]
+    best_t = best = 0.0
+    for u in roots:
+        slope = (3.0 * u + 2.0 * a) * u + b
+        t = s * (u - (((u + a) * u + b) * u + c) / slope if slope else u)
+        value = (((q4 * t + q3) * t + q2) * t + q1) * t
+        if value < best:
+            best_t, best = t, value
+    return best_t
 
 
 def lowrank_factorize(
@@ -272,32 +296,35 @@ def lowrank_factorize(
     n = m.shape[0]
     rng = np.random.default_rng(opts.seed)
     F = rng.standard_normal((n, k)) / np.sqrt(n * k)
-    R, loss = _residual(F, m)
-    if not np.isfinite(loss):
-        raise FactorizationError("non-finite loss at iteration 0")
-    trace = [(0, loss)]
-    converged = False
-    g_old = d = None
-    for it in range(1, opts.max_iters + 1):
-        g = 4.0 * (R @ F)
-        if d is not None:
-            beta = max(0.0, float(np.vdot(g, g - g_old) / np.vdot(g_old, g_old)))
-            d = beta * d - g
-        if d is None or np.vdot(g, d) >= 0.0:
-            d = -g
-        candidate = F + _exact_step(R, F, d, g) * d
-        R_new, new_loss = _residual(candidate, m)
-        if not np.isfinite(new_loss):
-            raise FactorizationError(f"non-finite loss at iteration {it}")
-        if not new_loss < loss:
-            converged = True
-            break
-        relative_drop = (loss - new_loss) / max(loss, np.finfo(float).tiny)
-        F, R, loss, g_old = candidate, R_new, new_loss, g
-        trace.append((it, loss))
-        if relative_drop < opts.tol:
-            converged = True
-            break
+    tiny = np.finfo(float).tiny
+    # overflow propagates to inf and is reported as FactorizationError
+    with np.errstate(over="ignore", invalid="ignore"):
+        R, loss = _residual(F, m)
+        if not np.isfinite(loss):
+            raise FactorizationError("non-finite loss at iteration 0")
+        trace = [(0, loss)]
+        converged = False
+        g_old = d = None
+        for it in range(1, opts.max_iters + 1):
+            g = 4.0 * (R @ F)
+            if d is not None:
+                beta = max(0.0, float(np.vdot(g, g - g_old) / np.vdot(g_old, g_old)))
+                d = beta * d - g
+            if d is None or np.vdot(g, d) >= 0.0:
+                d = -g
+            candidate = F + _exact_step(R, F, d, g) * d
+            R_new, new_loss = _residual(candidate, m)
+            if not np.isfinite(new_loss):
+                raise FactorizationError(f"non-finite loss at iteration {it}")
+            if not new_loss < loss:
+                converged = True
+                break
+            relative_drop = (loss - new_loss) / max(loss, tiny)
+            F, R, loss, g_old = candidate, R_new, new_loss, g
+            trace.append((it, loss))
+            if relative_drop < opts.tol:
+                converged = True
+                break
     return FactorizationState(F=F.copy(), loss_trace=tuple(trace), converged=converged)
 
 

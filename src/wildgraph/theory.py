@@ -65,6 +65,7 @@ __all__ = [
 
 BOUNDARY_BAND = 0.005
 DEGENERACY_EPS = 1e-9
+EIGENVALUE_TIE = 1e-9  # lambda_k and lambda_{k+1} closer than this cut a tied eigenspace
 THEORY_WEIGHTS = {"supervised": GraphWeights(5.0, 1.0), "unsupervised": GraphWeights(5.0, 0.0)}
 
 
@@ -523,8 +524,10 @@ def verify_grid(
     the gaps.  Where a point lies within ``DEGENERACY_EPS`` of the
     variant's regime boundary, its closed count is -1 and its closed
     separability and deviations NaN; the gaps are NaN wherever case a or
-    the unsupervised layout is degenerate.  Each entry depends on its own
-    point alone, not on the other points in ``params``.
+    the unsupervised layout is degenerate.  Where k cuts a tied eigenspace
+    (within ``EIGENVALUE_TIE``), the numeric count is -1 and the numeric
+    separability NaN.  Each entry depends on its own point alone, not on
+    the other points in ``params``.
     """
     variant = TheoryVariant(variant)
     _require_connected(params)
@@ -538,10 +541,12 @@ def verify_grid(
     )
     own = defined[variant]
     both = defined[TheoryVariant.CASE_A] & defined[TheoryVariant.UNSUPERVISED]
+    lam, k = numeric.embedding.eigenvalues, numeric.embedding.k
+    untied = np.abs(lam[..., k - 1] - lam[..., k]) > EIGENVALUE_TIE
     return GridVerification(
-        numeric_count=numeric.probing.count,
+        numeric_count=np.where(untied, numeric.probing.count, -1),
         closed_count=np.where(own, closed.probing_error_count, -1),
-        numeric_separability=numeric.separability,
+        numeric_separability=np.where(untied, numeric.separability, np.nan),
         closed_separability=np.where(own, closed.separability, np.nan),
         gap_ab=np.where(both, gaps.gap_ab, np.nan),
         gap_label=np.where(both, gaps.gap_label, np.nan),

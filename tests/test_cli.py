@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from test_golden import README_CONFIG
-from wildgraph import cli
+from wildgraph import cli, spectral
 from wildgraph.cli import main
 
 TOY_A_CONFIG = {
@@ -34,6 +38,18 @@ SEPARATED_CONFIG = {
         {"class": 2, "domain": 1, "membership": "wild_semantic", "count": 6},
     ],
     "augmentation": {"rho": 1.0, "alpha": 0.1, "beta": 1e-4, "gamma": 1e-4},
+}
+
+
+# three cells of two examples, for explicit matrices over six vertices
+RANK_TWO_CELLS = {
+    "classes": [0, 1],
+    "domains": [0, 1, 2],
+    "cells": [
+        {"class": 0, "domain": 0, "membership": "wild_id", "count": 2},
+        {"class": 1, "domain": 1, "membership": "wild_covariate", "count": 2},
+        {"class": 2, "domain": 2, "membership": "wild_semantic", "count": 2},
+    ],
 }
 
 
@@ -176,6 +192,21 @@ class TestSweep:
         gap_label = np.array([float(r[8]) for r in rows])
         assert np.all(gap_label[np.isfinite(gap_label)] > 0)
 
+    @pytest.mark.parametrize("rho", ["1", "2.5"])
+    def test_tied_eigenspace_marks_numeric_columns(self, tmp_path, rho):
+        # On the unsupervised diagonal a' = b', lambda_3 = lambda_4 and k = 3
+        # keeps whichever vector of the pair the solver returns first.
+        out = tmp_path / "unsup.csv"
+        code = main(["sweep", "--variant", "unsup", "--rho", rho, "--alpha-min", "0.02",
+                     "--alpha-max", "0.2", "--beta-min", "0.02", "--beta-max", "0.2",
+                     "--resolution", "19", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        diagonal = [r for r in rows if r[0] == r[1]]
+        assert len(diagonal) == 19
+        assert all(r[3] == "-1" and r[5] == "nan" for r in diagonal)
+        assert all(r[3] != "-1" and r[5] != "nan" for r in rows if r[0] != r[1])
+
 
 class TestFactorize:
     def test_toy_case_a_passes(self, tmp_path, capsys):
@@ -209,6 +240,39 @@ class TestFactorize:
         gaps = json.loads((out_dir / "gaps.json").read_text())
         assert gaps["converged"] is True
         assert gaps["iterations"] <= 200
+
+    def test_k_past_the_rank_is_config_error(self, tmp_path, capsys):
+        # two constant blocks over six vertices: rank 2
+        block = [[1.0 if (i < 3) == (j < 3) else 0.0 for j in range(6)] for i in range(6)]
+        config = write_config(tmp_path, {**RANK_TWO_CELLS, "augmentation_matrix": block})
+        argv = ["factorize", "--config", config, "--out", str(tmp_path / "fact")]
+        assert main(argv + ["--k", "4"]) == 2
+        assert "k=4 exceeds the graph's rank 2" in capsys.readouterr().err
+        assert not (tmp_path / "fact").exists()
+        assert main(argv + ["--k", "2"]) == 0
+
+    def test_factorization_error_is_numerical_exit(self, tmp_path, capsys, monkeypatch):
+        # A normalized adjacency's entries lie in [0, 1], so the descent is
+        # driven to overflow on a matrix of its own.
+        def overflowing(a, k, opts):
+            return spectral.lowrank_factorize(np.full_like(a, 1e200), k, opts)
+
+        monkeypatch.setattr(cli, "lowrank_factorize", overflowing)
+        code = main(["factorize", "--out", str(tmp_path / "fact")])
+        assert code == cli.EXIT_NUMERICAL == 3
+        assert capsys.readouterr().err == "numerical error: non-finite loss at iteration 0\n"
+
+    def test_overflowing_config_is_refused_without_traceback(self, tmp_path, capsys):
+        matrix = [[1e300 if i == j else 0.5 for j in range(4)] for i in range(4)]
+        cells = [dict(c, count=1) for c in RANK_TWO_CELLS["cells"]]
+        cells.append({"class": 1, "domain": 0, "membership": "wild_id", "count": 1})
+        config = write_config(tmp_path, {**RANK_TWO_CELLS, "cells": cells,
+                                         "augmentation_matrix": matrix})
+        with pytest.warns(RuntimeWarning):
+            code = main(["factorize", "--config", config, "--k", "2",
+                         "--out", str(tmp_path / "fact")])
+        assert code == 2
+        assert "non-finite entries" in capsys.readouterr().err
 
     def test_single_iteration_fails(self, tmp_path):
         out_dir = tmp_path / "short"
@@ -491,3 +555,39 @@ class TestDeterminism:
             assert main(command) == 0
         for name in names:
             assert (tmp_path / name).read_bytes() == first[name], name
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        # The parser is built once per process.  Toy defaults that factorize
+        # fills in, and the seed detect gives a sampled mixture, must not
+        # reach the next call: factorize --config refuses toy flags, and
+        # detect refuses --seed on an enumerated config.
+        assert cli.build_parser() is cli.build_parser()
+        sampled = write_config(tmp_path, dict(SEPARATED_CONFIG, pi_c=0.3, pi_s=0.2), "sampled.json")
+        enumerated = write_config(tmp_path, SEPARATED_CONFIG, "enumerated.json")
+        commands = [
+            (["factorize", "--k", "3"], "toy"),
+            (["factorize", "--config", enumerated, "--k", "3"], "config"),
+            (["detect", "--config", sampled], "sampled-metrics.json"),
+            (["detect", "--config", enumerated], "enumerated-metrics.json"),
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv, out in commands:
+            argv = argv + ["--out", str(tmp_path / out)]
+            assert main(argv) == 0
+            stdout = capsys.readouterr().out
+            written = _outputs(tmp_path / out)
+            fresh = subprocess.run([sys.executable, "-m", "wildgraph.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert fresh.returncode == 0, fresh.stderr
+            assert fresh.stdout == stdout
+            assert _outputs(tmp_path / out) == written
+
+
+def _outputs(path):
+    """The bytes of a command's output file, or of each file in its output directory."""
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+    return path.read_bytes()

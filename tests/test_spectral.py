@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from wildgraph import (
     AsymmetricMatrixError,
+    Cell,
+    ExplicitAugmentation,
     FactorizationState,
     FactorizerOptions,
     SpectralError,
@@ -16,11 +19,21 @@ from wildgraph import (
     embed,
     GraphWeights,
     combine_and_normalize,
+    Membership,
+    PopulationSpec,
+    build_graph,
+    enumerate_population,
     lowrank_factorize,
     matrix_loss,
     reconstruction_gap,
 )
-from wildgraph.spectral import _decompose, write_trace_csv, FactorizationError
+from wildgraph.spectral import (
+    FactorizationError,
+    _decompose,
+    _exact_step,
+    _quartic_argmin,
+    write_trace_csv,
+)
 from conftest import random_symmetric, toy_bundle
 
 
@@ -314,6 +327,108 @@ class TestConjugateGradient:
         losses = [loss for _, loss in state.loss_trace]
         assert all(b < a for a, b in zip(losses, losses[1:]))
         assert state.final_loss - optimum <= 1e-10 * (1.0 + float(np.sum(m * m)))
+
+    # (vertices, rank) of the 25 commands of one benchmark cycle
+    EXPLICIT_SLOTS = (
+        ((60, 4), (60, 5), (60, 6), (60, 7), (60, 8), (72, 4), (72, 5), (72, 6))
+        + ((84, 6),) * 9
+        + ((84, 8), (96, 4), (96, 5), (96, 6), (96, 7), (96, 8), (96, 6), (96, 8))
+    )
+
+    def test_seeded_explicit_matrices_reach_the_optimum(self):
+        # Twelve groups of vertices with 5% independent noise on every entry,
+        # so no two vertices are interchangeable and the gap at k is unshaped.
+        # Without labeled cells the graph is the matrix's alone.
+        rng = np.random.default_rng([5, 3])
+        for n, k in self.EXPLICIT_SLOTS:
+            x = rng.uniform(0.0, 1.0, size=(12, 12))
+            block = 0.5 * (x + x.T) + np.diag(rng.uniform(0.5, 1.5, size=12))
+            group = rng.permutation(np.arange(n) % 12)
+            t = block[np.ix_(group, group)] * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=(n, n)))
+            cells = (Cell(0, 0, Membership.WILD_ID, n - 1), Cell(2, 1, Membership.WILD_SEMANTIC, 1))
+            population = enumerate_population(PopulationSpec((0, 1), (0, 1), cells))
+            bundle = build_graph(ExplicitAugmentation(t), population, GraphWeights(5.0, 1.0))
+            state = lowrank_factorize(bundle.A_tilde, k, FactorizerOptions(max_iters=1000))
+            gap = reconstruction_gap(state, eigendecompose(bundle.A_tilde, k))
+            assert state.converged, (n, k)
+            assert gap.loss_gap <= 1e-12, (n, k)
+
+
+def quartic_value(q, t):
+    """q4 t^4 + q3 t^3 + q2 t^2 + q1 t in exact arithmetic, and the sum of its terms' sizes."""
+    t = Fraction(t)
+    terms = [Fraction(c) * t**p for c, p in zip(q, (4, 3, 2, 1))]
+    return sum(terms), float(sum(abs(x) for x in terms))
+
+
+def reference_argmin(q):
+    """The lowest of 0 and the real parts of the derivative cubic's roots, by np.roots."""
+    q4, q3, q2, q1 = q
+    t = np.append(np.roots([4.0 * q4, 3.0 * q3, 2.0 * q2, q1]).real, 0.0)
+    return float(t[np.argmin(np.polyval([q4, q3, q2, q1, 0.0], t))])
+
+
+magnitudes = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+signed = st.tuples(magnitudes, st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1])
+
+
+class TestLineSearch:
+    @settings(max_examples=400, deadline=None)
+    @given(magnitudes, signed, signed, signed)
+    def test_closed_form_never_worse_than_companion_roots(self, q4, q3, q2, q1):
+        q = (q4, q3, q2, q1)
+        t = _quartic_argmin(*q)
+        t_ref = reference_argmin(q)
+        value, scale = quartic_value(q, t)
+        ref, ref_scale = quartic_value(q, t_ref)
+        assert value <= ref + Fraction(1e-12 * max(scale, ref_scale))
+
+    # Derivative cubics 4 (t^3 + a t^2 + b t + c): a double root at 1 beside a
+    # simple one at -2, a triple root at 1 (also at a small scale), and a
+    # discriminant near zero on either side, where two roots merge or part.
+    @pytest.mark.parametrize(
+        "q, expected",
+        [
+            ((1.0, 0.0, -6.0, 8.0), -2.0),
+            ((1.0, -4.0, 6.0, -4.0), 1.0),
+            ((1.0, 0.0, -6.0, 8.0 + 1e-9), None),
+            ((1.0, 0.0, -6.0, 8.0 - 1e-9), None),
+            ((1.0, 0.0, 6.0, -8.0 + 1e-12), None),
+            ((2.5e-7, -1e-6, 1.5e-6, -1e-6), 1.0),
+            # three real roots, two 1e-8 apart, where rounding puts the
+            # cosine of the trigonometric form just past 1
+            ((1.0, 0.8385723591988296, -2.9638539115458045, 1.8398524546995352), None),
+        ],
+    )
+    def test_multiple_roots(self, q, expected):
+        t = _quartic_argmin(*q)
+        value, scale = quartic_value(q, t)
+        assert value <= quartic_value(q, reference_argmin(q))[0] + Fraction(1e-12 * scale)
+        if expected is not None:
+            assert t == pytest.approx(expected, abs=1e-4)
+
+    def test_zero_direction_gives_zero_step(self):
+        rng = np.random.default_rng(0)
+        f, r = rng.standard_normal((6, 2)), random_symmetric(6, seed=1)
+        assert _exact_step(r, f, np.zeros((6, 2)), 4.0 * r @ f) == 0.0
+        assert _quartic_argmin(0.0, 0.0, 0.0, 0.0) == 0.0
+
+    def test_non_finite_coefficient_gives_nan(self):
+        f, r = np.ones((3, 1)), np.full((3, 3), np.inf)
+        assert np.isnan(_exact_step(r, f, -np.ones((3, 1)), np.ones((3, 1))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 4))
+    def test_step_minimizes_the_loss_along_the_direction(self, seed, n, k):
+        # the quartic's coefficients, read against the loss itself
+        rng = np.random.default_rng(seed)
+        target = random_symmetric(n, seed)
+        f, d = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+        r = f @ f.T - target
+        t = _exact_step(r, f, d, 4.0 * r @ f)
+        loss = lambda s: matrix_loss(f + s * d, target)
+        for s in (t * 0.999, t * 1.001, t + 1e-3, t - 1e-3, 0.0):
+            assert loss(t) <= loss(s) + 1e-10 * (1.0 + loss(s))
 
 
 class TestReconstructionGap:
