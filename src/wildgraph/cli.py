@@ -9,7 +9,9 @@ detect       full pipeline with KNN detection metrics on a population config
 loss-check   constant-offset identity between the two objectives
 
 Exit codes: 0 all checks passed, 1 a tolerance or assertion failed,
-2 configuration error, 3 numerical failure (a non-finite factorizer loss).
+2 configuration error, 3 numerical failure (a non-finite factorizer loss),
+4 I/O error (a config that cannot be read or an output that cannot be
+written).
 Every CSV starts with a comment line carrying the resolved configuration;
 JSON reports carry it as their first key.  Output bytes depend only on the
 command line and seeds.
@@ -69,6 +71,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_IO = 4
 
 # The five-example case's parameters; see add_toy_params.
 TOY_DEFAULTS = {"variant": "a", "rho": 1.0, "alpha_prime": 0.03, "beta_prime": 0.01,
@@ -471,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_IO
 
 
 if __name__ == "__main__":

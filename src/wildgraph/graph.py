@@ -167,13 +167,16 @@ def combine_and_normalize(
     return _normalize(A_u.copy(), A_l.copy(), weights, Groups.of_one(None, A_u.shape[0]))
 
 
+# Overflow is refused by name, so numpy's floating-point warnings are silenced.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _normalize(
     A_u: np.ndarray, A_l: np.ndarray, weights: GraphWeights, groups: Groups
 ) -> GraphBundle:
     """:func:`combine_and_normalize` over groups and any leading batch axes.
 
     Group a's row stands for ``groups.counts[a]`` vertices, so every sum
-    over vertices weighs it by that count.
+    over vertices weighs it by that count.  Weights that overflow float64,
+    here or in the adjacencies passed in, raise :class:`GraphError`.
     """
     for name, m in (("A_u", A_u), ("A_l", A_l)):
         if np.max(np.abs(m - np.swapaxes(m, -1, -2)), initial=0.0) > 1e-10:
@@ -181,6 +184,9 @@ def _normalize(
     n = groups.counts.astype(float)
     raw = weights.eta_u * A_u + weights.eta_l * A_l
     C = (raw * np.outer(n, n)).sum(axis=(-2, -1))
+    # a non-finite entry of either part makes C non-finite too
+    if not np.isfinite(C).all():
+        raise GraphError("the combined adjacency's total weight overflows float64")
     if np.any(C <= 0):
         raise GraphError("combined adjacency has nonpositive total weight")
     A = raw / C[..., None, None]
@@ -193,6 +199,8 @@ def _normalize(
     # A_tilde is made exactly symmetric here.
     A_tilde = A / np.sqrt(D[..., :, None] * D[..., None, :])
     A_tilde = 0.5 * (A_tilde + np.swapaxes(A_tilde, -1, -2))
+    if not np.isfinite(A_tilde).all():
+        raise GraphError("the normalized adjacency has non-finite entries: the weights leave float64's range")
     return GraphBundle(
         A_u_g=A_u, A_l_g=A_l, A_g=A, C=C, D_g=D, A_tilde_g=A_tilde, weights=weights, groups=groups
     )
@@ -205,6 +213,8 @@ def build_graph(
     return _build_graph(model, population, weights)
 
 
+# An overflow in T's products is refused by _normalize, by name.
+@np.errstate(over="ignore", invalid="ignore")
 def _build_graph(
     model: AugmentationModel, population: Population, weights: GraphWeights
 ) -> GraphBundle:

@@ -61,20 +61,36 @@ class LossBreakdown:
         }
 
 
+def _normalizers(
+    A_u: np.ndarray, A_l: np.ndarray, weights: GraphWeights
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The global constant C and the labeled and unlabeled degree vectors."""
+    C = float((weights.eta_u * A_u + weights.eta_l * A_l).sum())
+    return C, A_l.sum(axis=1), A_u.sum(axis=1)
+
+
 def surrogate_loss_from_parts(
-    f_rows: np.ndarray, A_u: np.ndarray, A_l: np.ndarray, weights: GraphWeights
+    f_rows: np.ndarray,
+    A_u: np.ndarray,
+    A_l: np.ndarray,
+    weights: GraphWeights,
+    *,
+    normalizers: tuple[float, np.ndarray, np.ndarray] | None = None,
 ) -> LossBreakdown:
-    """Evaluate the five terms from prebuilt adjacency parts."""
+    """Evaluate the five terms from prebuilt adjacency parts.
+
+    ``normalizers`` takes :func:`_normalizers` of the same parts, from a
+    caller that evaluates many feature maps over them; they do not depend
+    on ``f_rows``.
+    """
     f = np.asarray(f_rows, dtype=float)
     if f.ndim != 2 or f.shape[0] != A_u.shape[0]:
         raise ValueError(
             f"feature rows have shape {f.shape}, expected ({A_u.shape[0]}, k)"
         )
-    C = float((weights.eta_u * A_u + weights.eta_l * A_l).sum())
+    C, deg_l, deg_u = normalizers or _normalizers(A_u, A_l, weights)
     gram = f @ f.T
     gram_sq = gram * gram
-    deg_l = A_l.sum(axis=1)
-    deg_u = A_u.sum(axis=1)
     L1 = float(np.sum(A_l * gram)) / C
     L2 = float(np.sum(A_u * gram)) / C
     L3 = float(deg_l @ gram_sq @ deg_l) / C**2
@@ -144,11 +160,13 @@ def equivalence_gap(
     n = bundle.A_tilde.shape[0]
     rng = np.random.default_rng(seed)
     sqrt_deg = np.sqrt(bundle.D)
+    A_u, A_l, weights = bundle.A_u, bundle.A_l, bundle.weights
+    normalizers = _normalizers(A_u, A_l, weights)
     gaps = []
     for _ in range(trials):
         F = rng.standard_normal((n, k)) / np.sqrt(n * k)
         f_rows = F / sqrt_deg[:, None]
-        breakdown = surrogate_loss_from_parts(f_rows, bundle.A_u, bundle.A_l, bundle.weights)
+        breakdown = surrogate_loss_from_parts(f_rows, A_u, A_l, weights, normalizers=normalizers)
         gaps.append(matrix_loss(F, bundle.A_tilde) - breakdown.total)
     constant = float(np.sum(bundle.A_tilde**2))
     return EquivalenceReport(

@@ -14,11 +14,13 @@ given by an explicit matrix has groups of one, where the quotient is the
 normalized adjacency itself, so one path serves every graph.
 
 The factorizer minimizes the squared Frobenius residual between the
-normalized adjacency and F F^t by nonlinear conjugate gradient with an exact
-line search; no eigendecomposition enters it.  Its optimum is the sum of
-squared trailing eigenvalues, which the embedding side computes
-independently; the two routes cross-check each other through
-:func:`reconstruction_gap`.
+normalized adjacency and F F^t by nonlinear conjugate gradient, with each
+gradient scaled by the k x k metric (F^t F + ||R||_F I)^-1 and an exact
+line search; no eigendecomposition enters it, only a k x k inverse per
+step.  Its optimum is the sum of squared trailing eigenvalues (with the
+negative ones among the leading k also left over), which the embedding
+side computes independently; the two routes cross-check each other
+through :func:`reconstruction_gap`.
 """
 
 from __future__ import annotations
@@ -228,16 +230,19 @@ def _residual(F: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     return r, float(np.vdot(r, r))
 
 
-def _exact_step(R: np.ndarray, F: np.ndarray, d: np.ndarray, g: np.ndarray) -> float:
+def _exact_step(
+    R: np.ndarray, F: np.ndarray, d: np.ndarray, g: np.ndarray, gram: np.ndarray
+) -> float:
     """The t minimizing ||R + t (F d^t + d F^t) + t^2 d d^t||^2, with R = F F^t - A.
 
-    That quartic's coefficients are k x k Gram products and R d; NaN if one is not finite.
+    ``g`` is the gradient 4 R F and ``gram`` is F^t F.  The quartic's
+    coefficients are k x k Gram products and R d; NaN if one is not finite.
     """
     m = F.T @ d
     dd = d.T @ d
     q4 = float(np.vdot(dd, dd))
     q3 = 4.0 * float(np.vdot(m, dd))
-    q2 = 2.0 * float(np.vdot(F.T @ F, dd) + np.vdot(m, m.T) + np.vdot(d, R @ d))
+    q2 = 2.0 * float(np.vdot(gram, dd) + np.vdot(m, m.T) + np.vdot(d, R @ d))
     q1 = float(np.vdot(g, d))
     if not all(map(math.isfinite, (q4, q3, q2, q1))):
         return math.nan  # the caller reports the non-finite loss
@@ -279,13 +284,20 @@ def _quartic_argmin(q4: float, q3: float, q2: float, q1: float) -> float:
 def lowrank_factorize(
     A_tilde: np.ndarray, k: int, opts: FactorizerOptions = FactorizerOptions()
 ) -> FactorizationState:
-    """Nonlinear conjugate gradient on ||A_tilde - F F^t||_F^2.
+    """Scaled nonlinear conjugate gradient on ||A_tilde - F F^t||_F^2.
 
-    The gradient is g = 4 (F F^t - A_tilde) F.  Directions follow
-    Polak-Ribiere+ and fall back to -g whenever they are not descent
-    directions; each step goes to the exact minimizer along the direction
-    (Nocedal & Wright, ch. 5).  A step is kept only if the residual loss
-    strictly decreases, so the recorded trace is strictly decreasing.
+    The gradient is g = 4 R F with R = F F^t - A_tilde, and it is scaled by
+    the k x k metric to p = g (F^t F + ||R||_F I)^-1, which removes the
+    descent's dependence on F's conditioning (Tong, Ma & Chi, JMLR 2021).
+    The damping ||R||_F keeps the metric invertible when F loses rank, as
+    it must at an optimum past the target's rank or past its positive
+    eigenvalues (Zhang, Fattahi & Zhang, NeurIPS 2021).  Directions follow
+    Polak-Ribiere+ in the scaled inner products, beta =
+    <p, g - g_old> / <p_old, g_old>, and restart at -p whenever they are
+    not descent directions; each step goes to the exact minimizer along
+    the direction (Nocedal & Wright, ch. 5).  A step is kept only if the
+    residual loss strictly decreases, so the recorded trace is strictly
+    decreasing.
     Stops when the relative loss decrease falls below ``opts.tol``, when no
     decreasing step exists (numerical optimum), or at ``opts.max_iters``.
     Only the first two count as converged.
@@ -297,6 +309,7 @@ def lowrank_factorize(
     rng = np.random.default_rng(opts.seed)
     F = rng.standard_normal((n, k)) / np.sqrt(n * k)
     tiny = np.finfo(float).tiny
+    eye = np.eye(k)
     # overflow propagates to inf and is reported as FactorizationError
     with np.errstate(over="ignore", invalid="ignore"):
         R, loss = _residual(F, m)
@@ -304,15 +317,20 @@ def lowrank_factorize(
             raise FactorizationError("non-finite loss at iteration 0")
         trace = [(0, loss)]
         converged = False
-        g_old = d = None
+        g_old = p_old = d = None
         for it in range(1, opts.max_iters + 1):
+            if loss == 0.0:  # F F^t is the target itself
+                converged = True
+                break
             g = 4.0 * (R @ F)
+            gram = F.T @ F
+            p = g @ np.linalg.inv(gram + math.sqrt(loss) * eye)
             if d is not None:
-                beta = max(0.0, float(np.vdot(g, g - g_old) / np.vdot(g_old, g_old)))
-                d = beta * d - g
+                beta = max(0.0, float(np.vdot(p, g - g_old) / np.vdot(p_old, g_old)))
+                d = beta * d - p
             if d is None or np.vdot(g, d) >= 0.0:
-                d = -g
-            candidate = F + _exact_step(R, F, d, g) * d
+                d = -p
+            candidate = F + _exact_step(R, F, d, g, gram) * d
             R_new, new_loss = _residual(candidate, m)
             if not np.isfinite(new_loss):
                 raise FactorizationError(f"non-finite loss at iteration {it}")
@@ -320,7 +338,7 @@ def lowrank_factorize(
                 converged = True
                 break
             relative_drop = (loss - new_loss) / max(loss, tiny)
-            F, R, loss, g_old = candidate, R_new, new_loss, g
+            F, R, loss, g_old, p_old = candidate, R_new, new_loss, g, p
             trace.append((it, loss))
             if relative_drop < opts.tol:
                 converged = True

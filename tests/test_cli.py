@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,23 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def assert_overflow_refused(tmp_path, capsys, argv):
+    """A 1e300 diagonal overflows A_u: a config error naming it, and no numpy warning."""
+    matrix = [[1e300 if i == j else 0.5 for j in range(4)] for i in range(4)]
+    cells = [dict(c, count=1) for c in RANK_TWO_CELLS["cells"]]
+    cells.append({"class": 1, "domain": 0, "membership": "wild_id", "count": 1})
+    config = write_config(tmp_path, {**RANK_TWO_CELLS, "cells": cells,
+                                     "augmentation_matrix": matrix})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--config", config, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert capsys.readouterr().err == (
+        "config error: the combined adjacency's total weight overflows float64\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 class TestToyVerify:
@@ -263,16 +281,7 @@ class TestFactorize:
         assert capsys.readouterr().err == "numerical error: non-finite loss at iteration 0\n"
 
     def test_overflowing_config_is_refused_without_traceback(self, tmp_path, capsys):
-        matrix = [[1e300 if i == j else 0.5 for j in range(4)] for i in range(4)]
-        cells = [dict(c, count=1) for c in RANK_TWO_CELLS["cells"]]
-        cells.append({"class": 1, "domain": 0, "membership": "wild_id", "count": 1})
-        config = write_config(tmp_path, {**RANK_TWO_CELLS, "cells": cells,
-                                         "augmentation_matrix": matrix})
-        with pytest.warns(RuntimeWarning):
-            code = main(["factorize", "--config", config, "--k", "2",
-                         "--out", str(tmp_path / "fact")])
-        assert code == 2
-        assert "non-finite entries" in capsys.readouterr().err
+        assert_overflow_refused(tmp_path, capsys, ["factorize", "--k", "2"])
 
     def test_single_iteration_fails(self, tmp_path):
         out_dir = tmp_path / "short"
@@ -292,6 +301,9 @@ class TestFactorize:
 
 
 class TestLossCheck:
+    def test_overflowing_config_is_refused(self, tmp_path, capsys):
+        assert_overflow_refused(tmp_path, capsys, ["loss-check", "--k", "2"])
+
     def test_toy_passes_and_reports_terms(self, tmp_path):
         out = tmp_path / "loss.json"
         code = main(["loss-check", "--variant", "b", "--k", "3", "--out", str(out)])
@@ -302,6 +314,9 @@ class TestLossCheck:
 
 
 class TestDetect:
+    def test_overflowing_config_is_refused(self, tmp_path, capsys):
+        assert_overflow_refused(tmp_path, capsys, ["detect"])
+
     def test_well_separated_semantic_class(self, tmp_path):
         config = write_config(tmp_path, SEPARATED_CONFIG)
         out = tmp_path / "metrics.json"
@@ -526,6 +541,22 @@ class TestFlags:
             assert payload["config"]["alpha_prime"] == 0.05
             constants.append(payload["constant"])
         assert constants[0] == pytest.approx(constants[1], rel=1e-12)
+
+
+class TestIoErrors:
+    def test_missing_config_is_io_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["detect", "--config", str(missing)]) == cli.EXIT_IO == 4
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and str(missing) in err
+
+    def test_out_under_a_regular_file_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "fact"
+        assert main(["factorize", "--out", str(out)]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("io error: ")
+        assert blocker.read_text() == ""
 
 
 class TestDeterminism:

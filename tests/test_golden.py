@@ -11,7 +11,9 @@ and must not be rewritten to make a later change pass; a deliberate change
 of these numbers needs its own CHANGES.md entry.  ``--write`` adds only the
 cases the corpus lacks: ``detect`` on a sampled mixture and on an explicit
 matrix were added that way from the LAPACK ``eigh`` engine, before ``detect``
-moved to the cell quotient.
+moved to the cell quotient, and ``factorize`` on explicit matrices of seeds 3
+and 4 from the unscaled conjugate gradient, before the descent's gradients
+were scaled by the k x k metric.
 
 Comparison: metrics within GOLDEN_RTOL relative, spectra elementwise within
 SPECTRUM_ATOL times the largest eigenvalue, counts, flags and exit codes
@@ -96,7 +98,7 @@ TOY_POINTS = [
 ] + [("a", 0.2, 0.2175)]
 
 # (seed, vertices, k) of the explicit-matrix factorize cases.
-FACTORIZE_CASES = [(1, 24, 4), (2, 30, 5)]
+FACTORIZE_CASES = [(1, 24, 4), (2, 30, 5), (3, 36, 6), (4, 42, 3)]
 # Metrics held to another recorded metric: the final loss to the optimum.
 REFERENCE_KEY = {"final_loss": "spectral_optimum"}
 FACTORIZE_CELLS = (

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,22 @@ class TestCombineAndNormalize:
         m[0, 1] = 1e-6
         with pytest.raises(GraphError, match="symmetric"):
             combine_and_normalize(m, np.zeros_like(m), GraphWeights(1.0, 0.0))
+
+    # an infinite entry, finite entries whose total overflows, and a
+    # subnormal degree whose square underflows to zero
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            (np.full((3, 3), np.inf), "total weight overflows float64"),
+            (np.full((3, 3), 1e308), "total weight overflows float64"),
+            (np.diag([1.0, 1e-320]), "normalized adjacency has non-finite entries"),
+        ],
+    )
+    def test_overflow_named_without_numpy_warnings(self, a, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match=message):
+                combine_and_normalize(a, np.zeros_like(a), GraphWeights(5.0, 1.0))
 
     def test_weights_validated(self):
         with pytest.raises(GraphError):

@@ -135,6 +135,18 @@ class TestEquivalenceGap:
             gaps.append(matrix_loss(F, bundle.A_tilde) - total)
         assert gaps[0] == gaps[1]
 
+    def test_gaps_match_per_trial_evaluation_bit_for_bit(self, case_b_bundle):
+        # equivalence_gap computes C and the degrees once; each trial must
+        # still give exactly what a stand-alone evaluation gives
+        bundle, _ = case_b_bundle
+        report = equivalence_gap(4, seed=9, bundle=bundle, k=3)
+        rng = np.random.default_rng(9)
+        for gap in report.gaps:
+            F = rng.standard_normal((5, 3)) / np.sqrt(15)
+            f_rows = F / np.sqrt(bundle.D)[:, None]
+            total = surrogate_loss_from_parts(f_rows, bundle.A_u, bundle.A_l, bundle.weights).total
+            assert gap == matrix_loss(F, bundle.A_tilde) - total
+
     def test_minimum_trials_enforced(self, case_a_bundle):
         bundle, _ = case_a_bundle
         with pytest.raises(ValueError):

@@ -281,6 +281,13 @@ class TestLowRankFactorize:
         with pytest.raises(FactorizationError, match="iteration"):
             lowrank_factorize(huge, 2, FactorizerOptions(seed=0))
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_zero_target_stops_at_zero_loss(self, k):
+        # F shrinks to exactly zero, where F^t F + ||R|| I is singular
+        state = lowrank_factorize(np.zeros((3, 3)), k, FactorizerOptions())
+        assert state.converged
+        assert state.final_loss == 0.0
+
     def test_max_iters_one_not_converged(self, case_a_bundle):
         bundle, _ = case_a_bundle
         state = lowrank_factorize(bundle.A_tilde, 3, FactorizerOptions(seed=7, max_iters=1))
@@ -340,6 +347,7 @@ class TestConjugateGradient:
         # so no two vertices are interchangeable and the gap at k is unshaped.
         # Without labeled cells the graph is the matrix's alone.
         rng = np.random.default_rng([5, 3])
+        steps = 0
         for n, k in self.EXPLICIT_SLOTS:
             x = rng.uniform(0.0, 1.0, size=(12, 12))
             block = 0.5 * (x + x.T) + np.diag(rng.uniform(0.5, 1.5, size=12))
@@ -352,6 +360,32 @@ class TestConjugateGradient:
             gap = reconstruction_gap(state, eigendecompose(bundle.A_tilde, k))
             assert state.converged, (n, k)
             assert gap.loss_gap <= 1e-12, (n, k)
+            steps += state.iterations
+        # the metric-scaled descent takes about 1 000 steps here, the unscaled one 3 300
+        assert steps <= 1500
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_rank_deficient_factor_reaches_the_optimum(self, k):
+        # Two constant blocks over six vertices: rank 2, so at k > 2 the
+        # optimal F has dependent columns and F^t F is singular there.
+        target = np.kron(np.eye(2), np.full((3, 3), 1.0 / 3.0))
+        state = lowrank_factorize(target, k, FactorizerOptions(max_iters=1000))
+        assert state.converged
+        assert state.final_loss <= 1e-12
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+    def test_indefinite_matrix_past_its_positive_eigenvalues(self, k):
+        # F F^t is PSD, so the optimum keeps the positive eigenvalues and
+        # leaves the square of every negative one: sum of min(lam_i, 0)^2
+        # over i <= k plus sum of lam_i^2 over i > k.
+        lam = np.array([1.5, 0.9, 0.4, -0.2, -0.5, -0.8, -1.1, -1.7])
+        q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8)))
+        m = (q * lam) @ q.T
+        m = 0.5 * (m + m.T)
+        optimum = float(np.sum(np.minimum(lam[:k], 0.0) ** 2) + np.sum(lam[k:] ** 2))
+        state = lowrank_factorize(m, k, FactorizerOptions(seed=k))
+        assert state.converged
+        assert abs(state.final_loss - optimum) <= 1e-12 * float(np.sum(lam**2))
 
 
 def quartic_value(q, t):
@@ -410,12 +444,12 @@ class TestLineSearch:
     def test_zero_direction_gives_zero_step(self):
         rng = np.random.default_rng(0)
         f, r = rng.standard_normal((6, 2)), random_symmetric(6, seed=1)
-        assert _exact_step(r, f, np.zeros((6, 2)), 4.0 * r @ f) == 0.0
+        assert _exact_step(r, f, np.zeros((6, 2)), 4.0 * r @ f, f.T @ f) == 0.0
         assert _quartic_argmin(0.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_non_finite_coefficient_gives_nan(self):
         f, r = np.ones((3, 1)), np.full((3, 3), np.inf)
-        assert np.isnan(_exact_step(r, f, -np.ones((3, 1)), np.ones((3, 1))))
+        assert np.isnan(_exact_step(r, f, -np.ones((3, 1)), np.ones((3, 1)), f.T @ f))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 4))
@@ -425,7 +459,7 @@ class TestLineSearch:
         target = random_symmetric(n, seed)
         f, d = rng.standard_normal((n, k)), rng.standard_normal((n, k))
         r = f @ f.T - target
-        t = _exact_step(r, f, d, 4.0 * r @ f)
+        t = _exact_step(r, f, d, 4.0 * r @ f, f.T @ f)
         loss = lambda s: matrix_loss(f + s * d, target)
         for s in (t * 0.999, t * 1.001, t + 1e-3, t - 1e-3, 0.0):
             assert loss(t) <= loss(s) + 1e-10 * (1.0 + loss(s))
