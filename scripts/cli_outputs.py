@@ -6,14 +6,14 @@
 The matrix is the README's commands plus the golden corpus's toy points
 (``tests/test_golden.py``), with a few neighbours across all five
 subcommands, sweeps of every variant over three boxes (one of them on
-both regime boundaries), and ``detect`` and ``factorize`` on population
-configs: the README's enumerated config (also at ranks 5 and 6, the
-second past the graph's rank), the same cells resampled as a wild mixture
-at two seeds, under an explicit matrix, and blown up twentyfold, and a
-three-class layout with unequal counts.  Each command runs from inside
-OUT_DIR with relative paths, so two checkouts give comparable
-trees; ``OUT_DIR/commands.txt`` records every command line, its exit code
-and what it printed.  Run the script from two checkouts into two
+both regime boundaries), at one point and over more than one block, and
+``detect`` and ``factorize`` on population configs: the README's
+enumerated config (also at ranks 5 and 6, the second past the graph's
+rank), the same cells resampled as a wild mixture at two seeds, under an
+explicit matrix, and blown up twentyfold, and a three-class layout with
+unequal counts.  Each command runs from inside OUT_DIR with relative
+paths, so two checkouts give comparable trees; ``OUT_DIR/commands.txt``
+records every command line, its exit code and what it printed.  Run the script from two checkouts into two
 directories and compare them with ``diff -r``.  With ``--drop-config`` the
 resolved-configuration record (the ``#`` line of a CSV, the ``config`` key
 of a JSON report) is removed after each run, so the diff shows only
@@ -60,14 +60,17 @@ THREE_CLASS_CONFIG = {
 }
 
 
-# (file suffix, square box, resolution).  The last box's grid lies on the
-# unsupervised boundary a' = b' along its diagonal, where the eigenvalues
-# tie exactly, and on case a's boundary b' = 9/8 a' at (0.08, 0.09) and
-# (0.16, 0.18).
+# (file suffix, alpha' bounds, beta' bounds, resolution).  The third box's
+# grid lies on the unsupervised boundary a' = b' along its diagonal, where
+# the eigenvalues tie exactly, and on case a's boundary b' = 9/8 a' at
+# (0.08, 0.09) and (0.16, 0.18).  The last two are a single point and a
+# grid of 4225 points, more than one block of cli.SWEEP_BLOCK.
 SWEEP_BOXES = (
-    ("", ("0.01", "0.2"), "50"),
-    ("-wide", ("0.005", "0.25"), "40"),
-    ("-boundaries", ("0.02", "0.2"), "19"),
+    ("", ("0.01", "0.2"), ("0.01", "0.2"), "50"),
+    ("-wide", ("0.005", "0.25"), ("0.005", "0.25"), "40"),
+    ("-boundaries", ("0.02", "0.2"), ("0.02", "0.2"), "19"),
+    ("-point", ("0.03", "0.03"), ("0.01", "0.01"), "1"),
+    ("-blocks", ("0.01", "0.25"), ("0.01", "0.25"), "65"),
 )
 
 CONFIGS = {
@@ -85,9 +88,9 @@ def commands() -> list[list[str]]:
         out.append(["toy-verify", "--variant", variant, "--alpha-prime", repr(ap),
                     "--beta-prime", repr(bp), "--out", f"toy-verify-{variant}-{ap}-{bp}.json"])
     for variant in ("a", "b", "unsup"):
-        for name, box, resolution in SWEEP_BOXES:
-            bounds = ["--alpha-min", box[0], "--alpha-max", box[1],
-                      "--beta-min", box[0], "--beta-max", box[1]]
+        for name, alpha, beta, resolution in SWEEP_BOXES:
+            bounds = ["--alpha-min", alpha[0], "--alpha-max", alpha[1],
+                      "--beta-min", beta[0], "--beta-max", beta[1]]
             out.append(["sweep", "--variant", variant, *bounds, "--resolution", resolution,
                         "--out", f"sweep-{variant}{name}.csv"])
     for variant in ("a", "b"):

@@ -37,6 +37,7 @@ from .graph import (
 )
 from .spectral import (
     AsymmetricMatrixError,
+    EigensolverError,
     FactorizationState,
     FactorizerOptions,
     ReconstructionGap,

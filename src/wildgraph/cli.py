@@ -9,9 +9,9 @@ detect       full pipeline with KNN detection metrics on a population config
 loss-check   constant-offset identity between the two objectives
 
 Exit codes: 0 all checks passed, 1 a tolerance or assertion failed,
-2 configuration error, 3 numerical failure (a non-finite factorizer loss),
-4 I/O error (a config that cannot be read or an output that cannot be
-written).
+2 configuration error, 3 numerical failure (a non-finite factorizer loss or
+an eigensolve that does not converge), 4 I/O error (a config that cannot be
+read or an output that cannot be written).
 Every CSV starts with a comment line carrying the resolved configuration;
 JSON reports carry it as their first key.  Output bytes depend only on the
 command line and seeds.
@@ -49,6 +49,7 @@ from .population import (
     sample_wild_mixture,
 )
 from .spectral import (
+    EigensolverError,
     FactorizationError,
     FactorizerOptions,
     embed,
@@ -179,23 +180,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not (1 <= args.resolution <= 200):
         raise ConfigError(f"resolution {args.resolution} must lie in [1, 200]")
     variant = TheoryVariant(args.variant)
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.resolution)
-    betas = np.linspace(args.beta_min, args.beta_max, args.resolution)
-    # Rows run over beta' within each alpha'; blocks of rows bound the memory.
-    grid_alpha = np.repeat(alphas, args.resolution)
-    grid_beta = np.tile(betas, args.resolution)
+    n = args.resolution
+    alphas = np.linspace(args.alpha_min, args.alpha_max, n)
+    betas = np.linspace(args.beta_min, args.beta_max, n)
+    # Each axis value is formatted once; "%.17g" formats as _fmt does.
+    alpha_text, beta_text = [_fmt(a) for a in alphas.tolist()], [_fmt(b) for b in betas.tolist()]
+    row = "%s,%s," + variant.value + ",%d,%d" + ",%.17g" * 6
     lines = [f"# {_config_line(args)}", SWEEP_COLUMNS]
-    for start in range(0, grid_alpha.size, SWEEP_BLOCK):
-        ap = grid_alpha[start : start + SWEEP_BLOCK]
-        bp = grid_beta[start : start + SWEEP_BLOCK]
-        g = verify_grid(variant, ReducedParams(ap, bp, args.gamma_ratio), rho=args.rho)
+    # Rows run over beta' within each alpha'; blocks of rows bound the memory.
+    for start in range(0, n * n, SWEEP_BLOCK):
+        point = np.arange(start, min(start + SWEEP_BLOCK, n * n))
+        params = ReducedParams(alphas[point // n], betas[point % n], args.gamma_ratio)
+        g = verify_grid(variant, params, rho=args.rho)
         columns = (
-            ap, bp, g.numeric_count, g.closed_count, g.numeric_separability,
-            g.closed_separability, g.gap_ab, g.gap_label, g.eig_dev_max, g.projector_dev,
+            g.numeric_count, g.closed_count, g.numeric_separability, g.closed_separability,
+            g.gap_ab, g.gap_label, g.eig_dev_max, g.projector_dev,
         )
-        for a, b, count_n, count_c, *values in zip(*(c.tolist() for c in columns)):
-            fields = [_fmt(a), _fmt(b), variant.value, str(count_n), str(count_c)]
-            lines.append(",".join(fields + [_fmt(v) for v in values]))
+        lines.extend(
+            row % (alpha_text[i // n], beta_text[i % n], *values)
+            for i, values in enumerate(zip(*(c.tolist() for c in columns)), start)
+        )
     out = args.out or "sweep.csv"
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -466,7 +470,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FactorizationError as exc:
+    except (FactorizationError, EigensolverError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, PopulationError, GraphError, DegenerateRegimeError, ValueError) as exc:

@@ -42,6 +42,7 @@ __all__ = [
     "ReconstructionGap",
     "SpectralError",
     "AsymmetricMatrixError",
+    "EigensolverError",
     "FactorizationError",
     "eigendecompose",
     "closed_form_embedding",
@@ -60,6 +61,10 @@ class SpectralError(ValueError):
 
 class AsymmetricMatrixError(SpectralError):
     pass
+
+
+class EigensolverError(SpectralError):
+    """LAPACK's ``eigh`` did not converge: a numerical failure, not bad input."""
 
 
 class FactorizationError(RuntimeError):
@@ -128,7 +133,7 @@ def _decompose(m: np.ndarray, k: int) -> SpectralEmbedding:
     try:
         lam, v = np.linalg.eigh(0.5 * (m + mt))
     except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigh failed: {exc}") from exc
+        raise EigensolverError(f"eigh failed: {exc}") from exc
     v = _fix_signs(v)
     order = np.argsort(-lam, axis=-1, kind="stable")
     tied = np.any(np.diff(np.take_along_axis(lam, order, axis=-1), axis=-1) == 0.0, axis=-1)
@@ -298,9 +303,10 @@ def lowrank_factorize(
     the direction (Nocedal & Wright, ch. 5).  A step is kept only if the
     residual loss strictly decreases, so the recorded trace is strictly
     decreasing.
-    Stops when the relative loss decrease falls below ``opts.tol``, when no
-    decreasing step exists (numerical optimum), or at ``opts.max_iters``.
-    Only the first two count as converged.
+    Stops, converged, when the relative loss decrease falls below ``opts.tol``,
+    when the loss falls below eps^2 times the first (an exact fit; a zero
+    target's loss falls geometrically and never meets tol) or when no
+    decreasing step exists (numerical optimum); unconverged at ``opts.max_iters``.
     """
     m = np.asarray(A_tilde, dtype=float)
     if np.max(np.abs(m - m.T), initial=0.0) > ASYMMETRY_TOLERANCE:
@@ -315,11 +321,12 @@ def lowrank_factorize(
         R, loss = _residual(F, m)
         if not np.isfinite(loss):
             raise FactorizationError("non-finite loss at iteration 0")
+        floor = np.finfo(float).eps ** 2 * loss  # F F^t is the target to rounding
         trace = [(0, loss)]
         converged = False
         g_old = p_old = d = None
         for it in range(1, opts.max_iters + 1):
-            if loss == 0.0:  # F F^t is the target itself
+            if loss <= floor:
                 converged = True
                 break
             g = 4.0 * (R @ F)

@@ -110,15 +110,21 @@ class ReducedParams:
 class ClosedFormPrediction:
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
-    top_pair_projector: np.ndarray
-    third_projector: np.ndarray
     probing_error_count: int | np.ndarray
     separability: float | np.ndarray
     degenerate_pair: bool
 
     def __post_init__(self) -> None:
-        for name in ("eigenvalues", "eigenbasis", "top_pair_projector", "third_projector"):
+        for name in ("eigenvalues", "eigenbasis"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def top_pair_projector(self) -> np.ndarray:
+        return self.eigenbasis[..., :2] @ np.swapaxes(self.eigenbasis[..., :2], -1, -2)
+
+    @property
+    def third_projector(self) -> np.ndarray:
+        return self.eigenbasis[..., :, 2, None] * self.eigenbasis[..., None, :, 2]
 
 
 def boundary_margin(variant: TheoryVariant | str, params: ReducedParams) -> float | np.ndarray:
@@ -131,15 +137,15 @@ def boundary_margin(variant: TheoryVariant | str, params: ReducedParams) -> floa
 
 
 def _square(x: float | np.ndarray) -> float | np.ndarray:
-    """``x ** 2`` of each entry as a Python float, that is through C ``pow``.
+    """``x ** 2`` of each entry through C ``pow``, as Python squares a float.
 
-    numpy squares by ``x * x``, which rounds differently from ``pow`` for
-    roughly one input in a thousand, and the gaps, differences of nearly
-    equal closed forms, magnify such a last-bit change up to twentyfold.
-    Squaring as Python floats keeps every closed-form value equal to the
-    formula evaluated point by point in plain Python.
+    ``np.float_power`` calls ``pow`` per entry.  ``np.square`` and
+    ``np.power(x, 2.0)`` compute ``x * x``, and ``np.power`` with an array
+    exponent a vectorised ``pow``; each rounds differently for about one
+    input in a thousand, and the gaps, differences of nearly equal closed
+    forms, magnify a last-bit change up to twentyfold.
     """
-    return np.reshape([v**2 for v in np.ravel(x).tolist()], np.shape(x))
+    return np.float_power(x, 2.0)
 
 
 def _last_axis(*values) -> np.ndarray:
@@ -154,13 +160,9 @@ def _prediction(
     sep: np.ndarray,
     degenerate_pair: bool,
 ) -> ClosedFormPrediction:
-    pair = basis[..., :2] @ np.swapaxes(basis[..., :2], -1, -2)
-    third = basis[..., :, 2, None] * basis[..., None, :, 2]
     return ClosedFormPrediction(
         eigenvalues=eigenvalues,
         eigenbasis=basis,
-        top_pair_projector=pair,
-        third_projector=third,
         probing_error_count=_unstacked(count, int),
         separability=_unstacked(sep),
         degenerate_pair=degenerate_pair,

@@ -12,6 +12,7 @@ import pytest
 from test_golden import README_CONFIG
 from wildgraph import cli, spectral
 from wildgraph.cli import main
+from wildgraph.theory import ReducedParams, verify_grid
 
 TOY_A_CONFIG = {
     "classes": [0, 1],
@@ -193,6 +194,35 @@ class TestSweep:
         assert one == (tmp_path / "blocks.csv").read_text().splitlines()[1:]
         assert len(one) == 1 + 81
 
+    @pytest.mark.parametrize("variant", ["a", "b", "unsup"])
+    def test_rows_match_a_per_field_reference(self, tmp_path, monkeypatch, variant):
+        # The box's grid holds the unsupervised diagonal a' = b' (tied
+        # eigenvalues: numeric -1 and nan) and case a's boundary b' = 9/8 a'
+        # at (0.08, 0.09) and (0.16, 0.18) (closed -1 and nan); 361 points
+        # in blocks of 50 span eight blocks.
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 50)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--variant", variant, "--alpha-min", "0.02", "--alpha-max", "0.2",
+                     "--beta-min", "0.02", "--beta-max", "0.2", "--resolution", "19",
+                     "--out", str(out)]) == 0
+        axis = np.linspace(0.02, 0.2, 19)
+        ap, bp = np.repeat(axis, 19), np.tile(axis, 19)
+        g = verify_grid(variant, ReducedParams(ap, bp, 1e-6))
+        floats = (g.numeric_separability, g.closed_separability, g.gap_ab, g.gap_label,
+                  g.eig_dev_max, g.projector_dev)
+        expected = [
+            ",".join([f"{ap[i]:.17g}", f"{bp[i]:.17g}", variant, f"{g.numeric_count[i]:d}",
+                      f"{g.closed_count[i]:d}"] + [f"{c[i]:.17g}" for c in floats])
+            for i in range(ap.size)
+        ]
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == cli.SWEEP_COLUMNS
+        assert lines[2:] == expected
+        # the marks the box was chosen for are in the reference
+        assert np.isnan(g.gap_ab).sum() == 19 + 2
+        assert (g.closed_count == -1).sum() == {"a": 2, "b": 0, "unsup": 19}[variant]
+        assert (g.numeric_count == -1).sum() == (19 if variant == "unsup" else 0)
+
     def test_label_benefit_column_positive(self, tmp_path):
         out = tmp_path / "gaps.csv"
         code = main(
@@ -282,6 +312,22 @@ class TestFactorize:
 
     def test_overflowing_config_is_refused_without_traceback(self, tmp_path, capsys):
         assert_overflow_refused(tmp_path, capsys, ["factorize", "--k", "2"])
+
+    @pytest.mark.parametrize("command", [["factorize"], ["detect", "--config"], ["sweep"],
+                                         ["toy-verify"]])
+    def test_failed_eigensolve_is_numerical_exit(self, tmp_path, capsys, monkeypatch, command):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        if command[-1] == "--config":
+            command = command + [write_config(tmp_path, README_CONFIG)]
+        out = tmp_path / "out"
+        assert main(command + ["--out", str(out)]) == cli.EXIT_NUMERICAL == 3
+        assert capsys.readouterr().err == (
+            "numerical error: eigh failed: Eigenvalues did not converge\n"
+        )
+        assert not out.exists()
 
     def test_single_iteration_fails(self, tmp_path):
         out_dir = tmp_path / "short"

@@ -10,7 +10,11 @@ Over random layouts of 2-4 classes with counts 1-6:
 (b) multiplying every count by m leaves rates and distances unchanged and
     multiplies the example count by m;
 (c) permuting the cells leaves every metric unchanged;
-(d) the lifted eigenvectors are eigenvectors of the expanded A_tilde.
+(d) the lifted eigenvectors are eigenvectors of the expanded A_tilde;
+(e) scaling eta_u and eta_l by a common factor leaves every metric
+    unchanged, within 1e-12 relative;
+(f) permuting the examples of a noisy explicit matrix within their cells
+    leaves the spectrum, every metric and factorize's spectral optimum.
 
 Rates and distances are compared within 1e-9 relative, counts exactly.
 Labeled counts differ between classes, so that no class permutation is a
@@ -74,36 +78,46 @@ def layouts(draw):
     }
 
 
-def _well_posed(config: dict) -> bool:
-    """Rank at least k = C + 1, and a clear eigengap at k."""
+def _spectrum(config: dict, weights: GraphWeights = WEIGHTS) -> np.ndarray:
+    """The descending spectrum of the config's quotient."""
     spec, model = load_population_config(config)
-    k = len(spec.classes) + 1
-    bundle = build_graph(model, enumerate_population(spec), WEIGHTS)
+    bundle = build_graph(model, enumerate_population(spec), weights)
     root = np.sqrt(bundle.groups.counts)
-    lam = np.linalg.eigvalsh(root[:, None] * bundle.A_tilde_g * root)[::-1]
+    return np.linalg.eigvalsh(root[:, None] * bundle.A_tilde_g * root)[::-1]
+
+
+def _well_posed(config: dict, weights: GraphWeights = WEIGHTS) -> bool:
+    """Rank at least k = C + 1, and a clear eigengap at k."""
+    k = len(config["classes"]) + 1
+    lam = _spectrum(config, weights)
     return lam.size > k and lam[k - 1] > 1e-6 and lam[k - 1] - lam[k] > 1e-6
 
 
-def _detect(config: dict, k_neighbors: int = 1) -> dict:
+def _run(command: str, config: dict, *flags: str) -> dict:
+    """The command's JSON report on the config, without its config record."""
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "config.json", Path(tmp) / "out.json"
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(config), encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["detect", "--config", str(path), "--k-neighbors", str(k_neighbors),
-                         "--out", str(out)])
+            code = main([command, "--config", str(path), *flags, "--out", str(out)])
         assert code == 0
-        report = json.loads(out.read_text(encoding="utf-8"))
+        report = out / "gaps.json" if command == "factorize" else out
+        report = json.loads(report.read_text(encoding="utf-8"))
     del report["config"]
     return report
 
 
-def _assert_same(have: dict, want: dict, count_factor: int = 1) -> None:
+def _detect(config: dict, k_neighbors: int = 1, *flags: str) -> dict:
+    return _run("detect", config, "--k-neighbors", str(k_neighbors), *flags)
+
+
+def _assert_same(have: dict, want: dict, count_factor: int = 1, rel: float = REL) -> None:
     assert have.keys() == want.keys()
     for key, value in want.items():
         if key == "probing_error_count":
             assert have[key] == count_factor * value
         else:
-            assert have[key] == pytest.approx(value, rel=REL, abs=1e-300), key
+            assert have[key] == pytest.approx(value, rel=rel, abs=1e-300), key
 
 
 def _expanded(config: dict) -> dict:
@@ -167,3 +181,48 @@ def test_lifted_vectors_are_eigenvectors_of_the_expanded_graph(config):
     )
     np.testing.assert_allclose(a, dense.A_tilde, rtol=0.0, atol=1e-14)
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(layouts(), st.floats(0.5, 10.0), st.floats(0.1, 5.0), st.floats(1e-3, 1e3))
+def test_common_edge_weight_scale_leaves_every_metric(config, eta_u, eta_l, scale):
+    # A_tilde = D^-1/2 A D^-1/2 with A = (eta_u A_u + eta_l A_l) / C, and C
+    # carries the common factor.
+    assume(_well_posed(config, GraphWeights(eta_u, eta_l)))
+    base = _detect(config, 1, "--eta-u", repr(eta_u), "--eta-l", repr(eta_l))
+    scaled = _detect(config, 1, "--eta-u", repr(scale * eta_u), "--eta-l", repr(scale * eta_l))
+    _assert_same(scaled, base, rel=1e-12)
+
+
+def _noisy_explicit(config: dict, seed: int) -> dict:
+    """The expanded matrix with seeded entrywise noise: no interchangeable examples."""
+    expanded = _expanded(config)
+    matrix = np.array(expanded["augmentation_matrix"])
+    noise = np.random.default_rng(seed).uniform(-0.2, 0.2, matrix.shape)
+    return dict(expanded, augmentation_matrix=(matrix * (1.0 + noise)).tolist())
+
+
+def _within_cells(config: dict, random) -> np.ndarray:
+    """A permutation of the examples that keeps each one among its cell's rows."""
+    order, start = [], 0
+    for cell in config["cells"]:
+        block = list(range(start, start + cell["count"]))
+        random.shuffle(block)
+        order += block
+        start += cell["count"]
+    return np.array(order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(layouts(), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_vertex_order_within_cells_leaves_an_explicit_matrix(config, seed, random):
+    explicit = _noisy_explicit(config, seed)
+    assume(_well_posed(explicit))
+    order = _within_cells(config, random)
+    matrix = np.array(explicit["augmentation_matrix"])
+    permuted = dict(explicit, augmentation_matrix=matrix[np.ix_(order, order)].tolist())
+    np.testing.assert_allclose(_spectrum(permuted), _spectrum(explicit), rtol=0, atol=1e-12)
+    _assert_same(_detect(permuted), _detect(explicit))
+    k = str(len(config["classes"]) + 1)
+    optimum = [_run("factorize", c, "--k", k)["spectral_optimum"] for c in (permuted, explicit)]
+    assert optimum[0] == pytest.approx(optimum[1], rel=REL)
