@@ -9,9 +9,9 @@ detect       full pipeline with KNN detection metrics on a population config
 loss-check   constant-offset identity between the two objectives
 
 Exit codes: 0 all checks passed, 1 a tolerance or assertion failed,
-2 configuration error, 3 numerical failure (a non-finite factorizer loss or
-an eigensolve that does not converge), 4 I/O error (a config that cannot be
-read or an output that cannot be written).
+2 configuration error, 3 numerical failure (a non-finite factorizer loss, or
+an eigensolve or probe pseudoinverse that does not converge), 4 I/O error (a
+config that cannot be read or an output that cannot be written).
 Every CSV starts with a comment line carrying the resolved configuration;
 JSON reports carry it as their first key.  Output bytes depend only on the
 command line and seeds.
@@ -366,9 +366,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
     detector = fit_knn_detector(z[labeled], args.k_neighbors, args.percentile, n[labeled])
     # Wild-ID examples are the held-out ID side; without any, the
     # self-excluded reference scores stand in.
-    scores_id = knn_scores(detector, z[wild_id], n[wild_id]) if wild_id else detector.reference_scores
-    scores_sem = knn_scores(detector, z[semantic], n[semantic])
-    detection = detection_metrics(scores_id, scores_sem, detector)
+    if wild_id:
+        scores_id, n_id = knn_scores(detector, z[wild_id]), n[wild_id]
+    else:
+        scores_id, n_id = detector.reference_scores, detector.counts
+    scores_sem = knn_scores(detector, z[semantic])
+    detection = detection_metrics(scores_id, scores_sem, detector, n_id, n[semantic])
 
     report = MetricsReport(
         id_acc=ev.id_accuracy,

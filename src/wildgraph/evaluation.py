@@ -13,15 +13,17 @@ helpers below score those plain predictions.
 
 The detector scores a query by its Euclidean distance to the k-th nearest
 reference embedding (reference points exclude themselves) and flags OUT
-above a percentile threshold of the reference scores.
+above a percentile threshold of the reference scores; a score equal to the
+threshold is accepted as IN.
 
 Every metric takes one embedding row per group of interchangeable
 examples with the group's size as its count: the probe's Gram matrix, the
 probing count, separability and the accuracies weigh each row by it, and
 the k-th-neighbour search counts a reference row once per example, so a
 reference group of n examples gives each of them n - 1 neighbours at
-distance zero.  Rows of one example each reproduce the per-example
-definitions exactly.
+distance zero.  The detector keeps one score per row, and weighs it by its
+count in the threshold, FPRs and AUROC.  Rows of one example each
+reproduce the per-example definitions exactly.
 
 :func:`evaluate` is the one place that maps population memberships to
 embedding rows: it fits the probe and computes probing error, separability
@@ -32,12 +34,14 @@ axes before the rows) and return one value per embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .population import Membership, Population
+from .spectral import EigensolverError
 
 __all__ = [
     "LinearProbe",
@@ -80,6 +84,8 @@ def _counts(counts: Optional[Sequence[int]], rows: int) -> np.ndarray:
     c = np.asarray(counts, dtype=int)
     if c.shape != (rows,):
         raise EvaluationError(f"got {c.shape[0] if c.ndim else 0} counts for {rows} rows")
+    if c.size and c.min() < 0:
+        raise EvaluationError(f"counts must be nonnegative, got {c.min()}")
     return c
 
 
@@ -102,7 +108,8 @@ def fit_linear_probe(
 
     W weighs each row by the examples it stands for (``counts``, one each
     by default).  ``classes`` defaults to the sorted distinct labels; every
-    class must appear at least once among ``labels``.
+    class must appear at least once among ``labels``.  A pseudoinverse that
+    does not converge raises :class:`EigensolverError`.
     """
     z = np.asarray(Z_id, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -116,11 +123,16 @@ def fit_linear_probe(
     if missing:
         raise EvaluationError(f"classes {missing} have no training examples")
     onehot = (labels[:, None] == np.array(class_list)[None, :]).astype(float)
-    # Z^t W Z as (sqrt(W) Z)^t (sqrt(W) Z), one operand and its transpose.
+    # With A = sqrt(W) Z, (A^t A)^+ A^t = A^t (A A^t)^+: both Grams share their
+    # nonzero spectrum, hence the pinv cutoff, and A A^t is rows x rows.
     root = np.sqrt(_counts(counts, labels.shape[0]))[:, None]
     zr = z * root
     zrt = np.swapaxes(zr, -1, -2)
-    m = np.linalg.pinv(zrt @ zr, rcond=PINV_RCOND, hermitian=True) @ zrt @ (onehot * root)
+    try:
+        gram_pinv = np.linalg.pinv(zr @ zrt, rcond=PINV_RCOND, hermitian=True)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"probe pinv failed: {exc}") from exc
+    m = zrt @ (gram_pinv @ (onehot * root))
     return LinearProbe(M=m, classes=class_list)
 
 
@@ -295,8 +307,8 @@ def evaluate(
 class KnnDetector:
     """Reference rows with their example counts, and the calibrated threshold.
 
-    ``reference_scores`` holds one score per reference example: a row's
-    score repeated by its count.
+    ``reference_scores`` holds one score per reference row, shared by the
+    row's ``counts`` examples.
     """
 
     reference: np.ndarray
@@ -328,6 +340,23 @@ def _kth_smallest(d: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     return d[rows, order[rows, at]]
 
 
+def _quantile(scores: np.ndarray, counts: np.ndarray, p: float) -> float:
+    """``np.quantile(np.repeat(scores, counts), p)`` bit for bit, without the repeat.
+
+    As numpy: index p (N - 1) lies between order statistics a and b at t,
+    and the result is ``a + (b - a) t``, or ``b - (b - a)(1 - t)`` if t >= 0.5.
+    """
+    order = np.argsort(scores, kind="stable")
+    ends = np.cumsum(counts[order])
+    at = (int(ends[-1]) - 1) * p
+    below = math.floor(at)
+    # Order statistics `below` and `below + 1`; the last one past the end.
+    rows = np.searchsorted(ends, [below, below + 1], side="right")
+    a, b = scores[order[np.minimum(rows, order.size - 1)]]
+    t = at - below
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def fit_knn_detector(
     Z_ref: np.ndarray,
     k_neighbors: int,
@@ -355,30 +384,21 @@ def fit_knn_detector(
     # An example's own zero distance is the first of its row, so its k-th
     # neighbour is the (k+1)-th entry.
     np.fill_diagonal(d, 0.0)
-    scores = np.repeat(_kth_smallest(d, n, k_neighbors + 1), n)
-    threshold = float(np.quantile(scores, percentile, method="linear"))
+    scores = _kth_smallest(d, n, k_neighbors + 1)
     return KnnDetector(
         reference=ref.copy(),
         counts=n,
         k_neighbors=k_neighbors,
         percentile=percentile,
-        threshold=threshold,
+        threshold=_quantile(scores, n, percentile),
         reference_scores=scores,
     )
 
 
-def knn_scores(
-    detector: KnnDetector, Z: np.ndarray, counts: Optional[Sequence[int]] = None
-) -> np.ndarray:
-    """Distance of external queries to their k-th nearest reference example.
-
-    Row x of ``Z`` stands for ``counts[x]`` queries (one each by default),
-    and its score is repeated that often.
-    """
-    q = np.asarray(Z, dtype=float)
-    d = _pairwise_distances(q, detector.reference)
-    scores = _kth_smallest(d, detector.counts, detector.k_neighbors)
-    return np.repeat(scores, _counts(counts, q.shape[0]))
+def knn_scores(detector: KnnDetector, Z: np.ndarray) -> np.ndarray:
+    """Distance of each external query row to its k-th nearest reference example."""
+    d = _pairwise_distances(np.asarray(Z, dtype=float), detector.reference)
+    return _kth_smallest(d, detector.counts, detector.k_neighbors)
 
 
 @dataclass(frozen=True)
@@ -388,81 +408,81 @@ class DetectionMetrics:
     auroc: float
 
 
-def auroc_midrank(scores_id: np.ndarray, scores_ood: np.ndarray) -> float:
+def auroc_midrank(
+    scores_id: np.ndarray,
+    scores_ood: np.ndarray,
+    counts_id: Optional[Sequence[int]] = None,
+    counts_ood: Optional[Sequence[int]] = None,
+) -> float:
     """Probability that a random OOD score exceeds a random ID score.
 
-    Rank statistic with midranks for ties, so identical score lists give
-    exactly one half.
+    The Mann-Whitney statistic with midranks for ties, so identical score
+    lists give exactly one half.  A score stands for its count of examples
+    (one each by default).
     """
     s_id = np.asarray(scores_id, dtype=float)
     s_ood = np.asarray(scores_ood, dtype=float)
-    pooled = np.concatenate([s_id, s_ood])
-    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
-    # A run of c tied values ending at 1-based rank r shares the midrank
-    # r - (c - 1) / 2.
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-    rank_sum_ood = float(np.sum(ranks[s_id.shape[0] :]))
-    n_i, n_o = s_id.shape[0], s_ood.shape[0]
+    n_id, n_ood = _counts(counts_id, s_id.shape[0]), _counts(counts_ood, s_ood.shape[0])
+    _, inverse = np.unique(np.concatenate([s_id, s_ood]), return_inverse=True)
+    tied = np.bincount(inverse, weights=np.concatenate([n_id, n_ood]))
+    # A run of c tied examples ending at 1-based rank r shares the midrank
+    # r - (c - 1) / 2.  Every sum is of half-integers, so exact.
+    ranks = np.cumsum(tied) - (tied - 1) / 2.0
+    rank_sum_ood = float(np.sum(ranks[inverse[s_id.shape[0] :]] * n_ood))
+    n_i, n_o = int(n_id.sum()), int(n_ood.sum())
     u = rank_sum_ood - n_o * (n_o + 1) / 2.0
     return u / (n_i * n_o)
 
 
 def detection_metrics(
-    scores_id: np.ndarray, scores_ood: np.ndarray, detector: KnnDetector
+    scores_id: np.ndarray,
+    scores_ood: np.ndarray,
+    detector: KnnDetector,
+    counts_id: Optional[Sequence[int]] = None,
+    counts_ood: Optional[Sequence[int]] = None,
 ) -> DetectionMetrics:
     """False-positive rates and ranking quality of the fitted detector.
 
     A score at or below a threshold is accepted as IN, so
-    ``fpr_at_threshold`` is the fraction of OOD scores the detector lets
-    through, and ``fpr95`` uses the 95th percentile of the ID scores as the
-    threshold instead.
+    ``fpr_at_threshold`` is the fraction of OOD examples the detector lets
+    through, and ``fpr95`` uses the 95th percentile of the ID examples'
+    scores as the threshold instead.  A score stands for its count of
+    examples (one each by default).
     """
     s_id = np.asarray(scores_id, dtype=float)
     s_ood = np.asarray(scores_ood, dtype=float)
-    if s_id.size == 0 or s_ood.size == 0:
+    n_id, n_ood = _counts(counts_id, s_id.shape[0]), _counts(counts_ood, s_ood.shape[0])
+    n_o = int(n_ood.sum())
+    if n_id.sum() == 0 or n_o == 0:
         raise EvaluationError("detection metrics need nonempty score lists")
-    fpr_at = float(np.mean(s_ood <= detector.threshold))
-    q95 = float(np.quantile(s_id, 0.95, method="linear"))
-    fpr95 = float(np.mean(s_ood <= q95))
+    q95 = _quantile(s_id, n_id, 0.95)
     return DetectionMetrics(
-        fpr_at_threshold=fpr_at, fpr95=fpr95, auroc=auroc_midrank(s_id, s_ood)
+        fpr_at_threshold=int(n_ood[s_ood <= detector.threshold].sum()) / n_o,
+        fpr95=int(n_ood[s_ood <= q95].sum()) / n_o,
+        auroc=auroc_midrank(s_id, s_ood, n_id, n_ood),
     )
 
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """``detect``'s metrics, in the order of its JSON report."""
+
     id_acc: float
     ood_acc: float
     probing_error_rate: float
     probing_error_count: int
     separability: float
-    fpr_at_threshold: float
     fpr95: float
     auroc: float
+    fpr_at_threshold: float
 
     def __post_init__(self) -> None:
-        rates = {
-            "id_acc": self.id_acc,
-            "ood_acc": self.ood_acc,
-            "probing_error_rate": self.probing_error_rate,
-            "fpr_at_threshold": self.fpr_at_threshold,
-            "fpr95": self.fpr95,
-            "auroc": self.auroc,
-        }
-        for name, value in rates.items():
+        for name in ("id_acc", "ood_acc", "probing_error_rate", "fpr_at_threshold", "fpr95", "auroc"):
+            value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise EvaluationError(f"{name} must lie in [0, 1], got {value}")
         if self.separability < 0:
             raise EvaluationError(f"separability must be nonnegative, got {self.separability}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "id_acc": self.id_acc,
-            "ood_acc": self.ood_acc,
-            "probing_error_rate": self.probing_error_rate,
-            "probing_error_count": self.probing_error_count,
-            "separability": self.separability,
-            "fpr95": self.fpr95,
-            "auroc": self.auroc,
-            "fpr_at_threshold": self.fpr_at_threshold,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}

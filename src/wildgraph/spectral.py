@@ -64,7 +64,7 @@ class AsymmetricMatrixError(SpectralError):
 
 
 class EigensolverError(SpectralError):
-    """LAPACK's ``eigh`` did not converge: a numerical failure, not bad input."""
+    """LAPACK's ``eigh`` (also inside the probe's pinv) did not converge: not bad input."""
 
 
 class FactorizationError(RuntimeError):

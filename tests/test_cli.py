@@ -329,6 +329,21 @@ class TestFactorize:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["detect", "--config"], ["sweep"], ["toy-verify"]])
+    def test_failed_probe_pinv_is_numerical_exit(self, tmp_path, capsys, monkeypatch, command):
+        def failing_pinv(a, rcond=None, hermitian=False):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "pinv", failing_pinv)
+        if command[-1] == "--config":
+            command = command + [write_config(tmp_path, README_CONFIG)]
+        out = tmp_path / "out"
+        assert main(command + ["--out", str(out)]) == cli.EXIT_NUMERICAL == 3
+        assert capsys.readouterr().err == (
+            "numerical error: probe pinv failed: SVD did not converge\n"
+        )
+        assert not out.exists()
+
     def test_single_iteration_fails(self, tmp_path):
         out_dir = tmp_path / "short"
         code = main(

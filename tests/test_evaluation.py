@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from wildgraph import (
     run_toy_pipeline,
     separability,
 )
+from wildgraph.evaluation import _quantile
 
 
 class TestLinearProbe:
@@ -72,6 +75,30 @@ class TestLinearProbe:
     def test_missing_class_rejected(self):
         with pytest.raises(EvaluationError):
             fit_linear_probe(np.eye(2), [0, 0], classes=[0, 1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_row_gram_matches_the_dimension_gram(self, seed, rows, dims, rank):
+        # (A^t A)^+ A^t = A^t (A A^t)^+ with the same cutoff, also when A is
+        # rank-deficient, as collapsed embeddings are.
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((3, rows, min(rank, dims))) @ rng.standard_normal(
+            (min(rank, dims), dims)
+        )
+        labels = np.arange(rows) % 2
+        counts = rng.integers(1, 6, size=rows)
+        root = np.sqrt(counts)[:, None]
+        onehot = (labels[:, None] == np.arange(2)).astype(float)
+        a = z * root
+        at = np.swapaxes(a, -1, -2)
+        expected = np.linalg.pinv(at @ a, rcond=1e-10, hermitian=True) @ at @ (onehot * root)
+        m = fit_linear_probe(z, labels, counts=counts).M
+        np.testing.assert_allclose(m, expected, rtol=0, atol=1e-9 * max(1.0, np.abs(expected).max()))
 
     def test_empty_labels_rejected(self):
         with pytest.raises(EvaluationError):
@@ -305,10 +332,12 @@ class TestCounts:
         k = int(rng.integers(1, n_id.sum()))
         detector = fit_knn_detector(z_id, k, counts=n_id)
         reference = fit_knn_detector(rep_id, k)
-        np.testing.assert_array_equal(detector.reference_scores, reference.reference_scores)
+        np.testing.assert_array_equal(
+            np.repeat(detector.reference_scores, n_id), reference.reference_scores
+        )
         assert detector.threshold == reference.threshold
         np.testing.assert_array_equal(
-            knn_scores(detector, z_eval, n_eval), knn_scores(reference, rep_eval)
+            np.repeat(knn_scores(detector, z_eval), n_eval), knn_scores(reference, rep_eval)
         )
 
     def test_examples_of_one_row_are_zero_apart(self):
@@ -316,9 +345,130 @@ class TestCounts:
         # expanded |x|^2 + |y|^2 - 2 x.y of a row with itself.
         ref = np.random.default_rng(5).standard_normal((6, 4)) * 3.7
         detector = fit_knn_detector(ref, k_neighbors=2, counts=[3] * 6)
-        np.testing.assert_array_equal(detector.reference_scores, np.zeros(18))
+        np.testing.assert_array_equal(np.repeat(detector.reference_scores, 3), np.zeros(18))
         assert detector.threshold == 0.0
 
     def test_mismatched_counts_rejected(self):
         with pytest.raises(EvaluationError, match="counts"):
             separability(np.zeros((3, 2)), np.ones((2, 2)), counts_id=[1, 2])
+
+    def test_negative_counts_rejected(self):
+        # A repeated score list cannot hold a score a negative number of times.
+        with pytest.raises(EvaluationError, match="nonnegative"):
+            fit_knn_detector(np.eye(3), 1, counts=[2, -1, 3])
+        detector = fit_knn_detector(np.eye(3), 1)
+        with pytest.raises(EvaluationError, match="nonnegative"):
+            detection_metrics(np.ones(2), np.ones(2), detector, [1, 1], [2, -1])
+
+
+def _repeated_auroc(s_id: np.ndarray, s_ood: np.ndarray) -> float:
+    """AUROC over every ID x OOD example pair, a tie counting one half."""
+    above = s_ood[None, :] > s_id[:, None]
+    tied = s_ood[None, :] == s_id[:, None]
+    return int(np.sum(2 * above + tied)) / (2 * s_id.size * s_ood.size)
+
+
+class TestCountWeightedDetection:
+    """One score per row with its count gives what the repeated list gives, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_threshold_fprs_and_auroc_equal_the_repeated_lists(self, data):
+        # A few distinct values, so that scores tie within and across sides.
+        values = data.draw(
+            st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=4, unique=True)
+        )
+
+        def rows():
+            size = data.draw(st.integers(min_value=1, max_value=8))
+            scores = data.draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+            counts = data.draw(
+                st.lists(st.integers(min_value=1, max_value=50), min_size=size, max_size=size)
+            )
+            return np.array(scores), np.array(counts)
+
+        (s_id, n_id), (s_ood, n_ood) = rows(), rows()
+        rep_id, rep_ood = np.repeat(s_id, n_id), np.repeat(s_ood, n_ood)
+        last = rep_id.size - 1
+        # Either any percentile, or one whose virtual index p (N - 1) is an
+        # order statistic's, so that the threshold ties with a score.
+        p = data.draw(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.integers(min_value=0, max_value=last).map(lambda i: i / max(last, 1)),
+            )
+        )
+        threshold = _quantile(s_id, n_id, p)
+        assert threshold.hex() == float(np.quantile(rep_id, p, method="linear")).hex()
+
+        rng = np.random.default_rng(2)
+        detector = dataclasses.replace(
+            fit_knn_detector(rng.standard_normal((4, 2)), k_neighbors=1), threshold=threshold
+        )
+        metrics = detection_metrics(s_id, s_ood, detector, n_id, n_ood)
+        q95 = np.quantile(rep_id, 0.95, method="linear")
+        assert metrics.fpr_at_threshold.hex() == float(np.mean(rep_ood <= threshold)).hex()
+        assert metrics.fpr95.hex() == float(np.mean(rep_ood <= q95)).hex()
+        assert metrics.auroc.hex() == _repeated_auroc(rep_id, rep_ood).hex()
+        assert detection_metrics(rep_id, rep_ood, detector) == metrics
+
+    def test_threshold_equals_numpy_on_a_seeded_sample(self):
+        # numpy interpolates from b when t >= 0.5, which changes the last bit
+        # only between distinct neighbouring order statistics: too rarely for
+        # the property's draws alone.
+        rng = np.random.default_rng(22)
+        for draw in range(4000):
+            rows = int(rng.integers(1, 9))
+            scores = rng.choice(rng.uniform(0.0, 1e3, size=4), size=rows)
+            counts = rng.integers(1, 51 if draw % 2 else 4, size=rows)
+            p = float(rng.uniform())
+            expected = float(np.quantile(np.repeat(scores, counts), p, method="linear"))
+            assert _quantile(scores, counts, p).hex() == expected.hex(), (scores, counts, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_group_scores_equal_a_vertex_level_search(self, seed):
+        # Small integer coordinates: both distance formulas are exact.
+        rng = np.random.default_rng(seed)
+        ref = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), 2)).astype(float)
+        n_ref = rng.integers(1, 5, size=ref.shape[0])
+        n_ref[0] += 1
+        queries = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), 2)).astype(float)
+        n_q = rng.integers(1, 5, size=queries.shape[0])
+        k = int(rng.integers(1, n_ref.sum()))
+        p = float(rng.uniform(0.05, 0.95))
+
+        vertices = np.repeat(ref, n_ref, axis=0)
+
+        def kth(point, others):
+            return np.sort(np.linalg.norm(others - point, axis=1))[k - 1]
+
+        brute_ref = np.array([kth(v, np.delete(vertices, i, axis=0)) for i, v in enumerate(vertices)])
+        brute_q = np.array([kth(q, vertices) for q in np.repeat(queries, n_q, axis=0)])
+
+        detector = fit_knn_detector(ref, k, p, n_ref)
+        scores = knn_scores(detector, queries)
+        np.testing.assert_array_equal(np.repeat(detector.reference_scores, n_ref), brute_ref)
+        np.testing.assert_array_equal(np.repeat(scores, n_q), brute_q)
+        assert detector.threshold == np.quantile(brute_ref, p, method="linear")
+        metrics = detection_metrics(detector.reference_scores, scores, detector, n_ref, n_q)
+        assert metrics.fpr_at_threshold == np.mean(brute_q <= detector.threshold)
+        assert metrics.fpr95 == np.mean(brute_q <= np.quantile(brute_ref, 0.95, method="linear"))
+        assert metrics.auroc == _repeated_auroc(brute_ref, brute_q)
+
+    def test_no_array_grows_with_the_example_count(self):
+        # 1.05 million examples in six rows: one float per example would be 8 MB.
+        rng = np.random.default_rng(9)
+        ref, queries = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        n_ref, n_q = np.full(3, 200_000), np.full(3, 150_000)
+        tracemalloc.start()
+        try:
+            detector = fit_knn_detector(ref, 5, 0.95, n_ref)
+            scores = knn_scores(detector, queries)
+            detection_metrics(detector.reference_scores, scores, detector, n_ref, n_q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert detector.reference_scores.shape == (3,)
+        assert scores.shape == (3,)
+        assert peak < 100_000
