@@ -11,10 +11,12 @@ both regime boundaries), at one point and over more than one block, and
 enumerated config (also at ranks 5 and 6, the second past the graph's
 rank), the same cells resampled as a wild mixture at two seeds, under an
 explicit matrix, and blown up twentyfold, and a three-class layout with
-unequal counts.  Each command runs from inside OUT_DIR with relative
-paths, so two checkouts give comparable trees; ``OUT_DIR/commands.txt``
-records every command line, its exit code and what it printed.  Run the script from two checkouts into two
-directories and compare them with ``diff -r``.  With ``--drop-config`` the
+unequal counts; and ``factorize`` and ``loss-check`` on the README config,
+its twentyfold blow-up, the three-class layout and the explicit matrix.
+Each command runs from inside OUT_DIR with relative paths, so two
+checkouts give comparable trees; ``OUT_DIR/commands.txt`` records every
+command line, its exit code and what it printed.  Run the script from two
+checkouts into two directories and compare them with ``diff -r``.  With ``--drop-config`` the
 resolved-configuration record (the ``#`` line of a CSV, the ``config`` key
 of a JSON report) is removed after each run, so the diff shows only
 changed results.
@@ -32,7 +34,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from test_golden import MIXTURE_CONFIG, README_CONFIG, TOY_POINTS, matrix_config  # noqa: E402
+from test_golden import (  # noqa: E402
+    MIXTURE_CONFIG, README_CONFIG, THREE_CLASS_CONFIG, TOY_POINTS, matrix_config,
+)
 from wildgraph.cli import main as cli_main  # noqa: E402
 
 
@@ -40,24 +44,6 @@ def blown_up(config: dict, factor: int) -> dict:
     """The same cells with every count multiplied by ``factor``."""
     cells = [dict(c, count=c["count"] * factor) for c in config["cells"]]
     return dict(config, cells=cells)
-
-
-# Three known classes with unequal counts over two shifted domains, with
-# beta above alpha so that part of the covariate examples is misprobed.
-THREE_CLASS_CONFIG = {
-    "classes": [0, 1, 2],
-    "domains": [0, 1, 2],
-    "cells": [
-        {"class": c, "domain": d, "membership": m, "count": n}
-        for c, d, m, n in [
-            (0, 0, "labeled_id", 7), (1, 0, "labeled_id", 4), (2, 0, "labeled_id", 9),
-            (0, 0, "wild_id", 3), (2, 0, "wild_id", 5),
-            (0, 1, "wild_covariate", 6), (1, 2, "wild_covariate", 2), (2, 1, "wild_covariate", 4),
-            (3, 2, "wild_semantic", 5),
-        ]
-    ],
-    "augmentation": {"rho": 1.0, "alpha": 0.03, "beta": 0.12, "gamma": 0.004},
-}
 
 
 # (file suffix, alpha' bounds, beta' bounds, resolution).  The third box's
@@ -114,8 +100,11 @@ def commands() -> list[list[str]]:
     for k in (5, 6):  # the README graph has rank 5
         out.append(["detect", "--config", "readme.json", "--k", str(k), "--k-neighbors", "3",
                     "--out", f"detect-readme-rank-k{k}.json"])
-    out.append(["factorize", "--config", "readme.json", "--k", "3", "--seed", "7",
-                "--out", "factorize-readme-seed7"])
+    for name in ("readme", "readme-x20", "three-class", "matrix"):
+        out.append(["factorize", "--config", f"{name}.json", "--k", "3", "--seed", "7",
+                    "--out", f"factorize-{name}-seed7"])
+        out.append(["loss-check", "--config", f"{name}.json", "--k", "3", "--seed", "7",
+                    "--out", f"loss-check-{name}.json"])
     return out
 
 

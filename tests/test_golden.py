@@ -13,7 +13,9 @@ cases the corpus lacks: ``detect`` on a sampled mixture and on an explicit
 matrix were added that way from the LAPACK ``eigh`` engine, before ``detect``
 moved to the cell quotient, and ``factorize`` on explicit matrices of seeds 3
 and 4 from the unscaled conjugate gradient, before the descent's gradients
-were scaled by the k x k metric.
+were scaled by the k x k metric, and ``factorize`` and ``loss-check`` on the
+README and three-class configs from the vertex-level factorizer and loss
+sums, before both commands moved to the cell quotient.
 
 Comparison: metrics within GOLDEN_RTOL relative, spectra elementwise within
 SPECTRUM_ATOL times the largest eigenvalue, counts, flags and exit codes
@@ -60,6 +62,23 @@ README_CONFIG = {
     "pi_s": 0.0,
 }
 
+# Three known classes with unequal counts over two shifted domains, with
+# beta above alpha so that part of the covariate examples is misprobed.
+THREE_CLASS_CONFIG = {
+    "classes": [0, 1, 2],
+    "domains": [0, 1, 2],
+    "cells": [
+        {"class": c, "domain": d, "membership": m, "count": n}
+        for c, d, m, n in [
+            (0, 0, "labeled_id", 7), (1, 0, "labeled_id", 4), (2, 0, "labeled_id", 9),
+            (0, 0, "wild_id", 3), (2, 0, "wild_id", 5),
+            (0, 1, "wild_covariate", 6), (1, 2, "wild_covariate", 2), (2, 1, "wild_covariate", 4),
+            (3, 2, "wild_semantic", 5),
+        ]
+    ],
+    "augmentation": {"rho": 1.0, "alpha": 0.03, "beta": 0.12, "gamma": 0.004},
+}
+
 # The README's cells resampled: its 18 wild examples become 5 covariate,
 # 4 semantic and 9 wild-ID draws.
 MIXTURE_CONFIG = dict(README_CONFIG, pi_c=0.3, pi_s=0.2)
@@ -101,6 +120,9 @@ TOY_POINTS = [
 FACTORIZE_CASES = [(1, 24, 4), (2, 30, 5), (3, 36, 6), (4, 42, 3)]
 # Metrics held to another recorded metric: the final loss to the optimum.
 REFERENCE_KEY = {"final_loss": "spectral_optimum"}
+# (name, config) of the factorize and loss-check cases on grouped configs,
+# each at k = 3 and seed 1; both configs have a clear eigengap at 3.
+CONFIG_CASES = [("readme", README_CONFIG), ("three-class", THREE_CLASS_CONFIG)]
 FACTORIZE_CELLS = (
     (0, 0, "wild_id"), (1, 0, "wild_id"),
     (0, 1, "wild_covariate"), (1, 1, "wild_covariate"),
@@ -179,6 +201,30 @@ def compute_corpus(work: Path) -> dict:
             "counts": {"converged": gaps["converged"]},
             "spectrum": _spectrum(config),
         }
+
+    for name, payload in CONFIG_CASES:
+        config = work / f"{name}.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        out = work / f"factorize-{name}"
+        rc = _run(["factorize", "--config", str(config), "--k", "3", "--seed", "1",
+                   "--max-iters", "100000", "--out", str(out)])
+        gaps = json.loads((out / "gaps.json").read_text(encoding="utf-8"))
+        cases[f"factorize-{name}"] = {
+            "exit": rc,
+            "metrics": {"final_loss": gaps["final_loss"], "spectral_optimum": gaps["spectral_optimum"]},
+            "counts": {"converged": gaps["converged"]},
+            "spectrum": _spectrum(config),
+        }
+        out = work / f"loss-check-{name}.json"
+        rc = _run(["loss-check", "--config", str(config), "--k", "3", "--seed", "1",
+                   "--out", str(out)])
+        report = json.loads(out.read_text(encoding="utf-8"))
+        cases[f"loss-check-{name}"] = {
+            "exit": rc,
+            "metrics": {"constant": report["constant"]},
+            "counts": {"passed": report["passed"]},
+            "spectrum": _spectrum(config),
+        }
     return cases
 
 
@@ -191,6 +237,7 @@ CASE_NAMES = (
     [name for name, _, _ in DETECT_CASES]
     + [f"toy-verify-{variant}-{ap}-{bp}" for variant, ap, bp in TOY_POINTS]
     + [f"factorize-explicit-{seed}" for seed, _, _ in FACTORIZE_CASES]
+    + [f"{command}-{name}" for name, _ in CONFIG_CASES for command in ("factorize", "loss-check")]
 )
 
 
