@@ -54,6 +54,7 @@ from .loss import (
     LossBreakdown,
     equivalence_gap,
     matrix_loss,
+    random_factors,
     surrogate_loss,
     surrogate_loss_from_parts,
 )

@@ -36,7 +36,7 @@ from .evaluation import (
     knn_scores,
 )
 from .graph import GraphError, GraphWeights, build_graph
-from .loss import equivalence_gap, matrix_loss, surrogate_loss_from_parts
+from .loss import equivalence_gap, matrix_loss, random_factors, surrogate_loss_from_parts
 from .population import (
     AugmentationModel,
     ParametricAugmentation,
@@ -270,10 +270,13 @@ def _require_rank(k: int, eigenvalues: np.ndarray) -> None:
 def cmd_factorize(args: argparse.Namespace) -> int:
     bundle, _ = _bundle_from_args(args)
     k = args.k
-    embedding = eigendecompose(bundle.A_tilde, k)
+    # Lifted to the vertices, factors on Q keep the loss, the descent and the
+    # projector distances (GraphBundle.Q), so both checks run on Q.
+    q = bundle.Q
+    embedding = eigendecompose(q, min(k, q.shape[0]))
     _require_rank(k, embedding.eigenvalues)
     opts = FactorizerOptions(max_iters=args.max_iters, tol=args.tol, seed=args.seed)
-    state = lowrank_factorize(bundle.A_tilde, k, opts)
+    state = lowrank_factorize(q, k, opts)
     gaps = reconstruction_gap(state, embedding)
     equivalence = equivalence_gap(args.trials, args.seed, bundle, k)
 
@@ -314,11 +317,11 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 def cmd_loss_check(args: argparse.Namespace) -> int:
     bundle, _ = _bundle_from_args(args)
     equivalence = equivalence_gap(args.trials, args.seed, bundle, args.k)
-    rng = np.random.default_rng(args.seed)
-    n = bundle.A_tilde.shape[0]
-    F = rng.standard_normal((n, args.k)) / np.sqrt(n * args.k)
-    f_rows = F / np.sqrt(bundle.D)[:, None]
-    breakdown = surrogate_loss_from_parts(f_rows, bundle.A_u, bundle.A_l, bundle.weights)
+    # one seeded draw: the first of equivalence_gap's trials
+    (H,), (f_rows,) = random_factors(bundle, args.k, args.seed, 1)
+    breakdown = surrogate_loss_from_parts(
+        f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights, bundle.groups.counts
+    )
     constant_err = equivalence.max_constant_error / (1.0 + abs(equivalence.constant))
     tol = args.spread_tol * args.tolerance_scale
     passed = equivalence.relative_spread <= tol and constant_err <= tol
@@ -329,7 +332,7 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
             "constant": equivalence.constant,
             "relative_spread": equivalence.relative_spread,
             "constant_relative_error": constant_err,
-            "matrix_loss": matrix_loss(F, bundle.A_tilde),
+            "matrix_loss": matrix_loss(H, bundle.Q),
             "passed": passed,
         }
     )

@@ -124,15 +124,18 @@ def fit_linear_probe(
         raise EvaluationError(f"classes {missing} have no training examples")
     onehot = (labels[:, None] == np.array(class_list)[None, :]).astype(float)
     # With A = sqrt(W) Z, (A^t A)^+ A^t = A^t (A A^t)^+: both Grams share their
-    # nonzero spectrum, hence the pinv cutoff, and A A^t is rows x rows.
+    # nonzero spectrum, hence the pinv cutoff, so the smaller one is inverted,
+    # rows x rows when there are no more rows than dimensions.
     root = np.sqrt(_counts(counts, labels.shape[0]))[:, None]
     zr = z * root
     zrt = np.swapaxes(zr, -1, -2)
+    by_rows = z.shape[-2] <= z.shape[-1]
     try:
-        gram_pinv = np.linalg.pinv(zr @ zrt, rcond=PINV_RCOND, hermitian=True)
+        gram_pinv = np.linalg.pinv(zr @ zrt if by_rows else zrt @ zr, rcond=PINV_RCOND,
+                                   hermitian=True)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"probe pinv failed: {exc}") from exc
-    m = zrt @ (gram_pinv @ (onehot * root))
+    m = zrt @ (gram_pinv @ (onehot * root)) if by_rows else gram_pinv @ zrt @ (onehot * root)
     return LinearProbe(M=m, classes=class_list)
 
 

@@ -82,10 +82,12 @@ class GraphBundle:
     vertex expansion sum to one, with ``C`` the raw total that was divided
     out.  ``D_g`` holds the degrees and ``A_tilde_g`` the degree-normalized
     adjacency, which is invariant to both ``C`` and any common rescaling of
-    the two edge weights.  The vertex-level ``A_u``, ``A_l``, ``A``, ``D``
-    and ``A_tilde`` expand the group arrays on first use; with groups of
-    one they are the group arrays themselves.  A bundle built from a stack
-    of models carries the same leading axes on every array, ``C`` included.
+    the two edge weights.  ``Q`` is the quotient the graph is solved and
+    factorized on.  The vertex-level ``A_u``, ``A_l``, ``A``, ``D`` and
+    ``A_tilde`` expand the group arrays on first use, for callers that
+    compare against them; with groups of one they are the group arrays
+    themselves.  A bundle built from a stack of models carries the same
+    leading axes on every array, ``C`` included.
     """
 
     A_u_g: np.ndarray
@@ -114,6 +116,24 @@ class GraphBundle:
     A = cached_property(lambda self: self._expand(self.A_g))
     D = cached_property(lambda self: self._expand(self.D_g))
     A_tilde = cached_property(lambda self: self._expand(self.A_tilde_g))
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """The g x g quotient diag(sqrt n) A_tilde_g diag(sqrt n), n the group sizes.
+
+        With E the vertices-by-groups indicator, A_tilde = E A_tilde_g E^t,
+        and W = E diag(n)^-1/2 has orthonormal columns, so A_tilde = W Q W^t:
+        Q has A_tilde's nonzero spectrum, each eigenvector u lifts to W u,
+        and F = W H has ||A_tilde - F F^t||_F = ||Q - H H^t||_F.  With
+        groups of one, Q is ``A_tilde_g`` itself.
+        """
+        counts = self.groups.counts
+        if self.groups.index.shape[0] == counts.shape[0]:
+            return self.A_tilde_g
+        root = np.sqrt(counts)
+        q = root[:, None] * self.A_tilde_g * root
+        q.setflags(write=False)
+        return q
 
 
 def self_supervised_adjacency(

@@ -18,7 +18,9 @@ ones (L2, L5) is forced by the expansion of the factorization residual:
     ||A_tilde - F F^t||_F^2 = sum(A_tilde^2) + total(f),  f_x = F_x / sqrt(D_x)
 
 so the two objectives differ by the constant sum(A_tilde^2) for every F.
-:func:`equivalence_gap` measures that constancy directly.
+:func:`equivalence_gap` measures that constancy directly.  Both sides are
+evaluated over groups of interchangeable views: the sums weigh each group
+by its size, and the residual is taken on the graph's g x g quotient.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "surrogate_loss",
     "surrogate_loss_from_parts",
     "matrix_loss",
+    "random_factors",
     "equivalence_gap",
 ]
 
@@ -61,41 +64,42 @@ class LossBreakdown:
         }
 
 
-def _normalizers(
-    A_u: np.ndarray, A_l: np.ndarray, weights: GraphWeights
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The global constant C and the labeled and unlabeled degree vectors."""
-    C = float((weights.eta_u * A_u + weights.eta_l * A_l).sum())
-    return C, A_l.sum(axis=1), A_u.sum(axis=1)
-
-
 def surrogate_loss_from_parts(
     f_rows: np.ndarray,
     A_u: np.ndarray,
     A_l: np.ndarray,
     weights: GraphWeights,
-    *,
-    normalizers: tuple[float, np.ndarray, np.ndarray] | None = None,
+    counts: np.ndarray | None = None,
 ) -> LossBreakdown:
     """Evaluate the five terms from prebuilt adjacency parts.
 
-    ``normalizers`` takes :func:`_normalizers` of the same parts, from a
-    caller that evaluates many feature maps over them; they do not depend
-    on ``f_rows``.
+    Row a of ``f_rows`` and of both parts stands for ``counts[a]`` views
+    (one each by default), so every sum over views weighs it by that
+    count.  With N = diag(counts), L1 = <N A_l N f, f> / C and L2 likewise
+    with A_u.  As sum_xy d_x d_y <f_x, f_y>^2 = ||f^t diag(d) f||_F^2, L3,
+    L4 and L5 are <G_l, G_l>, <G_l, G_u> and <G_u, G_u> over C^2, with the
+    k x k G_l = f^t N diag(A_l n) f; no Gram of f over rows is formed.
+    ``f_rows`` may carry leading batch axes, which the terms then carry.
     """
     f = np.asarray(f_rows, dtype=float)
-    if f.ndim != 2 or f.shape[0] != A_u.shape[0]:
-        raise ValueError(
-            f"feature rows have shape {f.shape}, expected ({A_u.shape[0]}, k)"
-        )
-    C, deg_l, deg_u = normalizers or _normalizers(A_u, A_l, weights)
-    gram = f @ f.T
-    gram_sq = gram * gram
-    L1 = float(np.sum(A_l * gram)) / C
-    L2 = float(np.sum(A_u * gram)) / C
-    L3 = float(deg_l @ gram_sq @ deg_l) / C**2
-    L4 = float(deg_l @ gram_sq @ deg_u) / C**2
-    L5 = float(deg_u @ gram_sq @ deg_u) / C**2
+    rows = A_u.shape[-1]
+    if f.ndim < 2 or f.shape[-2] != rows:
+        raise ValueError(f"feature rows have shape {f.shape}, expected (..., {rows}, k)")
+    n = np.ones(rows) if counts is None else np.asarray(counts, dtype=float)
+    # a row's degree in each part, over the views it is paired with
+    deg_l, deg_u = A_l @ n, A_u @ n
+    C = weights.eta_u * float(deg_u @ n) + weights.eta_l * float(deg_l @ n)
+    nf = f * n[:, None]
+    nft = np.swapaxes(nf, -1, -2)
+    gram_l, gram_u = (nft * deg_l) @ f, (nft * deg_u) @ f
+    terms = [
+        np.sum((A_l @ nf) * nf, axis=(-2, -1)) / C,
+        np.sum((A_u @ nf) * nf, axis=(-2, -1)) / C,
+        np.sum(gram_l * gram_l, axis=(-2, -1)) / C**2,
+        np.sum(gram_l * gram_u, axis=(-2, -1)) / C**2,
+        np.sum(gram_u * gram_u, axis=(-2, -1)) / C**2,
+    ]
+    L1, L2, L3, L4, L5 = (float(t) if t.ndim == 0 else t for t in terms)
     eta_u, eta_l = weights.eta_u, weights.eta_l
     total = (
         -2.0 * eta_l * L1
@@ -125,8 +129,9 @@ def matrix_loss(F: np.ndarray, A_tilde: np.ndarray) -> float:
     A_tilde = np.asarray(A_tilde, dtype=float)
     if F.ndim != 2 or F.shape[0] != A_tilde.shape[0]:
         raise ValueError(f"shapes {F.shape} and {A_tilde.shape} are incompatible")
-    r = A_tilde - F @ F.T
-    return float(np.sum(r * r))
+    r = F @ F.T
+    r -= A_tilde
+    return float(np.vdot(r, r))
 
 
 @dataclass(frozen=True)
@@ -151,24 +156,37 @@ class EquivalenceReport:
         return max(abs(g - self.constant) for g in self.gaps)
 
 
+def random_factors(
+    bundle: GraphBundle, k: int, seed: int, trials: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``trials`` seeded g x k factor matrices H over the groups, and their feature rows.
+
+    H lifts to the vertices (:attr:`GraphBundle.Q`) with the matrix loss
+    ||Q - H H^t||_F^2, and its feature rows are H[a] / sqrt(n[a] D_g[a])
+    on group a.  Both arrays are stacked (trials, g, k).
+    """
+    g = bundle.Q.shape[0]
+    h = np.random.default_rng(seed).standard_normal((trials, g, k)) / np.sqrt(g * k)
+    return h, h / np.sqrt(bundle.groups.counts * bundle.D_g)[:, None]
+
+
 def equivalence_gap(
     trials: int, seed: int, bundle: GraphBundle, k: int
 ) -> EquivalenceReport:
-    """Check the constant-offset identity on ``trials`` random factor matrices."""
+    """Check the constant-offset identity on ``trials`` random factor matrices.
+
+    The factors are :func:`random_factors`.  One stacked evaluation gives
+    every trial's surrogate side; the matrix side is taken one trial at a
+    time, holding one g x g residual.
+    """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    n = bundle.A_tilde.shape[0]
-    rng = np.random.default_rng(seed)
-    sqrt_deg = np.sqrt(bundle.D)
-    A_u, A_l, weights = bundle.A_u, bundle.A_l, bundle.weights
-    normalizers = _normalizers(A_u, A_l, weights)
-    gaps = []
-    for _ in range(trials):
-        F = rng.standard_normal((n, k)) / np.sqrt(n * k)
-        f_rows = F / sqrt_deg[:, None]
-        breakdown = surrogate_loss_from_parts(f_rows, A_u, A_l, weights, normalizers=normalizers)
-        gaps.append(matrix_loss(F, bundle.A_tilde) - breakdown.total)
-    constant = float(np.sum(bundle.A_tilde**2))
+    h, f_rows = random_factors(bundle, k, seed, trials)
+    totals = surrogate_loss_from_parts(
+        f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights, bundle.groups.counts
+    ).total
+    gaps = [matrix_loss(factor, bundle.Q) - total for factor, total in zip(h, totals.tolist())]
+    constant = float(np.sum(bundle.Q**2))
     return EquivalenceReport(
         gaps=tuple(gaps), spread=max(gaps) - min(gaps), constant=constant
     )

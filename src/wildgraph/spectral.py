@@ -181,26 +181,22 @@ def closed_form_embedding(bundle: GraphBundle, embedding: SpectralEmbedding) -> 
 def embed(bundle: GraphBundle, k: int) -> SpectralEmbedding:
     """Spectral embedding of the bundle's graph, solved on its group quotient.
 
-    With group sizes n, the g x g quotient Q = diag(sqrt n) A_tilde_g
-    diag(sqrt n) has the nonzero spectrum of the vertex-level A_tilde, and
-    each eigenvector u of Q lifts to the unit eigenvector of A_tilde whose
-    entries are u[a] / sqrt(n[a]) on group a (Godsil & Royle, *Algebraic
-    Graph Theory*, ch. 9).  ``V_k`` and ``Z`` hold one row per group, the
-    lifted signs follow the module's convention, and ``eigenvalues`` is
+    With group sizes n, the g x g quotient ``bundle.Q`` has the nonzero
+    spectrum of the vertex-level A_tilde, and each eigenvector u of Q lifts
+    to the unit eigenvector of A_tilde whose entries are u[a] / sqrt(n[a])
+    on group a (Godsil & Royle, *Algebraic Graph Theory*, ch. 9).  ``V_k``
+    and ``Z`` hold one row per group, the lifted signs follow the module's convention, and ``eigenvalues`` is
     Q's spectrum, so k may not exceed the number of groups.  A bundle of
     one graph goes through :func:`eigendecompose`; a stack of graphs
     through the same code with its batch axes.
     """
     # With groups of one (every explicit matrix), Q is A_tilde_g and the
-    # lift is the identity, so both are skipped.
+    # lift is the identity, which is skipped.
     counts = bundle.groups.counts
-    lifted = bundle.groups.index.shape[0] != counts.shape[0]
-    root = np.sqrt(counts)
-    q = root[:, None] * bundle.A_tilde_g * root if lifted else bundle.A_tilde_g
-    decompose = eigendecompose if q.ndim == 2 else _decompose
-    embedding = decompose(q, k)
-    if lifted:
-        embedding = replace(embedding, V_k=_fix_signs(embedding.V_k / root[:, None]))
+    decompose = eigendecompose if bundle.Q.ndim == 2 else _decompose
+    embedding = decompose(bundle.Q, k)
+    if bundle.groups.index.shape[0] != counts.shape[0]:
+        embedding = replace(embedding, V_k=_fix_signs(embedding.V_k / np.sqrt(counts)[:, None]))
     return replace(embedding, Z=closed_form_embedding(bundle, embedding))
 
 

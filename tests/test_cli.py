@@ -299,6 +299,36 @@ class TestFactorize:
         assert not (tmp_path / "fact").exists()
         assert main(argv + ["--k", "2"]) == 0
 
+    def test_k_past_the_group_count_is_refused_by_rank(self, tmp_path, capsys):
+        # The README config has five groups, so its quotient has rank 5.
+        config = write_config(tmp_path, README_CONFIG)
+        out = tmp_path / "fact"
+        assert main(["factorize", "--config", config, "--k", "6", "--out", str(out)]) == 2
+        assert "k=6 exceeds the graph's rank 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["factorize", "loss-check"])
+    def test_large_groups_allocate_no_example_square(self, tmp_path, command):
+        # The README cells a hundredfold: 3400 examples in five groups, where
+        # one 3400 x 3400 float array would be 92 MB.  Both reports equal the
+        # README config's, whose factors are drawn over the same five groups.
+        reports = []
+        for factor in (1, 100):
+            cells = [dict(c, count=factor * c["count"]) for c in README_CONFIG["cells"]]
+            config = write_config(tmp_path, dict(README_CONFIG, cells=cells))
+            out = tmp_path / f"{command}-{factor}"
+            tracemalloc.start()
+            try:
+                assert main([command, "--config", config, "--k", "3", "--out", str(out)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5e6
+            report = json.loads((out / "gaps.json" if command == "factorize" else out).read_text())
+            reports.append(report)
+        key = "final_loss" if command == "factorize" else "matrix_loss"
+        assert reports[1][key] == pytest.approx(reports[0][key], rel=1e-12)
+
     def test_factorization_error_is_numerical_exit(self, tmp_path, capsys, monkeypatch):
         # A normalized adjacency's entries lie in [0, 1], so the descent is
         # driven to overflow on a matrix of its own.

@@ -100,6 +100,45 @@ class TestLinearProbe:
         m = fit_linear_probe(z, labels, counts=counts).M
         np.testing.assert_allclose(m, expected, rtol=0, atol=1e-9 * max(1.0, np.abs(expected).max()))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_either_gram_gives_the_least_squares_head(self, seed, rows, dims, rank):
+        # Rows at most dims invert the rows x rows Gram, more rows the dims x
+        # dims one; each gives the minimum-norm least-squares solution.
+        rng = np.random.default_rng(seed)
+        rank = min(rank, rows, dims)
+        z = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, dims))
+        labels = np.arange(rows) % 2
+        counts = rng.integers(1, 6, size=rows)
+        root = np.sqrt(counts)[:, None]
+        onehot = (labels[:, None] == np.arange(2)).astype(float)
+        expected, *_ = np.linalg.lstsq(z * root, onehot * root, rcond=None)
+        m = fit_linear_probe(z, labels, counts=counts).M
+        np.testing.assert_allclose(m, expected, rtol=0, atol=1e-8 * max(1.0, np.abs(expected).max()))
+
+    @pytest.mark.parametrize(
+        "shape, gram",
+        [((1, 1), (1, 1)), ((2, 3), (2, 2)), ((3, 3), (3, 3)), ((4, 3), (3, 3)),
+         ((40, 4), (4, 4)), ((5, 2, 3), (5, 2, 2)), ((5, 96, 4), (5, 4, 4))],
+    )
+    def test_the_smaller_gram_is_inverted(self, monkeypatch, shape, gram):
+        seen = []
+        pinv = np.linalg.pinv
+
+        def spy(m, *args, **kwargs):
+            seen.append(m.shape)
+            return pinv(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", spy)
+        z = np.random.default_rng(0).standard_normal(shape)
+        fit_linear_probe(z, np.arange(shape[-2]) % 2)
+        assert seen == [gram]
+
     def test_empty_labels_rejected(self):
         with pytest.raises(EvaluationError):
             fit_linear_probe(np.zeros((0, 2)), [])

@@ -4,15 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildgraph import (
+    Cell,
+    Membership,
+    ParametricAugmentation,
+    PopulationSpec,
     TheoryVariant,
+    build_graph,
     build_toy_population,
     embed,
+    enumerate_population,
     equivalence_gap,
     matrix_loss,
     surrogate_loss,
     surrogate_loss_from_parts,
 )
-from conftest import toy_bundle
+from conftest import STANDARD_WEIGHTS, toy_bundle
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +26,19 @@ def toy_setup():
     population, model = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.03, 0.01, 1e-6)
     bundle, _ = toy_bundle(TheoryVariant.CASE_A)
     return population, model, bundle
+
+
+@pytest.fixture(scope="module")
+def grouped_bundle():
+    """Two known classes and a novel one in cells of 2-5 interchangeable examples."""
+    cells = (
+        Cell(0, 0, Membership.LABELED_ID, 4), Cell(1, 0, Membership.LABELED_ID, 3),
+        Cell(0, 1, Membership.WILD_COVARIATE, 5), Cell(1, 1, Membership.WILD_COVARIATE, 2),
+        Cell(2, 1, Membership.WILD_SEMANTIC, 3),
+    )
+    spec = PopulationSpec(classes=(0, 1), domains=(0, 1), cells=cells)
+    params = ParametricAugmentation(rho=1.0, alpha=0.05, beta=0.02, gamma=0.01)
+    return build_graph(params, enumerate_population(spec), STANDARD_WEIGHTS)
 
 
 class TestSurrogateLoss:
@@ -146,6 +165,24 @@ class TestEquivalenceGap:
             f_rows = F / np.sqrt(bundle.D)[:, None]
             total = surrogate_loss_from_parts(f_rows, bundle.A_u, bundle.A_l, bundle.weights).total
             assert gap == matrix_loss(F, bundle.A_tilde) - total
+
+    def test_grouped_gaps_match_per_trial_evaluation_bit_for_bit(self, grouped_bundle):
+        # On a grouped bundle the trials are drawn over the groups, and the
+        # stacked surrogate evaluation gives each trial's stand-alone bits
+        bundle = grouped_bundle
+        counts = bundle.groups.counts
+        g = counts.shape[0]
+        assert g < bundle.groups.index.shape[0]
+        report = equivalence_gap(4, seed=9, bundle=bundle, k=3)
+        rng = np.random.default_rng(9)
+        for gap in report.gaps:
+            H = rng.standard_normal((g, 3)) / np.sqrt(3 * g)
+            f_rows = H / np.sqrt(counts * bundle.D_g)[:, None]
+            total = surrogate_loss_from_parts(
+                f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights, counts
+            ).total
+            assert gap == matrix_loss(H, bundle.Q) - total
+        assert report.constant == pytest.approx(float(np.sum(bundle.A_tilde**2)), rel=1e-14)
 
     def test_minimum_trials_enforced(self, case_a_bundle):
         bundle, _ = case_a_bundle

@@ -14,7 +14,13 @@ Over random layouts of 2-4 classes with counts 1-6:
 (e) scaling eta_u and eta_l by a common factor leaves every metric
     unchanged, within 1e-12 relative;
 (f) permuting the examples of a noisy explicit matrix within their cells
-    leaves the spectrum, every metric and factorize's spectral optimum.
+    leaves the spectrum, every metric and factorize's spectral optimum;
+(g) on small blow-ups (counts 1-4), the matrix loss, its gradient and the
+    five surrogate sums on the quotient equal the vertex-level ones
+    through an explicit expansion, and a descent on the quotient reaches
+    the vertex-level spectral optimum;
+(h) multiplying every count by m leaves factorize's and loss-check's
+    seeded reports unchanged, since both draw over the groups.
 
 Rates and distances are compared within 1e-9 relative, counts exactly.
 Labeled counts differ between classes, so that no class permutation is a
@@ -38,11 +44,15 @@ from hypothesis import strategies as st
 
 from wildgraph import (
     ExplicitAugmentation,
+    FactorizerOptions,
     GraphWeights,
     build_graph,
     embed,
     enumerate_population,
     load_population_config,
+    lowrank_factorize,
+    matrix_loss,
+    surrogate_loss_from_parts,
     transformation_matrix,
 )
 from wildgraph.cli import main
@@ -226,3 +236,81 @@ def test_vertex_order_within_cells_leaves_an_explicit_matrix(config, seed, rando
     k = str(len(config["classes"]) + 1)
     optimum = [_run("factorize", c, "--k", k)["spectral_optimum"] for c in (permuted, explicit)]
     assert optimum[0] == pytest.approx(optimum[1], rel=REL)
+
+
+@st.composite
+def small_blow_ups(draw):
+    """A layout whose cells hold 1-4 examples each."""
+    config = draw(layouts())
+    return dict(config, cells=[dict(c, count=draw(st.integers(1, 4))) for c in config["cells"]])
+
+
+def _expansion(config: dict):
+    """The config's bundle, its vertices-by-groups indicator E and the lift E diag(n)^-1/2."""
+    spec, model = load_population_config(config)
+    bundle = build_graph(model, enumerate_population(spec), WEIGHTS)
+    counts = bundle.groups.counts
+    indicator = np.eye(counts.shape[0])[bundle.groups.index]
+    return bundle, indicator, indicator / np.sqrt(counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_blow_ups(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_quotient_loss_gradient_and_sums_equal_the_expanded_ones(config, k, seed):
+    bundle, e, lift = _expansion(config)
+    a_tilde, a_u, a_l = (e @ m @ e.T for m in (bundle.A_tilde_g, bundle.A_u_g, bundle.A_l_g))
+    h = np.random.default_rng(seed).standard_normal((e.shape[1], k))
+    F = lift @ h
+    assert matrix_loss(h, bundle.Q) == pytest.approx(matrix_loss(F, a_tilde), rel=1e-12)
+    grad = 4.0 * (F @ F.T - a_tilde) @ F
+    np.testing.assert_allclose(
+        lift @ (4.0 * (h @ h.T - bundle.Q) @ h), grad, rtol=0, atol=1e-12 * np.abs(grad).max()
+    )
+    counts = bundle.groups.counts
+    have = surrogate_loss_from_parts(
+        h / np.sqrt(counts * bundle.D_g)[:, None], bundle.A_u_g, bundle.A_l_g, WEIGHTS, counts
+    )
+    # The vertex-level sums through the N x N Gram of the lifted feature rows
+    f = F / np.sqrt(e @ bundle.D_g)[:, None]
+    gram, C = f @ f.T, float((WEIGHTS.eta_u * a_u + WEIGHTS.eta_l * a_l).sum())
+    deg_l, deg_u = a_l.sum(axis=1), a_u.sum(axis=1)
+    want = {
+        "L1": float(np.sum(a_l * gram)) / C,
+        "L2": float(np.sum(a_u * gram)) / C,
+        "L3": float(deg_l @ gram**2 @ deg_l) / C**2,
+        "L4": float(deg_l @ gram**2 @ deg_u) / C**2,
+        "L5": float(deg_u @ gram**2 @ deg_u) / C**2,
+    }
+    for name, value in want.items():
+        assert getattr(have, name) == pytest.approx(value, rel=1e-12, abs=1e-300), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_blow_ups(), st.integers(0, 2**32 - 1))
+def test_quotient_descent_reaches_the_vertex_level_optimum(config, seed):
+    assume(_well_posed(config))
+    bundle, e, lift = _expansion(config)
+    k = len(config["classes"]) + 1
+    a_tilde = e @ bundle.A_tilde_g @ e.T
+    optimum = float(np.sum(np.linalg.eigvalsh(a_tilde)[::-1][k:] ** 2))
+    state = lowrank_factorize(bundle.Q, k, FactorizerOptions(seed=seed))
+    assert state.converged
+    assert abs(state.final_loss - optimum) <= 1e-12
+    assert abs(matrix_loss(lift @ state.F, a_tilde) - state.final_loss) <= 1e-12
+
+
+LOSS_FIELDS = ("L1", "L2", "L3", "L4", "L5", "total", "matrix_loss", "constant")
+
+
+@settings(max_examples=20, deadline=None)
+@given(layouts(), st.sampled_from([2, 5]), st.integers(0, 100))
+def test_blow_up_leaves_factorize_and_loss_check(config, m, seed):
+    assume(_well_posed(config))
+    grown = dict(config, cells=[dict(c, count=m * c["count"]) for c in config["cells"]])
+    flags = ("--k", str(len(config["classes"]) + 1), "--seed", str(seed))
+    have, want = _run("factorize", grown, *flags), _run("factorize", config, *flags)
+    for key in ("final_loss", "spectral_optimum", "equivalence_constant"):
+        assert have[key] == pytest.approx(want[key], rel=REL), key
+    have, want = _run("loss-check", grown, *flags), _run("loss-check", config, *flags)
+    for key in LOSS_FIELDS:
+        assert have[key] == pytest.approx(want[key], rel=REL, abs=1e-300), key
