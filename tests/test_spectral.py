@@ -401,6 +401,51 @@ class TestConjugateGradient:
         assert state.converged
         assert abs(state.final_loss - optimum) <= 1e-12 * float(np.sum(lam**2))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from(["psd", "indefinite", "rank-deficient", "decaying"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_stress_spectra_reach_the_optimum(self, n, k_frac, kind, seed):
+        k = 1 + int(k_frac * (n - 1))
+        rng = np.random.default_rng(seed)
+        if kind == "psd":
+            lam = rng.uniform(0.0, 1.0, n)
+        elif kind == "indefinite":
+            lam = rng.uniform(-1.0, 1.0, n)
+        elif kind == "rank-deficient":
+            lam = np.where(np.arange(n) < rng.integers(1, n, endpoint=True), rng.uniform(0.1, 1.0, n), 0.0)
+        else:
+            lam = rng.uniform(0.3, 0.9) ** np.arange(n)
+        assert_reaches_the_optimum(lam, k, rng)
+
+    @pytest.mark.parametrize(
+        "lam, k",
+        [
+            (np.repeat([1.0, 1.0, 0.0], [1, 1, 198]), 3),
+            (np.repeat([1.0, 1.0, 0.0], [1, 1, 198]), 5),
+            (np.concatenate([[1.5, 0.9, 0.4], -np.linspace(0.1, 1.7, 197)]), 6),
+        ],
+        ids=["rank-2-k3", "rank-2-k5", "indefinite-k6"],
+    )
+    def test_hard_targets_at_n_200_reach_the_optimum(self, lam, k):
+        assert_reaches_the_optimum(lam, k, np.random.default_rng(200))
+
+
+def assert_reaches_the_optimum(lam, k, rng):
+    """The factorizer on a random rotation of spectrum ``lam`` converges to
+    sum of min(lam_i, 0)^2 over the leading k plus sum of lam_i^2 past them."""
+    lam = np.sort(lam)[::-1]
+    q, _ = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))
+    m = (q * lam) @ q.T
+    m = 0.5 * (m + m.T)
+    optimum = float(np.sum(np.minimum(lam[:k], 0.0) ** 2) + np.sum(lam[k:] ** 2))
+    state = lowrank_factorize(m, k, FactorizerOptions(seed=int(rng.integers(2**32))))
+    assert state.converged
+    assert abs(state.final_loss - optimum) <= 1e-9 * float(np.sum(lam**2))
+
 
 def quartic_value(q, t):
     """q4 t^4 + q3 t^3 + q2 t^2 + q1 t in exact arithmetic, and the sum of its terms' sizes."""
