@@ -270,8 +270,8 @@ def _require_rank(k: int, eigenvalues: np.ndarray) -> None:
 def cmd_factorize(args: argparse.Namespace) -> int:
     bundle, _ = _bundle_from_args(args)
     k = args.k
-    # Lifted to the vertices, factors on Q keep the loss, the descent and the
-    # projector distances (GraphBundle.Q), so both checks run on Q.
+    # Lifted to the vertices, factors on Q keep the loss and the projector
+    # distances (GraphBundle.Q), so both checks run on Q.
     q = bundle.Q
     embedding = eigendecompose(q, min(k, q.shape[0]))
     _require_rank(k, embedding.eigenvalues)

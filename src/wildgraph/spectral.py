@@ -15,8 +15,8 @@ normalized adjacency itself, so one path serves every graph.
 
 The factorizer minimizes the squared Frobenius residual between the
 normalized adjacency and F F^t by nonlinear conjugate gradient, with each
-gradient scaled by the k x k metric (F^t F + ||R||_F I)^-1 and an exact
-line search; no eigendecomposition enters it, only a k x k inverse per
+gradient scaled by the k x k metric (F^t F + ||R||_F / sqrt(n) I)^-1 and an
+exact line search; no eigendecomposition enters it, only a k x k inverse per
 step.  Its optimum is the sum of squared trailing eigenvalues (with the
 negative ones among the leading k also left over), which the embedding
 side computes independently; the two routes cross-check each other
@@ -128,24 +128,25 @@ def _decompose(m: np.ndarray, k: int) -> SpectralEmbedding:
     if not np.all(np.isfinite(m)):
         raise SpectralError("input matrix has non-finite entries")
     mt = np.swapaxes(m, -1, -2)
-    if np.max(np.abs(m - mt), initial=0.0) > ASYMMETRY_TOLERANCE:
+    asymmetry = np.max(np.abs(m - mt), initial=0.0)
+    if asymmetry > ASYMMETRY_TOLERANCE:
         raise AsymmetricMatrixError("input matrix is not symmetric")
     try:
-        lam, v = np.linalg.eigh(0.5 * (m + mt))
+        # 0.5 (m + m) is m bit for bit, so an exactly symmetric m goes in as is
+        lam, v = np.linalg.eigh(0.5 * (m + mt) if asymmetry else m)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigh failed: {exc}") from exc
-    v = _fix_signs(v)
-    order = np.argsort(-lam, axis=-1, kind="stable")
-    tied = np.any(np.diff(np.take_along_axis(lam, order, axis=-1), axis=-1) == 0.0, axis=-1)
-    for i in map(tuple, np.argwhere(tied)):
+    # eigh's eigenvalues ascend, so reversed they descend
+    lam, v = np.ascontiguousarray(lam[..., ::-1]), _fix_signs(v[..., ::-1])
+    for i in map(tuple, np.argwhere(np.any(np.diff(lam, axis=-1) == 0.0, axis=-1))):
         # exactly equal eigenvalues are ordered by their sign-fixed vectors,
         # compared entry by entry (lexsort's last key is the primary one)
-        order[i] = np.lexsort(np.vstack([v[i][::-1], -lam[i]]))
-    eigenvalues = np.take_along_axis(lam, order, axis=-1)
+        order = np.lexsort(np.vstack([v[i][::-1], -lam[i]]))
+        lam[i], v[i] = lam[i][order], v[i][:, order]
     return SpectralEmbedding(
-        eigenvalues=eigenvalues,
-        V_k=np.take_along_axis(v, order[..., None, :k], axis=-1),
-        Sigma_k=np.clip(eigenvalues[..., :k], 0.0, None),
+        eigenvalues=lam,
+        V_k=np.ascontiguousarray(v[..., :k]),
+        Sigma_k=np.clip(lam[..., :k], 0.0, None),
         k=k,
     )
 
@@ -231,12 +232,10 @@ def _residual(F: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     return r, float(np.vdot(r, r))
 
 
-def _exact_step(
-    R: np.ndarray, F: np.ndarray, d: np.ndarray, g: np.ndarray, gram: np.ndarray
-) -> float:
+def _exact_step(R: np.ndarray, F: np.ndarray, d: np.ndarray, q1: float, gram: np.ndarray) -> float:
     """The t minimizing ||R + t (F d^t + d F^t) + t^2 d d^t||^2, with R = F F^t - A.
 
-    ``g`` is the gradient 4 R F and ``gram`` is F^t F.  The quartic's
+    ``q1`` is the slope <4 R F, d> and ``gram`` is F^t F.  The other
     coefficients are k x k Gram products and R d; NaN if one is not finite.
     """
     m = F.T @ d
@@ -244,7 +243,6 @@ def _exact_step(
     q4 = float(np.vdot(dd, dd))
     q3 = 4.0 * float(np.vdot(m, dd))
     q2 = 2.0 * float(np.vdot(gram, dd) + np.vdot(m, m.T) + np.vdot(d, R @ d))
-    q1 = float(np.vdot(g, d))
     if not all(map(math.isfinite, (q4, q3, q2, q1))):
         return math.nan  # the caller reports the non-finite loss
     return _quartic_argmin(q4, q3, q2, q1)
@@ -288,17 +286,19 @@ def lowrank_factorize(
     """Scaled nonlinear conjugate gradient on ||A_tilde - F F^t||_F^2.
 
     The gradient is g = 4 R F with R = F F^t - A_tilde, and it is scaled by
-    the k x k metric to p = g (F^t F + ||R||_F I)^-1, which removes the
+    the k x k metric to p = g (F^t F + sigma I)^-1, which removes the
     descent's dependence on F's conditioning (Tong, Ma & Chi, JMLR 2021).
-    The damping ||R||_F keeps the metric invertible when F loses rank, as
-    it must at an optimum past the target's rank or past its positive
-    eigenvalues (Zhang, Fattahi & Zhang, NeurIPS 2021).  Directions follow
-    Polak-Ribiere+ in the scaled inner products, beta =
-    <p, g - g_old> / <p_old, g_old>, and restart at -p whenever they are
-    not descent directions; each step goes to the exact minimizer along
-    the direction (Nocedal & Wright, ch. 5).  A step is kept only if the
-    residual loss strictly decreases, so the recorded trace is strictly
-    decreasing.
+    The damping sigma = ||R||_F / sqrt(n), the n x n residual's
+    root-mean-square eigenvalue, keeps the metric invertible when F loses
+    rank, as it must at an optimum past the target's rank or past its
+    positive eigenvalues.  Unlike ||R||_F (Zhang, Fattahi & Zhang, NeurIPS
+    2021), it stays within ||R||_2 where R is left at the trailing spectrum,
+    so the scaling holds near the optimum.  Directions follow Polak-Ribiere+
+    in the scaled inner products, beta = <p, g - g_old> / <p_old, g_old>,
+    and restart at -p whenever they are not descent directions; each step
+    goes to the exact minimizer along the direction (Nocedal & Wright,
+    ch. 5).  A step is kept only if the residual loss strictly decreases, so
+    the recorded trace is strictly decreasing.
     Stops, converged, when the relative loss decrease falls below ``opts.tol``,
     when the loss falls below eps^2 times the first (an exact fit; a zero
     target's loss falls geometrically and never meets tol) or when no
@@ -310,12 +310,11 @@ def lowrank_factorize(
     n = m.shape[0]
     rng = np.random.default_rng(opts.seed)
     F = rng.standard_normal((n, k)) / np.sqrt(n * k)
-    tiny = np.finfo(float).tiny
     eye = np.eye(k)
     # overflow propagates to inf and is reported as FactorizationError
     with np.errstate(over="ignore", invalid="ignore"):
         R, loss = _residual(F, m)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise FactorizationError("non-finite loss at iteration 0")
         floor = np.finfo(float).eps ** 2 * loss  # F F^t is the target to rounding
         trace = [(0, loss)]
@@ -327,20 +326,21 @@ def lowrank_factorize(
                 break
             g = 4.0 * (R @ F)
             gram = F.T @ F
-            p = g @ np.linalg.inv(gram + math.sqrt(loss) * eye)
+            p = g @ np.linalg.inv(gram + math.sqrt(loss / n) * eye)
             if d is not None:
                 beta = max(0.0, float(np.vdot(p, g - g_old) / np.vdot(p_old, g_old)))
                 d = beta * d - p
-            if d is None or np.vdot(g, d) >= 0.0:
+            if d is None or (slope := float(np.vdot(g, d))) >= 0.0:
                 d = -p
-            candidate = F + _exact_step(R, F, d, g, gram) * d
+                slope = float(np.vdot(g, d))
+            candidate = F + _exact_step(R, F, d, slope, gram) * d
             R_new, new_loss = _residual(candidate, m)
-            if not np.isfinite(new_loss):
+            if not math.isfinite(new_loss):
                 raise FactorizationError(f"non-finite loss at iteration {it}")
             if not new_loss < loss:
                 converged = True
                 break
-            relative_drop = (loss - new_loss) / max(loss, tiny)
+            relative_drop = (loss - new_loss) / loss  # loss > floor >= 0
             F, R, loss, g_old, p_old = candidate, R_new, new_loss, g, p
             trace.append((it, loss))
             if relative_drop < opts.tol:

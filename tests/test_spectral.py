@@ -375,8 +375,8 @@ class TestConjugateGradient:
             assert state.converged, (n, k)
             assert gap.loss_gap <= 1e-12, (n, k)
             steps += state.iterations
-        # the metric-scaled descent takes about 1 000 steps here, the unscaled one 3 300
-        assert steps <= 1500
+        # the metric-scaled descent takes 741 steps here, the unscaled one 3 300
+        assert steps <= 900
 
     @pytest.mark.parametrize("k", [3, 4, 6])
     def test_rank_deficient_factor_reaches_the_optimum(self, k):
@@ -503,12 +503,12 @@ class TestLineSearch:
     def test_zero_direction_gives_zero_step(self):
         rng = np.random.default_rng(0)
         f, r = rng.standard_normal((6, 2)), random_symmetric(6, seed=1)
-        assert _exact_step(r, f, np.zeros((6, 2)), 4.0 * r @ f, f.T @ f) == 0.0
+        assert _exact_step(r, f, np.zeros((6, 2)), 0.0, f.T @ f) == 0.0
         assert _quartic_argmin(0.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_non_finite_coefficient_gives_nan(self):
         f, r = np.ones((3, 1)), np.full((3, 3), np.inf)
-        assert np.isnan(_exact_step(r, f, -np.ones((3, 1)), np.ones((3, 1)), f.T @ f))
+        assert np.isnan(_exact_step(r, f, -np.ones((3, 1)), -3.0, f.T @ f))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 4))
@@ -518,7 +518,7 @@ class TestLineSearch:
         target = random_symmetric(n, seed)
         f, d = rng.standard_normal((n, k)), rng.standard_normal((n, k))
         r = f @ f.T - target
-        t = _exact_step(r, f, d, 4.0 * r @ f, f.T @ f)
+        t = _exact_step(r, f, d, float(np.vdot(4.0 * r @ f, d)), f.T @ f)
         loss = lambda s: matrix_loss(f + s * d, target)
         for s in (t * 0.999, t * 1.001, t + 1e-3, t - 1e-3, 0.0):
             assert loss(t) <= loss(s) + 1e-10 * (1.0 + loss(s))
