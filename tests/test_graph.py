@@ -17,7 +17,7 @@ from wildgraph import (
     self_supervised_adjacency,
     supervised_adjacency,
 )
-from conftest import random_symmetric, toy_bundle
+from conftest import STANDARD_WEIGHTS, parametric_50_node, random_symmetric, toy_bundle
 
 RHO, ALPHA, BETA, GAMMA = 1.0, 0.2, 0.1, 0.05
 
@@ -267,3 +267,29 @@ class TestBuildGraph:
             for name in ("A_u", "A_l", "A", "D", "A_tilde"):
                 np.testing.assert_array_equal(getattr(stack, name)[i], getattr(one, name))
             assert stack.C[i] == one.C
+
+
+class TestVertexView:
+    """``A_tilde`` is E A_tilde_g E^t, read-only, with E the vertices-by-groups indicator."""
+
+    @staticmethod
+    def assert_expands_the_groups(bundle, vertices):
+        a = bundle.A_tilde
+        assert not a.flags.writeable
+        assert a.shape == bundle.A_tilde_g.shape[:-2] + (vertices, vertices)
+        e = np.eye(bundle.groups.counts.shape[0])[bundle.groups.index]
+        expected = e @ bundle.A_tilde_g @ e.T
+        assert a.dtype == expected.dtype and a.tobytes() == expected.tobytes()
+
+    def test_grouped_bundle(self):
+        population, _ = parametric_50_node()
+        model = ParametricAugmentation(1.0, 0.05, 0.02, 0.01)
+        bundle = build_graph(model, population, STANDARD_WEIGHTS)
+        assert bundle.groups.counts.shape[0] < len(population)
+        self.assert_expands_the_groups(bundle, len(population))
+
+    def test_stack_of_toy_bundles(self, toy_a):
+        population, _ = toy_a
+        alphas, betas = np.array([0.05, 0.2, 0.1]), np.array([0.1, 0.1, 0.02])
+        stack = build_graph(ParametricAugmentation(RHO, alphas, betas, GAMMA), population, STANDARD_WEIGHTS)
+        self.assert_expands_the_groups(stack, len(population))
