@@ -13,6 +13,8 @@ rank), the same cells resampled as a wild mixture at two seeds, under an
 explicit matrix, and blown up twentyfold, and a three-class layout with
 unequal counts; and ``factorize`` and ``loss-check`` on the README config,
 its twentyfold blow-up, the three-class layout and the explicit matrix.
+Every tolerance flag is also set away from its default once: toy-verify's
+``--tolerance-scale`` and factorize's ``--loss-gap-tol`` and ``--spread-tol``.
 Each command runs from inside OUT_DIR with relative paths, so two
 checkouts give comparable trees; ``OUT_DIR/commands.txt`` records every
 command line, its exit code and what it printed.  Run the script from two
@@ -79,13 +81,22 @@ def commands() -> list[list[str]]:
                       "--beta-min", beta[0], "--beta-max", beta[1]]
             out.append(["sweep", "--variant", variant, *bounds, "--resolution", resolution,
                         "--out", f"sweep-{variant}{name}.csv"])
+    # toy-verify's tolerance scale at one passing and one failing point
+    for variant, ap, bp in (("a", "0.03", "0.01"), ("b", "0.08", "0.12")):
+        out.append(["toy-verify", "--variant", variant, "--alpha-prime", ap, "--beta-prime", bp,
+                    "--tolerance-scale", "2", "--out", f"toy-verify-{variant}-{ap}-{bp}-scale2.json"])
     for variant in ("a", "b"):
         for seed in (7, 8, 9):
             out.append(["factorize", "--variant", variant, "--k", "3", "--seed", str(seed),
                         "--out", f"factorize-{variant}-seed{seed}"])
-        for k in (2, 3):
+        for k in (1, 2, 3):
             out.append(["loss-check", "--variant", variant, "--k", str(k),
                         "--out", f"loss-check-{variant}-k{k}.json"])
+    # factorize's two gates away from their defaults: both fail, then both pass
+    for loss_gap, spread in (("1e-20", "1e-20"), ("1", "1")):
+        out.append(["factorize", "--variant", "a", "--k", "3", "--seed", "7",
+                    "--loss-gap-tol", loss_gap, "--spread-tol", spread,
+                    "--out", f"factorize-a-seed7-tol{loss_gap}"])
     for neighbors in (1, 3, 5):
         out.append(["detect", "--config", "readme.json", "--k-neighbors", str(neighbors),
                     "--out", f"detect-readme-k{neighbors}.json"])

@@ -86,9 +86,6 @@ from .theory import (
     SeparabilityGap,
     VerificationReport,
     closed_form,
-    closed_form_case_a,
-    closed_form_case_b,
-    closed_form_unsupervised,
     run_toy_pipeline,
     separability_gap,
     verify_against_pipeline,

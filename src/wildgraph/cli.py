@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -284,8 +285,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out_dir / "trace.csv", state, header=_config_line(args))
 
-    loss_ok = gaps.loss_gap <= args.loss_gap_tol * args.tolerance_scale
-    spread_ok = equivalence.relative_spread <= args.spread_tol * args.tolerance_scale
+    loss_ok = gaps.loss_gap <= args.loss_gap_tol
+    spread_ok = equivalence.relative_spread <= args.spread_tol
     passed = loss_ok and spread_ok
     _write_json(
         str(out_dir / "gaps.json"),
@@ -323,8 +324,7 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
         f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights, bundle.groups.counts
     )
     constant_err = equivalence.max_constant_error / (1.0 + abs(equivalence.constant))
-    tol = args.spread_tol * args.tolerance_scale
-    passed = equivalence.relative_spread <= tol and constant_err <= tol
+    passed = equivalence.relative_spread <= args.spread_tol and constant_err <= args.spread_tol
     payload = breakdown.to_json_dict()
     payload.update(
         {
@@ -356,8 +356,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     population = _population(spec, model, args.seed)
     bundle = build_graph(model, population, GraphWeights(args.eta_u, args.eta_l))
     k = args.k if args.k else len(population.classes) + 1
-    if k < 1:
-        raise ConfigError(f"--k {k} must be at least 1")
     groups = bundle.groups
     n = groups.counts
     embedding = embed(bundle, min(k, len(n)))
@@ -392,6 +390,19 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _at_least(low, convert=int):
+    """An argparse type: ``convert(text)``, refused unless it is finite and at least ``low``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"{text} is not a finite value >= {low}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names the type
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process; each ``parse_args`` call still returns a fresh namespace."""
@@ -401,13 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, func, help_text, tolerance_scale=True) -> argparse.ArgumentParser:
+    def add_command(name, func, help_text) -> argparse.ArgumentParser:
         # No prefix matching: --alpha is a usage error, not --alpha-prime,
         # which is a ratio to rho rather than a probability.
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--out", type=str, default=None, help="output path")
-        if tolerance_scale:
-            p.add_argument("--tolerance-scale", type=float, default=1.0)
         p.set_defaults(func=func)
         return p
 
@@ -433,16 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
         """factorize and loss-check: the toy case or a config, the rank, the identity check."""
         add_toy_params(p, variants=("a", "b"), defaults=dict.fromkeys(TOY_DEFAULTS))
         add_graph_params(p)
-        p.add_argument("--k", type=int, default=3)
-        p.add_argument("--trials", type=int, default=10)
-        p.add_argument("--spread-tol", type=float, default=1e-9)
+        p.add_argument("--k", type=_at_least(1), default=3)
+        p.add_argument("--trials", type=_at_least(2), default=10)
+        p.add_argument("--spread-tol", type=_at_least(0.0, float), default=1e-9)
 
     p_verify = add_command("toy-verify", cmd_toy_verify, "closed forms vs the numeric chain")
     add_toy_params(p_verify)
+    p_verify.add_argument("--tolerance-scale", type=_at_least(0.0, float), default=1.0)
 
-    p_sweep = add_command(
-        "sweep", cmd_sweep, "verification grid over the reduced ratios", tolerance_scale=False
-    )
+    p_sweep = add_command("sweep", cmd_sweep, "verification grid over the reduced ratios")
     add_toy_params(p_sweep, point=False)
     p_sweep.add_argument("--alpha-min", type=float, default=0.01)
     p_sweep.add_argument("--alpha-max", type=float, default=0.2)
@@ -452,20 +460,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fact = add_command("factorize", cmd_factorize, "conjugate-gradient factorization with gap checks")
     add_gap_params(p_fact)
-    p_fact.add_argument("--max-iters", type=int, default=10000)
-    p_fact.add_argument("--tol", type=float, default=1e-14)
-    p_fact.add_argument("--loss-gap-tol", type=float, default=1e-4)
+    p_fact.add_argument("--max-iters", type=_at_least(1), default=10000)
+    p_fact.add_argument("--tol", type=_at_least(0.0, float), default=1e-14)
+    p_fact.add_argument("--loss-gap-tol", type=_at_least(0.0, float), default=1e-4)
 
     p_loss = add_command("loss-check", cmd_loss_check, "constant-offset identity check")
     add_gap_params(p_loss)
 
-    p_detect = add_command(
-        "detect", cmd_detect, "full pipeline with KNN detection metrics", tolerance_scale=False
-    )
+    p_detect = add_command("detect", cmd_detect, "full pipeline with KNN detection metrics")
     # --seed only seeds a mixture's sampling here, so it is refused on an
     # enumerated config rather than recorded and ignored.
     add_graph_params(p_detect, config_required=True, seed_default=None)
-    p_detect.add_argument("--k", type=int, default=0, help="embedding rank; 0 = classes + 1")
+    p_detect.add_argument("--k", type=_at_least(0), default=0,
+                          help="embedding rank; 0 = classes + 1")
     p_detect.add_argument("--k-neighbors", type=int, default=5)
     p_detect.add_argument("--percentile", type=float, default=0.95)
 

@@ -177,13 +177,12 @@ def probing_error(
     Z_cov: np.ndarray,
     labels: Sequence[int],
     probe: LinearProbe,
-    tie_tolerance: float = TIE_TOLERANCE,
     counts: Optional[Sequence[int]] = None,
 ) -> ProbingResult:
     """Strict-margin misclassification on covariate-shifted embeddings.
 
     An example is correct only when the score of its true class exceeds
-    every other class score by more than ``tie_tolerance`` times the
+    every other class score by more than ``TIE_TOLERANCE`` times the
     example's score scale.  Degenerate decisions (collapsed embeddings)
     therefore count as errors for every example.  A row stands for
     ``counts`` examples (one each by default).  ``predictions`` carry the
@@ -202,7 +201,7 @@ def probing_error(
     others = np.max(np.where(own_mask, -np.inf, scores), axis=-1)
     scale = np.max(np.abs(scores), axis=-1)
     scale = np.where(scale == 0.0, 1.0, scale)
-    strict_win = (class_arr.size == 1) | (own > others + tie_tolerance * scale)
+    strict_win = (class_arr.size == 1) | (own > others + TIE_TOLERANCE * scale)
     n = _counts(counts, labels.shape[0])
     errors = np.sum(~(match.any(axis=-1) & strict_win) * n, axis=-1)
     return ProbingResult(

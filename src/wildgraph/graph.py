@@ -14,8 +14,7 @@ membership have identical rows in every adjacency, so the graph is built
 over groups of them (:meth:`Population.groups`).  With group sizes n and
 T expanded over one example per group, A_u = T^t diag(n) T / N, each
 labeled class is one group whose row is its mean, C = n^t raw n and
-D = raw n / C; no array grows with the number of examples, and the
-vertex-level arrays are expansions of the group ones.  An explicit
+D = raw n / C; no array grows with the number of examples.  An explicit
 matrix's rows are arbitrary, so each of its vertices is a group of one and
 the same code runs with n = 1.
 """
@@ -83,10 +82,8 @@ class GraphBundle:
     out.  ``D_g`` holds the degrees and ``A_tilde_g`` the degree-normalized
     adjacency, which is invariant to both ``C`` and any common rescaling of
     the two edge weights.  ``Q`` is the quotient the graph is solved and
-    factorized on.  The vertex-level ``A_u``, ``A_l``, ``A``, ``D`` and
-    ``A_tilde`` expand the group arrays on first use, for callers that
-    compare against them; with groups of one they are the group arrays
-    themselves.  A bundle built from a stack of models carries the same
+    factorized on.  ``A_tilde`` is the one vertex-level view, built on
+    first use.  A bundle built from a stack of models carries the same
     leading axes on every array, ``C`` included.
     """
 
@@ -103,19 +100,13 @@ class GraphBundle:
         for name in ("A_u_g", "A_l_g", "A_g", "D_g", "A_tilde_g"):
             getattr(self, name).setflags(write=False)
 
-    def _expand(self, m: np.ndarray) -> np.ndarray:
+    @cached_property
+    def A_tilde(self) -> np.ndarray:
+        """E A_tilde_g E^t over the vertices, E the vertices-by-groups indicator; read-only."""
         index = self.groups.index
-        if index.shape[0] == m.shape[-1]:
-            return m
-        out = m[..., index] if m.ndim == self.D_g.ndim else m[..., index[:, None], index]
-        out.setflags(write=False)
-        return out
-
-    A_u = cached_property(lambda self: self._expand(self.A_u_g))
-    A_l = cached_property(lambda self: self._expand(self.A_l_g))
-    A = cached_property(lambda self: self._expand(self.A_g))
-    D = cached_property(lambda self: self._expand(self.D_g))
-    A_tilde = cached_property(lambda self: self._expand(self.A_tilde_g))
+        a_tilde = self.A_tilde_g[..., index[:, None], index]
+        a_tilde.setflags(write=False)
+        return a_tilde
 
     @cached_property
     def Q(self) -> np.ndarray:

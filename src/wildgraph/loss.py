@@ -25,7 +25,7 @@ by its size, and the residual is taken on the graph's g x g quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,17 +51,9 @@ class LossBreakdown:
     L4: float
     L5: float
     total: float
-    weights: GraphWeights
 
     def to_json_dict(self) -> dict:
-        return {
-            "L1": self.L1,
-            "L2": self.L2,
-            "L3": self.L3,
-            "L4": self.L4,
-            "L5": self.L5,
-            "total": self.total,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def surrogate_loss_from_parts(
@@ -108,7 +100,7 @@ def surrogate_loss_from_parts(
         + 2.0 * eta_l * eta_u * L4
         + eta_u**2 * L5
     )
-    return LossBreakdown(L1=L1, L2=L2, L3=L3, L4=L4, L5=L5, total=total, weights=weights)
+    return LossBreakdown(L1=L1, L2=L2, L3=L3, L4=L4, L5=L5, total=total)
 
 
 def surrogate_loss(

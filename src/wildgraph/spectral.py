@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 ASYMMETRY_TOLERANCE = 1e-10
+DEGENERACY_TOLERANCE = 1e-8  # reconstruction_gap: lambda_k and lambda_{k+1} this close tie
 
 
 class SpectralError(ValueError):
@@ -357,15 +358,16 @@ class ReconstructionGap:
 
 
 def reconstruction_gap(
-    state: FactorizationState, embedding: SpectralEmbedding, degeneracy_tol: float = 1e-8
+    state: FactorizationState, embedding: SpectralEmbedding
 ) -> ReconstructionGap:
     """Distance of a factorization from the spectral optimum.
 
     ``loss_gap`` compares the final loss against the sum of squared trailing
     eigenvalues.  ``subspace_gap`` is the Frobenius distance between the
     orthogonal projectors onto the column spans of F and V_k; when the k-th
-    and (k+1)-th eigenvalues coincide the optimal subspace is not unique, so
-    the gap is still reported but flagged degenerate.
+    and (k+1)-th eigenvalues coincide (within ``DEGENERACY_TOLERANCE``) the
+    optimal subspace is not unique, so the gap is still reported but
+    flagged degenerate.
     """
     k = embedding.k
     if state.F.shape[1] != k:
@@ -376,7 +378,7 @@ def reconstruction_gap(
     p_v = embedding.V_k @ embedding.V_k.T
     subspace_gap = float(np.linalg.norm(p_f - p_v))
     lam = embedding.eigenvalues
-    degenerate = bool(k < lam.shape[0] and abs(lam[k - 1] - lam[k]) <= degeneracy_tol)
+    degenerate = bool(k < lam.shape[0] and abs(lam[k - 1] - lam[k]) <= DEGENERACY_TOLERANCE)
     return ReconstructionGap(loss_gap=float(loss_gap), subspace_gap=subspace_gap, degenerate=degenerate)
 
 

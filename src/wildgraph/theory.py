@@ -3,7 +3,8 @@
 Everything here is written in the reduced ratios a' = alpha/rho and
 b' = beta/rho, with the cross probability treated as exactly zero and
 second-order terms dropped.  The supervised layouts fix the edge weights at
-eta_u = 5, eta_l = 1.  Three oracles are provided:
+eta_u = 5, eta_l = 1.  :func:`closed_form` takes the layout as a
+:class:`TheoryVariant` and covers three of them:
 
 * case a: the novel-class example sits in its own domain.  Eigenvalues
   {1, 1, 1 - 4b', 1 - 4.5a', 1 - 4b' - 4.5a'}; probing error count 0 when
@@ -19,7 +20,8 @@ eta_u = 5, eta_l = 1.  Three oracles are provided:
 The two eigenvalues at 1 span a degenerate subspace, so all comparisons
 against the numeric pipeline go through projectors: the top pair jointly,
 the third vector on its own.  :func:`verify_against_pipeline` runs the full
-numeric chain at finite parameters and reports per-quantity deviations.
+numeric chain at finite parameters and reports per-quantity deviations
+against fixed gates, which only its ``tolerance_scale`` widens.
 
 The ratios in :class:`ReducedParams` may be arrays.  The closed forms,
 :func:`run_toy_pipeline` and :func:`verify_against_pipeline` then return
@@ -52,9 +54,6 @@ __all__ = [
     "DegenerateRegimeError",
     "BOUNDARY_BAND",
     "THEORY_WEIGHTS",
-    "closed_form_case_a",
-    "closed_form_case_b",
-    "closed_form_unsupervised",
     "closed_form",
     "separability_gap",
     "boundary_margin",
@@ -66,6 +65,10 @@ __all__ = [
 BOUNDARY_BAND = 0.005
 DEGENERACY_EPS = 1e-9
 EIGENVALUE_TIE = 1e-9  # lambda_k and lambda_{k+1} closer than this cut a tied eigenspace
+# verify_against_pipeline's gates: separability relative to the closed
+# form, and the Frobenius distance between closed and numeric projectors
+SEPARABILITY_TOLERANCE = 0.05
+PROJECTOR_TOLERANCE = 0.25
 THEORY_WEIGHTS = {"supervised": GraphWeights(5.0, 1.0), "unsupervised": GraphWeights(5.0, 0.0)}
 
 
@@ -291,18 +294,6 @@ def closed_form(variant: TheoryVariant | str, params: ReducedParams) -> ClosedFo
     return _CLOSED_FORMS[variant](params)
 
 
-def closed_form_case_a(params: ReducedParams) -> ClosedFormPrediction:
-    return closed_form(TheoryVariant.CASE_A, params)
-
-
-def closed_form_case_b(params: ReducedParams) -> ClosedFormPrediction:
-    return closed_form(TheoryVariant.CASE_B, params)
-
-
-def closed_form_unsupervised(params: ReducedParams) -> ClosedFormPrediction:
-    return closed_form(TheoryVariant.UNSUPERVISED, params)
-
-
 @dataclass(frozen=True)
 class SeparabilityGap:
     s_case_a: float | np.ndarray
@@ -321,7 +312,9 @@ def separability_gap(params: ReducedParams) -> SeparabilityGap:
     ratios are positive.
     """
     return _gap(
-        closed_form_case_a(params), closed_form_case_b(params), closed_form_unsupervised(params)
+        closed_form(TheoryVariant.CASE_A, params),
+        closed_form(TheoryVariant.CASE_B, params),
+        closed_form(TheoryVariant.UNSUPERVISED, params),
     )
 
 
@@ -393,10 +386,7 @@ class QuantityComparison:
 @dataclass(frozen=True)
 class VerificationReport:
     variant: TheoryVariant
-    params: ReducedParams
     comparisons: tuple[QuantityComparison, ...]
-    eig_dev_max: float | np.ndarray
-    projector_dev: float | np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -445,61 +435,44 @@ def _require_connected(params: ReducedParams) -> None:
         raise ValueError("pipeline comparison needs gamma_ratio > 0 to keep the graph connected")
 
 
-def _deviations(
-    closed: ClosedFormPrediction, embedding: SpectralEmbedding
-) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Largest deviation among the three kept eigenvalues, and the projector deviation."""
-    lam = embedding.eigenvalues
-    eig_dev = np.max(np.abs(closed.eigenvalues[..., :3] - lam[..., :3]), axis=-1)
-    return _unstacked(eig_dev), _projector_deviation(closed, embedding)
-
-
 def verify_against_pipeline(
     variant: TheoryVariant | str,
     params: ReducedParams,
     rho: float = 1.0,
     tolerance_scale: float = 1.0,
-    eig_tolerance: Optional[float] = None,
-    sep_rel_tolerance: float = 0.05,
-    projector_tolerance: float = 0.25,
 ) -> VerificationReport:
     """Compare closed-form predictions against the exact numeric chain.
 
     Eigenvalue gates cover the leading three values (the ones the embedding
     keeps); the trailing two are reported without a gate because the
-    first-order formulas degrade quadratically in the ratios.  The default
+    first-order formulas degrade quadratically in the ratios.  The
     eigenvalue gate follows the measured second-order envelope,
-    20 ((a' + b')^2 + g), floored at 0.01 for small ratios.  The probing
-    error count must match exactly.
+    20 ((a' + b')^2 + g), floored at 0.01 for small ratios.  Separability
+    is gated at ``SEPARABILITY_TOLERANCE`` of the closed form and the
+    projectors at ``PROJECTOR_TOLERANCE``; these three gates are multiplied
+    by ``tolerance_scale``.  The probing error count must match exactly.
     """
     variant = TheoryVariant(variant)
     _require_connected(params)
-    if eig_tolerance is None:
-        envelope = _square(params.alpha_prime + params.beta_prime) + params.gamma_ratio
-        eig_tolerance = np.maximum(0.01, 20.0 * envelope)
+    envelope = _square(params.alpha_prime + params.beta_prime) + params.gamma_ratio
+    eig_gate = np.maximum(0.01, 20.0 * envelope)
     closed = closed_form(variant, params)
     numeric = run_toy_pipeline(variant, params, rho=rho)
-    eig_dev_max, projector_dev = _deviations(closed, numeric.embedding)
+    projector_dev = _projector_deviation(closed, numeric.embedding)
     lam, sep_c = numeric.embedding.eigenvalues, closed.separability
     comparisons = [
         _compare(f"eigenvalue_{i + 1}", closed.eigenvalues[..., i], lam[..., i],
-                 eig_tolerance * tolerance_scale if i < 3 else None)
+                 eig_gate * tolerance_scale if i < 3 else None)
         for i in range(5)
     ] + [
         _compare("probing_error_count", closed.probing_error_count, numeric.probing.count,
                  0.0, relative=False),
         _compare("separability", sep_c, numeric.separability,
-                 sep_rel_tolerance * tolerance_scale * np.maximum(np.abs(sep_c), 1e-300)),
+                 SEPARABILITY_TOLERANCE * tolerance_scale * np.maximum(np.abs(sep_c), 1e-300)),
         _compare("projector_deviation", 0.0, projector_dev,
-                 projector_tolerance * tolerance_scale, relative=False),
+                 PROJECTOR_TOLERANCE * tolerance_scale, relative=False),
     ]
-    return VerificationReport(
-        variant=variant,
-        params=params,
-        comparisons=tuple(comparisons),
-        eig_dev_max=eig_dev_max,
-        projector_dev=projector_dev,
-    )
+    return VerificationReport(variant=variant, comparisons=tuple(comparisons))
 
 
 @dataclass(frozen=True)
@@ -537,13 +510,15 @@ def verify_grid(
     forms = {v: form(params) for v, form in _CLOSED_FORMS.items()}
     defined = {v: np.abs(boundary_margin(v, params)) > DEGENERACY_EPS for v in forms}
     closed = forms[variant]
-    eig_dev_max, projector_dev = _deviations(closed, numeric.embedding)
+    lam, k = numeric.embedding.eigenvalues, numeric.embedding.k
+    # the largest deviation among the three kept eigenvalues
+    eig_dev_max = np.max(np.abs(closed.eigenvalues[..., :3] - lam[..., :3]), axis=-1)
+    projector_dev = _projector_deviation(closed, numeric.embedding)
     gaps = _gap(
         forms[TheoryVariant.CASE_A], forms[TheoryVariant.CASE_B], forms[TheoryVariant.UNSUPERVISED]
     )
     own = defined[variant]
     both = defined[TheoryVariant.CASE_A] & defined[TheoryVariant.UNSUPERVISED]
-    lam, k = numeric.embedding.eigenvalues, numeric.embedding.k
     untied = np.abs(lam[..., k - 1] - lam[..., k]) > EIGENVALUE_TIE
     return GridVerification(
         numeric_count=np.where(untied, numeric.probing.count, -1),

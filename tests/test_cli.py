@@ -591,6 +591,8 @@ class TestFlags:
             ["loss-check", "--beta", "0.01"],
             ["loss-check", "--gamma", "1e-6"],
             ["factorize", "--step", "0.5"],
+            ["factorize", "--tolerance-scale", "1e9"],
+            ["loss-check", "--tolerance-scale", "1e9"],
         ],
     )
     def test_dropped_flag_is_usage_error(self, tmp_path, monkeypatch, argv):
@@ -599,6 +601,39 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main([arg.format(config=config) for arg in argv])
         assert exc.value.code == 2
+
+    # Ranks, step counts and trial counts below their least meaningful value,
+    # and tolerances that are negative or not finite: refused by the parser,
+    # before any work, where each used to run (or fail after the work).
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("factorize", "--k", "0"),
+            ("loss-check", "--k", "0"),
+            ("loss-check", "--k", "-2"),
+            ("detect", "--k", "-1"),
+            ("factorize", "--max-iters", "0"),
+            ("factorize", "--max-iters", "-5"),
+            ("factorize", "--trials", "1"),
+            ("loss-check", "--trials", "1"),
+            ("factorize", "--tol", "nan"),
+            ("factorize", "--tol", "-1"),
+            ("factorize", "--spread-tol", "inf"),
+            ("loss-check", "--spread-tol", "-1"),
+            ("factorize", "--loss-gap-tol", "nan"),
+            ("toy-verify", "--tolerance-scale", "-1"),
+            ("toy-verify", "--tolerance-scale", "nan"),
+        ],
+    )
+    def test_ill_posed_number_is_usage_error(self, tmp_path, command, flag, value):
+        out = tmp_path / "out"
+        argv = [command, flag, value, "--out", str(out)]
+        if command == "detect":
+            argv += ["--config", write_config(tmp_path, README_CONFIG)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["factorize", "loss-check"])
     @pytest.mark.parametrize(

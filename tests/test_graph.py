@@ -91,7 +91,7 @@ class TestSelfSupervisedAdjacency:
         a_l = supervised_adjacency(model, population)
         assert a_u.shape == a_l.shape == (7, 7)
         bundle = combine_and_normalize(a_u, a_l, GraphWeights(5.0, 1.0))
-        assert abs(bundle.A.sum() - 1.0) <= 1e-12
+        assert abs(bundle.A_g.sum() - 1.0) <= 1e-12
 
 
 class TestSupervisedAdjacency:
@@ -146,23 +146,23 @@ class TestCombineAndNormalize:
         bundle, _ = toy_bundle(TheoryVariant.CASE_A, 1.0, ap, bp, 1e-9)
         c_hat = 7 + 12 * bp + 12 * ap
         first_row = np.array([2.0, 4 * bp, 3 * ap, 0.0, 0.0])
-        np.testing.assert_allclose(c_hat * bundle.A[0], first_row, atol=5e-6)
+        np.testing.assert_allclose(c_hat * bundle.A_g[0], first_row, atol=5e-6)
 
     def test_entry_sum_is_one(self, case_a_bundle):
         bundle, _ = case_a_bundle
-        assert abs(bundle.A.sum() - 1.0) <= 1e-12
+        assert abs(bundle.A_g.sum() - 1.0) <= 1e-12
 
     def test_zero_supervised_part_leaves_direction(self, toy_a):
         population, model = toy_a
         a_u = self_supervised_adjacency(model, population)
         bundle = combine_and_normalize(a_u, np.zeros_like(a_u), GraphWeights(2.0, 3.0))
-        np.testing.assert_allclose(bundle.A, a_u / a_u.sum(), atol=1e-15)
+        np.testing.assert_allclose(bundle.A_g, a_u / a_u.sum(), atol=1e-15)
 
     def test_random_symmetric_normalization_oracle(self):
         m = np.abs(random_symmetric(9, seed=5)) + 0.01
         bundle = combine_and_normalize(m, np.zeros_like(m), GraphWeights(1.0, 0.0))
-        np.testing.assert_allclose(bundle.A.sum(), 1.0, atol=1e-12)
-        np.testing.assert_allclose(bundle.D, bundle.A.sum(axis=1), atol=1e-15)
+        np.testing.assert_allclose(bundle.A_g.sum(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(bundle.D_g, bundle.A_g.sum(axis=1), atol=1e-15)
         lam = np.linalg.eigvalsh(bundle.A_tilde)
         assert lam.min() >= -1.0 - 1e-10
         assert lam.max() <= 1.0 + 1e-10
@@ -173,8 +173,8 @@ class TestCombineAndNormalize:
         a_l = supervised_adjacency(model, population)
         base = combine_and_normalize(a_u, a_l, GraphWeights(5.0, 1.0))
         scaled = combine_and_normalize(a_u, a_l, GraphWeights(35.0, 7.0))
-        np.testing.assert_allclose(scaled.A, base.A, atol=1e-14)
-        np.testing.assert_allclose(scaled.D, base.D, atol=1e-14)
+        np.testing.assert_allclose(scaled.A_g, base.A_g, atol=1e-14)
+        np.testing.assert_allclose(scaled.D_g, base.D_g, atol=1e-14)
         np.testing.assert_allclose(scaled.A_tilde, base.A_tilde, atol=1e-14)
 
     def test_normalized_adjacency_ignores_global_scale(self, toy_a):
@@ -190,12 +190,12 @@ class TestCombineAndNormalize:
         bundle, _ = case_a_bundle
         lam = np.linalg.eigvalsh(bundle.A_tilde)
         assert abs(lam.max() - 1.0) <= 1e-8
-        sqrt_d = np.sqrt(bundle.D)
+        sqrt_d = np.sqrt(bundle.D_g)
         np.testing.assert_allclose(bundle.A_tilde @ sqrt_d, sqrt_d, atol=1e-12)
 
     def test_positive_degrees_with_positive_gamma(self):
         bundle, _ = toy_bundle(TheoryVariant.CASE_A, 1.0, 0.02, 0.02, 1e-8)
-        assert np.all(bundle.D > 0)
+        assert np.all(bundle.D_g > 0)
 
     def test_isolated_vertex_named(self):
         t = np.eye(5)
@@ -264,7 +264,7 @@ class TestBuildGraph:
         assert stack.A_tilde.shape == (3, 5, 5) and stack.C.shape == (3,)
         for i, (a, b) in enumerate(zip(alphas, betas)):
             one = build_graph(ParametricAugmentation(RHO, a, b, GAMMA), population, weights)
-            for name in ("A_u", "A_l", "A", "D", "A_tilde"):
+            for name in ("A_u_g", "A_l_g", "A_g", "D_g", "A_tilde_g", "A_tilde"):
                 np.testing.assert_array_equal(getattr(stack, name)[i], getattr(one, name))
             assert stack.C[i] == one.C
 

@@ -65,7 +65,7 @@ class TestSurrogateLoss:
         population, model, bundle = toy_setup
         emb = embed(bundle, 3)
         f_rows = emb.Z
-        scaled = np.sqrt(bundle.D)[:, None] * f_rows
+        scaled = np.sqrt(bundle.D_g)[:, None] * f_rows
         breakdown = surrogate_loss(f_rows, model, population, bundle.weights)
         lhs = breakdown.total
         rhs = matrix_loss(scaled, bundle.A_tilde) - float(np.sum(bundle.A_tilde**2))
@@ -76,8 +76,8 @@ class TestSurrogateLoss:
         rng = np.random.default_rng(7)
         f = rng.standard_normal((5, 2))
         breakdown = surrogate_loss(f, model, population, bundle.weights)
-        w_pair = bundle.A
-        w_deg = bundle.D
+        w_pair = bundle.A_g
+        w_deg = bundle.D_g
         total = 0.0
         for x in range(5):
             for y in range(5):
@@ -147,10 +147,10 @@ class TestEquivalenceGap:
         bundle, _ = case_a_bundle
         rng = np.random.default_rng(5)
         F = rng.standard_normal((5, 3))
-        f_rows = F / np.sqrt(bundle.D)[:, None]
+        f_rows = F / np.sqrt(bundle.D_g)[:, None]
         gaps = []
         for _ in range(2):
-            total = surrogate_loss_from_parts(f_rows, bundle.A_u, bundle.A_l, bundle.weights).total
+            total = surrogate_loss_from_parts(f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights).total
             gaps.append(matrix_loss(F, bundle.A_tilde) - total)
         assert gaps[0] == gaps[1]
 
@@ -162,8 +162,8 @@ class TestEquivalenceGap:
         rng = np.random.default_rng(9)
         for gap in report.gaps:
             F = rng.standard_normal((5, 3)) / np.sqrt(15)
-            f_rows = F / np.sqrt(bundle.D)[:, None]
-            total = surrogate_loss_from_parts(f_rows, bundle.A_u, bundle.A_l, bundle.weights).total
+            f_rows = F / np.sqrt(bundle.D_g)[:, None]
+            total = surrogate_loss_from_parts(f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights).total
             assert gap == matrix_loss(F, bundle.A_tilde) - total
 
     def test_grouped_gaps_match_per_trial_evaluation_bit_for_bit(self, grouped_bundle):

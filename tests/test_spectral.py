@@ -220,13 +220,13 @@ class TestClosedFormEmbedding:
         emb = eigendecompose(bundle.A_tilde, 3)
         z = closed_form_embedding(bundle, emb)
         for x in range(5):
-            expected = emb.V_k[x] * np.sqrt(emb.Sigma_k) / np.sqrt(bundle.D[x])
+            expected = emb.V_k[x] * np.sqrt(emb.Sigma_k) / np.sqrt(bundle.D_g[x])
             np.testing.assert_allclose(z[x], expected, atol=1e-15)
 
     def test_full_rank_reconstruction(self, case_a_bundle):
         bundle, _ = case_a_bundle
         emb = embed(bundle, 5)
-        scaled = np.sqrt(bundle.D)[:, None] * emb.Z
+        scaled = np.sqrt(bundle.D_g)[:, None] * emb.Z
         np.testing.assert_allclose(scaled @ scaled.T, bundle.A_tilde, atol=1e-10)
 
     def test_matches_independent_eigenpairs_up_to_sign(self, case_b_bundle):
@@ -235,7 +235,7 @@ class TestClosedFormEmbedding:
         lam, vecs = np.linalg.eigh(bundle.A_tilde)
         order = np.argsort(-lam)
         ref = vecs[:, order[:2]] * np.sqrt(np.clip(lam[order[:2]], 0, None))
-        ref /= np.sqrt(bundle.D)[:, None]
+        ref /= np.sqrt(bundle.D_g)[:, None]
         for j in range(2):
             direct = np.max(np.abs(emb.Z[:, j] - ref[:, j]))
             flipped = np.max(np.abs(emb.Z[:, j] + ref[:, j]))

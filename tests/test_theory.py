@@ -14,9 +14,6 @@ from wildgraph import (
     build_graph,
     build_toy_population,
     closed_form,
-    closed_form_case_a,
-    closed_form_case_b,
-    closed_form_unsupervised,
     embed,
     evaluate,
     run_toy_pipeline,
@@ -132,18 +129,18 @@ class TestReducedParams:
 
 class TestCaseA:
     def test_error_count_branches(self):
-        assert closed_form_case_a(ReducedParams(0.04, 0.02)).probing_error_count == 0
-        assert closed_form_case_a(ReducedParams(0.01, 0.04)).probing_error_count == 2
+        assert closed_form(TheoryVariant.CASE_A, ReducedParams(0.04, 0.02)).probing_error_count == 0
+        assert closed_form(TheoryVariant.CASE_A, ReducedParams(0.01, 0.04)).probing_error_count == 2
 
     def test_separability_formula_value(self):
         ap, bp = 0.04, 0.02
-        pred = closed_form_case_a(ReducedParams(ap, bp))
+        pred = closed_form(TheoryVariant.CASE_A, ReducedParams(ap, bp))
         expected = (7 + 0.24 + 0.48) * ((1 - 0.04) / 3 * (1 - 0.02 - 0.03) ** 2 + 1)
         assert pred.separability == pytest.approx(expected, rel=1e-12)
 
     def test_eigensystem_exact_on_first_order_matrix(self):
         for ap, bp in [(0.04, 0.02), (0.01, 0.08), (0.1, 0.1)]:
-            pred = closed_form_case_a(ReducedParams(ap, bp))
+            pred = closed_form(TheoryVariant.CASE_A, ReducedParams(ap, bp))
             m = first_order_matrix("a", ap, bp)
             ref = np.sort(np.linalg.eigvalsh(m))[::-1]
             np.testing.assert_allclose(pred.eigenvalues, ref, atol=1e-12)
@@ -152,10 +149,10 @@ class TestCaseA:
 
     def test_boundary_raises(self):
         with pytest.raises(DegenerateRegimeError):
-            closed_form_case_a(ReducedParams(0.04, 0.045))
+            closed_form(TheoryVariant.CASE_A, ReducedParams(0.04, 0.045))
 
     def test_projectors_idempotent_and_symmetric(self):
-        pred = closed_form_case_a(ReducedParams(0.03, 0.01))
+        pred = closed_form(TheoryVariant.CASE_A, ReducedParams(0.03, 0.01))
         for proj in (pred.top_pair_projector, pred.third_projector):
             np.testing.assert_allclose(proj, proj.T, atol=1e-12)
             np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
@@ -163,16 +160,16 @@ class TestCaseA:
     def test_eigenbasis_orthonormal_for_all_layouts(self):
         params = ReducedParams(0.04, 0.03)
         for pred in (
-            closed_form_case_a(params),
-            closed_form_case_b(params),
-            closed_form_unsupervised(params),
+            closed_form(TheoryVariant.CASE_A, params),
+            closed_form(TheoryVariant.CASE_B, params),
+            closed_form(TheoryVariant.UNSUPERVISED, params),
         ):
             gram = pred.eigenbasis.T @ pred.eigenbasis
             np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
 
     def test_separability_cross_checked_against_pipeline(self):
         ap, bp = 0.04, 0.02
-        pred = closed_form_case_a(ReducedParams(ap, bp))
+        pred = closed_form(TheoryVariant.CASE_A, ReducedParams(ap, bp))
         numeric = run_toy_pipeline(TheoryVariant.CASE_A, ReducedParams(ap, bp, 1e-6))
         assert numeric.separability == pytest.approx(pred.separability, rel=0.05)
 
@@ -180,7 +177,7 @@ class TestCaseA:
         # ID rows of the closed-form embedding are proportional to
         # [1, 0, -sqrt(1 - 4b')] and [1, 0, +sqrt(1 - 4b')]
         ap, bp = 0.04, 0.02
-        pred = closed_form_case_a(ReducedParams(ap, bp))
+        pred = closed_form(TheoryVariant.CASE_A, ReducedParams(ap, bp))
         z_id = pred.eigenbasis[:2] * np.sqrt(np.clip(pred.eigenvalues[:3], 0, None))
         spread = math.sqrt(1 - 4 * bp)
         for row, sign in ((0, -1.0), (1, 1.0)):
@@ -193,10 +190,11 @@ class TestCaseB:
     def test_error_count_always_zero(self):
         for ap in GRID:
             for bp in GRID:
-                assert closed_form_case_b(ReducedParams(ap, bp)).probing_error_count == 0
+                pred = closed_form(TheoryVariant.CASE_B, ReducedParams(ap, bp))
+                assert pred.probing_error_count == 0
 
     def test_leading_eigenvector(self):
-        pred = closed_form_case_b(ReducedParams(0.03, 0.02))
+        pred = closed_form(TheoryVariant.CASE_B, ReducedParams(0.03, 0.02))
         s2, s7 = math.sqrt(2), math.sqrt(7)
         np.testing.assert_allclose(
             pred.eigenbasis[:, 0], np.array([s2, s2, 1, 1, 1]) / s7, atol=1e-12
@@ -207,7 +205,7 @@ class TestCaseB:
         # those eigenvalues reproduce the first-order matrix's spectrum and
         # eigenvectors to machine precision.
         for ap, bp in [(0.02, 0.02), (0.05, 0.03), (0.1, 0.1), (0.01, 0.1)]:
-            pred = closed_form_case_b(ReducedParams(ap, bp))
+            pred = closed_form(TheoryVariant.CASE_B, ReducedParams(ap, bp))
             m = first_order_matrix("b", ap, bp)
             ref = np.sort(np.linalg.eigvalsh(m))[::-1]
             np.testing.assert_allclose(pred.eigenvalues, ref, atol=1e-12)
@@ -221,7 +219,7 @@ class TestCaseB:
 
     def test_eigenvalues_track_exact_pipeline(self):
         for ap, bp in [(0.02, 0.02), (0.05, 0.05), (0.1, 0.1)]:
-            pred = closed_form_case_b(ReducedParams(ap, bp))
+            pred = closed_form(TheoryVariant.CASE_B, ReducedParams(ap, bp))
             numeric = run_toy_pipeline(TheoryVariant.CASE_B, ReducedParams(ap, bp, 1e-6))
             envelope = 20 * ((ap + bp) ** 2 + 1e-6)
             np.testing.assert_allclose(
@@ -230,7 +228,7 @@ class TestCaseB:
 
     def test_separability_tracks_exact_pipeline(self):
         ap, bp = 0.03, 0.02
-        pred = closed_form_case_b(ReducedParams(ap, bp))
+        pred = closed_form(TheoryVariant.CASE_B, ReducedParams(ap, bp))
         numeric = run_toy_pipeline(TheoryVariant.CASE_B, ReducedParams(ap, bp, 1e-6))
         assert numeric.separability == pytest.approx(pred.separability, rel=0.05)
 
@@ -245,30 +243,31 @@ class TestCaseB:
 
 class TestUnsupervised:
     def test_error_count_branches(self):
-        assert closed_form_unsupervised(ReducedParams(0.03, 0.02)).probing_error_count == 0
-        assert closed_form_unsupervised(ReducedParams(0.02, 0.03)).probing_error_count == 2
+        unsup = TheoryVariant.UNSUPERVISED
+        assert closed_form(unsup, ReducedParams(0.03, 0.02)).probing_error_count == 0
+        assert closed_form(unsup, ReducedParams(0.02, 0.03)).probing_error_count == 2
 
     def test_leading_eigenvector(self):
-        pred = closed_form_unsupervised(ReducedParams(0.03, 0.02))
+        pred = closed_form(TheoryVariant.UNSUPERVISED, ReducedParams(0.03, 0.02))
         np.testing.assert_allclose(
             pred.eigenbasis[:, 0], np.array([1, 1, 1, 1, 0]) / 2.0, atol=1e-12
         )
 
     def test_eigensystem_exact_on_first_order_matrix(self):
         for ap, bp in [(0.03, 0.02), (0.02, 0.08)]:
-            pred = closed_form_unsupervised(ReducedParams(ap, bp))
+            pred = closed_form(TheoryVariant.UNSUPERVISED, ReducedParams(ap, bp))
             m = first_order_matrix("unsup", ap, bp)
             ref = np.sort(np.linalg.eigvalsh(m))[::-1]
             np.testing.assert_allclose(pred.eigenvalues, ref, atol=1e-12)
 
     def test_boundary_raises(self):
         with pytest.raises(DegenerateRegimeError):
-            closed_form_unsupervised(ReducedParams(0.05, 0.05))
+            closed_form(TheoryVariant.UNSUPERVISED, ReducedParams(0.05, 0.05))
 
     def test_basis_matches_pipeline_projectors_exactly(self):
         # Without supervised edges the five-example graph has enough symmetry
         # that the eigenvectors are parameter-independent.
-        pred = closed_form_unsupervised(ReducedParams(0.03, 0.02))
+        pred = closed_form(TheoryVariant.UNSUPERVISED, ReducedParams(0.03, 0.02))
         numeric = run_toy_pipeline(TheoryVariant.UNSUPERVISED, ReducedParams(0.03, 0.02, 1e-6))
         v = numeric.embedding.V_k
         pair = np.linalg.norm(v[:, :2] @ v[:, :2].T - pred.top_pair_projector)
@@ -278,7 +277,7 @@ class TestUnsupervised:
     def test_separability_tracks_exact_pipeline(self):
         worst = 0.0
         for ap, bp in [(0.03, 0.02), (0.06, 0.02), (0.02, 0.09), (0.1, 0.04)]:
-            pred = closed_form_unsupervised(ReducedParams(ap, bp))
+            pred = closed_form(TheoryVariant.UNSUPERVISED, ReducedParams(ap, bp))
             numeric = run_toy_pipeline(
                 TheoryVariant.UNSUPERVISED, ReducedParams(ap, bp, 1e-6)
             )
