@@ -5,8 +5,10 @@
 
 The matrix is the README's commands plus the golden corpus's toy points
 (``tests/test_golden.py``), with a few neighbours across all five
-subcommands, sweeps of every variant over three boxes (one of them on
-both regime boundaries), at one point and over more than one block, and
+subcommands, a case-a point where k = 3 cuts a tied eigenspace (as a
+``toy-verify`` run and a one-point sweep), sweeps of every variant over
+three boxes (one of them on both regime boundaries), at one point and over
+more than one block, and
 ``detect`` and ``factorize`` on population configs: the README's
 enumerated config (also at ranks 5 and 6, the second past the graph's
 rank), the same cells resampled as a wild mixture at two seeds, under an
@@ -81,6 +83,14 @@ def commands() -> list[list[str]]:
                       "--beta-min", beta[0], "--beta-max", beta[1]]
             out.append(["sweep", "--variant", variant, *bounds, "--resolution", resolution,
                         "--out", f"sweep-{variant}{name}.csv"])
+    # case a where lambda_3 and lambda_4 tie outside the boundary band: k = 3
+    # cuts the tied pair, which toy-verify and a one-point sweep both mark
+    tie = ("0.2", "0.21539648446668805")
+    out.append(["toy-verify", "--variant", "a", "--alpha-prime", tie[0], "--beta-prime", tie[1],
+                "--out", f"toy-verify-a-{tie[0]}-{tie[1]}-tie.json"])
+    out.append(["sweep", "--variant", "a", "--alpha-min", tie[0], "--alpha-max", tie[0],
+                "--beta-min", tie[1], "--beta-max", tie[1], "--resolution", "1",
+                "--out", "sweep-a-tie.csv"])
     # toy-verify's tolerance scale at one passing and one failing point
     for variant, ap, bp in (("a", "0.03", "0.01"), ("b", "0.08", "0.12")):
         out.append(["toy-verify", "--variant", variant, "--alpha-prime", ap, "--beta-prime", bp,

@@ -81,7 +81,6 @@ from .theory import (
     BOUNDARY_BAND,
     ClosedFormPrediction,
     DegenerateRegimeError,
-    GridVerification,
     ReducedParams,
     SeparabilityGap,
     VerificationReport,
@@ -89,7 +88,6 @@ from .theory import (
     run_toy_pipeline,
     separability_gap,
     verify_against_pipeline,
-    verify_grid,
 )
 
 __version__ = "0.1.0"

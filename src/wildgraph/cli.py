@@ -66,7 +66,6 @@ from .theory import (
     TheoryVariant,
     boundary_margin,
     verify_against_pipeline,
-    verify_grid,
 )
 
 EXIT_OK = 0
@@ -173,6 +172,11 @@ def cmd_toy_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+def _count_column(count: np.ndarray) -> np.ndarray:
+    """A report's counts as ``sweep`` writes them: -1 where the count is NaN."""
+    return np.where(np.isnan(count), -1, count).astype(int)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not (0.0 < args.alpha_min <= args.alpha_max <= 0.25):
         raise ConfigError(f"alpha bounds ({args.alpha_min}, {args.alpha_max}) must lie in (0, 0.25]")
@@ -192,10 +196,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for start in range(0, n * n, SWEEP_BLOCK):
         point = np.arange(start, min(start + SWEEP_BLOCK, n * n))
         params = ReducedParams(alphas[point // n], betas[point % n], args.gamma_ratio)
-        g = verify_grid(variant, params, rho=args.rho)
+        report = verify_against_pipeline(variant, params, rho=args.rho)
+        c = {q.name: q for q in report.comparisons}
+        count, sep = c["probing_error_count"], c["separability"]
+        # the largest deviation among the three kept eigenvalues
+        eig_dev_max = np.max([c[f"eigenvalue_{i}"].abs_dev for i in (1, 2, 3)], axis=0)
         columns = (
-            g.numeric_count, g.closed_count, g.numeric_separability, g.closed_separability,
-            g.gap_ab, g.gap_label, g.eig_dev_max, g.projector_dev,
+            _count_column(count.numeric), _count_column(count.closed), sep.numeric, sep.closed,
+            report.gaps.gap_ab, report.gaps.gap_label, eig_dev_max,
+            c["projector_deviation"].numeric,
         )
         lines.extend(
             row % (alpha_text[i // n], beta_text[i % n], *values)

@@ -21,6 +21,7 @@ the same code runs with n = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -64,6 +65,9 @@ class GraphWeights:
     eta_l: float
 
     def __post_init__(self) -> None:
+        for name in ("eta_u", "eta_l"):
+            if not math.isfinite(getattr(self, name)):
+                raise GraphError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta_u < 0 or self.eta_l < 0:
             raise GraphError(f"edge weights must be nonnegative, got {(self.eta_u, self.eta_l)}")
         if self.eta_u + self.eta_l <= 0:

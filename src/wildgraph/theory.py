@@ -21,13 +21,15 @@ The two eigenvalues at 1 span a degenerate subspace, so all comparisons
 against the numeric pipeline go through projectors: the top pair jointly,
 the third vector on its own.  :func:`verify_against_pipeline` runs the full
 numeric chain at finite parameters and reports per-quantity deviations
-against fixed gates, which only its ``tolerance_scale`` widens.
+against fixed gates, which only its ``tolerance_scale`` widens.  It is the
+one engine behind both ``toy-verify`` and ``sweep``: a point on a regime
+boundary, or one where k cuts a tied eigenspace, reads NaN rather than an
+ill-posed value, and a NaN fails its gate.
 
 The ratios in :class:`ReducedParams` may be arrays.  The closed forms,
 :func:`run_toy_pipeline` and :func:`verify_against_pipeline` then return
 one value per point along the arrays' shape, computed by the same code as
-for a single point; :func:`verify_grid` evaluates a whole grid this way
-for ``sweep``.
+for a single point.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "SeparabilityGap",
     "QuantityComparison",
     "VerificationReport",
-    "GridVerification",
     "DegenerateRegimeError",
     "BOUNDARY_BAND",
     "THEORY_WEIGHTS",
@@ -59,7 +60,6 @@ __all__ = [
     "boundary_margin",
     "run_toy_pipeline",
     "verify_against_pipeline",
-    "verify_grid",
 ]
 
 BOUNDARY_BAND = 0.005
@@ -273,7 +273,8 @@ def _unsupervised(params: ReducedParams) -> ClosedFormPrediction:
 
 
 # Each layout's closed form at every point, the regime picked by the sign
-# of its boundary margin; closed_form refuses points on the boundary.
+# of its boundary margin; closed_form refuses points on the boundary, and
+# verify_against_pipeline marks them NaN.  _gap takes the layouts in this order.
 _CLOSED_FORMS = {
     TheoryVariant.CASE_A: _case_a,
     TheoryVariant.CASE_B: _case_b,
@@ -311,20 +312,12 @@ def separability_gap(params: ReducedParams) -> SeparabilityGap:
     unsupervised edges on the same layout and stays positive whenever both
     ratios are positive.
     """
-    return _gap(
-        closed_form(TheoryVariant.CASE_A, params),
-        closed_form(TheoryVariant.CASE_B, params),
-        closed_form(TheoryVariant.UNSUPERVISED, params),
-    )
+    return _gap(*(closed_form(v, params).separability for v in _CLOSED_FORMS))
 
 
-def _gap(
-    case_a: ClosedFormPrediction, case_b: ClosedFormPrediction, unsup: ClosedFormPrediction
-) -> SeparabilityGap:
-    s_a, s_b, s_u = case_a.separability, case_b.separability, unsup.separability
-    return SeparabilityGap(
-        s_case_a=s_a, s_case_b=s_b, s_unsup=s_u, gap_ab=s_a - s_b, gap_label=s_a - s_u
-    )
+def _gap(s_a, s_b, s_u) -> SeparabilityGap:
+    """The gaps from the separabilities of case a, case b and the unsupervised layout."""
+    return SeparabilityGap(*(_unstacked(s) for s in (s_a, s_b, s_u, s_a - s_b, s_a - s_u)))
 
 
 @dataclass(frozen=True)
@@ -387,6 +380,7 @@ class QuantityComparison:
 class VerificationReport:
     variant: TheoryVariant
     comparisons: tuple[QuantityComparison, ...]
+    gaps: SeparabilityGap
 
     @property
     def passed(self) -> bool:
@@ -451,82 +445,42 @@ def verify_against_pipeline(
     is gated at ``SEPARABILITY_TOLERANCE`` of the closed form and the
     projectors at ``PROJECTOR_TOLERANCE``; these three gates are multiplied
     by ``tolerance_scale``.  The probing error count must match exactly.
+
+    Arrays of ratios run the numeric chain once over the stack of graphs,
+    and each layout's closed form is evaluated once per call, for both the
+    comparisons and ``gaps``.  Ill-posed points are marked, not refused:
+    within ``DEGENERACY_EPS`` of the variant's regime boundary the closed
+    values and the projector deviation are NaN; where k cuts a tied
+    eigenspace (numeric lambda_k and lambda_{k+1} within
+    ``EIGENVALUE_TIE``) the numeric count and separability are NaN; a NaN
+    fails its gate.  The gaps are NaN wherever case a or the unsupervised
+    layout is degenerate.  Each entry depends on its own point alone, not
+    on the other points in ``params``.
     """
     variant = TheoryVariant(variant)
     _require_connected(params)
-    envelope = _square(params.alpha_prime + params.beta_prime) + params.gamma_ratio
-    eig_gate = np.maximum(0.01, 20.0 * envelope)
-    closed = closed_form(variant, params)
-    numeric = run_toy_pipeline(variant, params, rho=rho)
-    projector_dev = _projector_deviation(closed, numeric.embedding)
-    lam, sep_c = numeric.embedding.eigenvalues, closed.separability
-    comparisons = [
-        _compare(f"eigenvalue_{i + 1}", closed.eigenvalues[..., i], lam[..., i],
-                 eig_gate * tolerance_scale if i < 3 else None)
-        for i in range(5)
-    ] + [
-        _compare("probing_error_count", closed.probing_error_count, numeric.probing.count,
-                 0.0, relative=False),
-        _compare("separability", sep_c, numeric.separability,
-                 SEPARABILITY_TOLERANCE * tolerance_scale * np.maximum(np.abs(sep_c), 1e-300)),
-        _compare("projector_deviation", 0.0, projector_dev,
-                 PROJECTOR_TOLERANCE * tolerance_scale, relative=False),
-    ]
-    return VerificationReport(variant=variant, comparisons=tuple(comparisons))
-
-
-@dataclass(frozen=True)
-class GridVerification:
-    """The ``sweep`` columns of :func:`verify_grid`, one entry per point."""
-
-    numeric_count: np.ndarray
-    closed_count: np.ndarray
-    numeric_separability: np.ndarray
-    closed_separability: np.ndarray
-    gap_ab: np.ndarray
-    gap_label: np.ndarray
-    eig_dev_max: np.ndarray
-    projector_dev: np.ndarray
-
-
-def verify_grid(
-    variant: TheoryVariant | str, params: ReducedParams, rho: float = 1.0
-) -> GridVerification:
-    """:func:`verify_against_pipeline` and :func:`separability_gap` over arrays of ratios.
-
-    The numeric chain runs once over the stack of graphs, and each layout's
-    closed form is evaluated once per point, for both the comparison and
-    the gaps.  Where a point lies within ``DEGENERACY_EPS`` of the
-    variant's regime boundary, its closed count is -1 and its closed
-    separability and deviations NaN; the gaps are NaN wherever case a or
-    the unsupervised layout is degenerate.  Where k cuts a tied eigenspace
-    (within ``EIGENVALUE_TIE``), the numeric count is -1 and the numeric
-    separability NaN.  Each entry depends on its own point alone, not on
-    the other points in ``params``.
-    """
-    variant = TheoryVariant(variant)
-    _require_connected(params)
-    numeric = run_toy_pipeline(variant, params, rho=rho)
     forms = {v: form(params) for v, form in _CLOSED_FORMS.items()}
     defined = {v: np.abs(boundary_margin(v, params)) > DEGENERACY_EPS for v in forms}
-    closed = forms[variant]
+    closed, own = forms[variant], defined[variant]
+    numeric = run_toy_pipeline(variant, params, rho=rho)
     lam, k = numeric.embedding.eigenvalues, numeric.embedding.k
-    # the largest deviation among the three kept eigenvalues
-    eig_dev_max = np.max(np.abs(closed.eigenvalues[..., :3] - lam[..., :3]), axis=-1)
-    projector_dev = _projector_deviation(closed, numeric.embedding)
-    gaps = _gap(
-        forms[TheoryVariant.CASE_A], forms[TheoryVariant.CASE_B], forms[TheoryVariant.UNSUPERVISED]
-    )
-    own = defined[variant]
-    both = defined[TheoryVariant.CASE_A] & defined[TheoryVariant.UNSUPERVISED]
     untied = np.abs(lam[..., k - 1] - lam[..., k]) > EIGENVALUE_TIE
-    return GridVerification(
-        numeric_count=np.where(untied, numeric.probing.count, -1),
-        closed_count=np.where(own, closed.probing_error_count, -1),
-        numeric_separability=np.where(untied, numeric.separability, np.nan),
-        closed_separability=np.where(own, closed.separability, np.nan),
-        gap_ab=np.where(both, gaps.gap_ab, np.nan),
-        gap_label=np.where(both, gaps.gap_label, np.nan),
-        eig_dev_max=np.where(own, eig_dev_max, np.nan),
-        projector_dev=np.where(own, projector_dev, np.nan),
-    )
+    envelope = _square(params.alpha_prime + params.beta_prime) + params.gamma_ratio
+    eig_gate = np.maximum(0.01, 20.0 * envelope)
+    sep_c = np.where(own, closed.separability, np.nan)
+    comparisons = [
+        _compare(f"eigenvalue_{i + 1}", np.where(own, closed.eigenvalues[..., i], np.nan),
+                 lam[..., i], eig_gate * tolerance_scale if i < 3 else None)
+        for i in range(5)
+    ] + [
+        _compare("probing_error_count", np.where(own, closed.probing_error_count, np.nan),
+                 np.where(untied, numeric.probing.count, np.nan), 0.0, relative=False),
+        _compare("separability", sep_c, np.where(untied, numeric.separability, np.nan),
+                 SEPARABILITY_TOLERANCE * tolerance_scale * np.maximum(np.abs(sep_c), 1e-300)),
+        _compare("projector_deviation", 0.0,
+                 np.where(own, _projector_deviation(closed, numeric.embedding), np.nan),
+                 PROJECTOR_TOLERANCE * tolerance_scale, relative=False),
+    ]
+    both = defined[TheoryVariant.CASE_A] & defined[TheoryVariant.UNSUPERVISED]
+    gaps = _gap(*(np.where(both, form.separability, np.nan) for form in forms.values()))
+    return VerificationReport(variant=variant, comparisons=tuple(comparisons), gaps=gaps)

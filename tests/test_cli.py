@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from test_golden import README_CONFIG
 from wildgraph import cli, spectral
 from wildgraph.cli import main
-from wildgraph.theory import ReducedParams, verify_grid
+from wildgraph.theory import ReducedParams, verify_against_pipeline
 
 TOY_A_CONFIG = {
     "classes": [0, 1],
@@ -207,21 +208,28 @@ class TestSweep:
                      "--out", str(out)]) == 0
         axis = np.linspace(0.02, 0.2, 19)
         ap, bp = np.repeat(axis, 19), np.tile(axis, 19)
-        g = verify_grid(variant, ReducedParams(ap, bp, 1e-6))
-        floats = (g.numeric_separability, g.closed_separability, g.gap_ab, g.gap_label,
-                  g.eig_dev_max, g.projector_dev)
+        report = verify_against_pipeline(variant, ReducedParams(ap, bp, 1e-6))
+        c = {q.name: q for q in report.comparisons}
+        count, sep = c["probing_error_count"], c["separability"]
+        eig_dev_max = np.max([c[f"eigenvalue_{j}"].abs_dev for j in (1, 2, 3)], axis=0)
+        floats = (sep.numeric, sep.closed, report.gaps.gap_ab, report.gaps.gap_label,
+                  eig_dev_max, c["projector_deviation"].numeric)
+
+        def written(n):
+            return "-1" if math.isnan(n) else f"{int(n):d}"
+
         expected = [
-            ",".join([f"{ap[i]:.17g}", f"{bp[i]:.17g}", variant, f"{g.numeric_count[i]:d}",
-                      f"{g.closed_count[i]:d}"] + [f"{c[i]:.17g}" for c in floats])
+            ",".join([f"{ap[i]:.17g}", f"{bp[i]:.17g}", variant, written(count.numeric[i]),
+                      written(count.closed[i])] + [f"{f[i]:.17g}" for f in floats])
             for i in range(ap.size)
         ]
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[1] == cli.SWEEP_COLUMNS
         assert lines[2:] == expected
         # the marks the box was chosen for are in the reference
-        assert np.isnan(g.gap_ab).sum() == 19 + 2
-        assert (g.closed_count == -1).sum() == {"a": 2, "b": 0, "unsup": 19}[variant]
-        assert (g.numeric_count == -1).sum() == (19 if variant == "unsup" else 0)
+        assert np.isnan(report.gaps.gap_ab).sum() == 19 + 2
+        assert np.isnan(count.closed).sum() == {"a": 2, "b": 0, "unsup": 19}[variant]
+        assert np.isnan(count.numeric).sum() == (19 if variant == "unsup" else 0)
 
     def test_label_benefit_column_positive(self, tmp_path):
         out = tmp_path / "gaps.csv"
@@ -254,6 +262,27 @@ class TestSweep:
         assert len(diagonal) == 19
         assert all(r[3] == "-1" and r[5] == "nan" for r in diagonal)
         assert all(r[3] != "-1" and r[5] != "nan" for r in rows if r[0] != r[1])
+
+
+def test_tied_cut_reads_the_same_in_toy_verify_and_sweep(tmp_path):
+    # Case a at this point has lambda_3 - lambda_4 = 2.8e-16 with a boundary
+    # margin of 0.0096, outside toy-verify's band: k = 3 cuts a tied pair.
+    point = ["--variant", "a"]
+    report = tmp_path / "report.json"
+    code = main(["toy-verify", *point, "--alpha-prime", "0.2", "--beta-prime",
+                 "0.21539648446668805", "--out", str(report)])
+    assert code == cli.EXIT_CHECK_FAILED
+    document = json.loads(report.read_text())
+    count = [c for c in document["comparisons"] if c["name"] == "probing_error_count"][0]
+    assert math.isnan(count["numeric"]) and count["passed"] is False
+    assert document["passed"] is False
+    assert "NaN" in report.read_text()  # the token Python's json writes
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *point, "--alpha-min", "0.2", "--alpha-max", "0.2", "--beta-min",
+                 "0.21539648446668805", "--beta-max", "0.21539648446668805",
+                 "--resolution", "1", "--out", str(out)]) == 0
+    (row,) = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert row[3] == "-1" and row[5] == "nan"
 
 
 class TestFactorize:
@@ -667,6 +696,19 @@ class TestFlags:
             assert payload["config"]["alpha_prime"] == 0.05
             constants.append(payload["constant"])
         assert constants[0] == pytest.approx(constants[1], rel=1e-12)
+
+
+    @pytest.mark.parametrize("command", ["detect", "factorize"])
+    @pytest.mark.parametrize("flag", ["--eta-u", "--eta-l"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_edge_weight_not_finite_is_config_error(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, README_CONFIG), flag, value,
+                "--out", str(out)]
+        assert main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {flag[2:].replace('-', '_')} must be finite, got {value}\n"
+        assert not out.exists()
 
 
 class TestIoErrors:

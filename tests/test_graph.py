@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -232,6 +233,10 @@ class TestCombineAndNormalize:
             GraphWeights(0.0, 0.0)
         with pytest.raises(GraphError):
             GraphWeights(-1.0, 2.0)
+        # a weight that is not finite is named, not passed on to overflow C
+        for weights, name in (((math.nan, 1.0), "eta_u"), ((5.0, math.inf), "eta_l")):
+            with pytest.raises(GraphError, match=f"{name} must be finite"):
+                GraphWeights(*weights)
 
 
 

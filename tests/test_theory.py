@@ -19,7 +19,6 @@ from wildgraph import (
     run_toy_pipeline,
     separability_gap,
     verify_against_pipeline,
-    verify_grid,
 )
 from wildgraph.theory import (
     EIGENVALUE_TIE,
@@ -423,21 +422,36 @@ def sweep_grids(draw):
     )
 
 
-class TestVerifyGrid:
+def _row(value, i):
+    """Entry i of a stacked report field; a gate or closed value shared by all points is a number."""
+    return value if value is None or np.ndim(value) == 0 else value[i]
+
+
+class TestVerifyStacked:
     @settings(max_examples=40, deadline=None)
     @given(sweep_grids())
     def test_rows_match_single_points_and_the_general_chain(self, grid):
         variant, ap, bp, gamma, rho = grid
-        rows = verify_grid(variant, ReducedParams(ap, bp, gamma), rho=rho)
+        rows = verify_against_pipeline(variant, ReducedParams(ap, bp, gamma), rho=rho)
         stacked = run_toy_pipeline(variant, ReducedParams(ap, bp, gamma), rho=rho)
+        by_name = {c.name: c for c in rows.comparisons}
         unsup = variant is TheoryVariant.UNSUPERVISED
         weights = THEORY_WEIGHTS["unsupervised" if unsup else "supervised"]
         for i in range(ap.size):
-            # the row of a one-point grid, bit for bit
-            one = verify_grid(variant, ReducedParams(ap[i : i + 1], bp[i : i + 1], gamma), rho=rho)
-            for field in dataclasses.fields(rows):
-                name = field.name
-                np.testing.assert_array_equal(getattr(rows, name)[i : i + 1], getattr(one, name))
+            # the one-point call, as toy-verify makes it, bit for bit
+            one = verify_against_pipeline(
+                variant, ReducedParams(float(ap[i]), float(bp[i]), gamma), rho=rho
+            )
+            assert [c.name for c in one.comparisons] == list(by_name)
+            for c in one.comparisons:
+                for field in ("closed", "numeric", "abs_dev", "rel_dev", "tolerance"):
+                    value = getattr(c, field)
+                    assert value is None or isinstance(value, float)
+                    np.testing.assert_array_equal(_row(getattr(by_name[c.name], field), i), value)
+            for field in dataclasses.fields(one.gaps):
+                value = getattr(one.gaps, field.name)
+                assert isinstance(value, float)
+                np.testing.assert_array_equal(getattr(rows.gaps, field.name)[i], value)
             # the general chain on the same point
             population, model = build_toy_population(
                 variant, rho, ap[i] * rho, bp[i] * rho, gamma * rho
@@ -446,13 +460,14 @@ class TestVerifyGrid:
             ev = evaluate(population, embed(bundle, 3).Z)
             a = bundle.A_tilde
             v, lam = stacked.embedding.V_k[i], stacked.embedding.eigenvalues[i]
+            count, sep = by_name["probing_error_count"], by_name["separability"]
             if abs(lam[2] - lam[3]) <= EIGENVALUE_TIE:
-                # k = 3 cuts a tied pair: the numeric values are marked
-                assert rows.numeric_count[i] == -1
-                assert np.isnan(rows.numeric_separability[i])
+                # k = 3 cuts a tied pair: the numeric values are marked and fail
+                assert np.isnan(count.numeric[i]) and np.isnan(sep.numeric[i])
+                assert not (one.passed or count.passed or sep.passed)
             else:
-                assert rows.numeric_count[i] == ev.probing.count
-                assert rows.numeric_separability[i] == pytest.approx(ev.separability, rel=1e-12)
+                assert count.numeric[i] == ev.probing.count
+                assert sep.numeric[i] == pytest.approx(ev.separability, rel=1e-12)
             assert np.linalg.norm(a @ v - v * lam[:3]) <= 1e-8 * np.linalg.norm(a)
             np.testing.assert_allclose(lam, np.linalg.eigvalsh(a)[::-1], rtol=0, atol=1e-12)
 
@@ -461,12 +476,29 @@ class TestVerifyGrid:
         params = ReducedParams(np.array([0.08, 0.1, 0.05]), np.array([0.09, 0.1, 0.02]), 1e-6)
         expected = {"a": [False, True, True], "unsup": [True, False, True], "b": [True] * 3}
         for variant, own in expected.items():
-            rows = verify_grid(variant, params)
-            assert list(rows.closed_count >= 0) == own
-            assert list(np.isfinite(rows.closed_separability)) == own
-            assert list(np.isfinite(rows.projector_dev)) == own
-            assert list(np.isfinite(rows.gap_ab)) == [False, False, True]
+            report = verify_against_pipeline(variant, params)
+            by_name = {c.name: c for c in report.comparisons}
+            for c in report.comparisons[:-1]:  # the projector's closed value is 0 throughout
+                assert list(np.isfinite(c.closed)) == own, c.name
+            assert list(np.isfinite(by_name["projector_deviation"].numeric)) == own
+            for field in dataclasses.fields(report.gaps):
+                assert list(np.isfinite(getattr(report.gaps, field.name))) == [False, False, True]
             # only the unsupervised layout ties lambda_3 and lambda_4 at (0.1, 0.1)
             numeric = [True, variant != "unsup", True]
-            assert list(rows.numeric_count >= 0) == numeric
-            assert list(np.isfinite(rows.numeric_separability)) == numeric
+            assert list(np.isfinite(by_name["probing_error_count"].numeric)) == numeric
+            assert list(np.isfinite(by_name["separability"].numeric)) == numeric
+            # a marked point fails its gates
+            for i in range(3):
+                if not (own[i] and numeric[i]):
+                    one = verify_against_pipeline(
+                        variant, ReducedParams(params.alpha_prime[i], params.beta_prime[i], 1e-6)
+                    )
+                    assert not one.passed
+
+    def test_tied_cut_fails_the_single_point(self):
+        # Case a at this point has lambda_3 - lambda_4 = 2.8e-16, outside
+        # toy-verify's boundary band: k = 3 cuts the tied pair.
+        report = verify_against_pipeline("a", ReducedParams(0.2, 0.21539648446668805, 1e-6))
+        count = {c.name: c for c in report.comparisons}["probing_error_count"]
+        assert math.isnan(count.numeric) and count.closed == 0
+        assert not count.passed and not report.passed
