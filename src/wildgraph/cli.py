@@ -37,13 +37,13 @@ from .evaluation import (
     knn_scores,
 )
 from .graph import GraphError, GraphWeights, build_graph
-from .loss import equivalence_gap, matrix_loss, random_factors, surrogate_loss_from_parts
 from .population import (
     AugmentationModel,
     ParametricAugmentation,
     Population,
     PopulationError,
     PopulationSpec,
+    TheoryVariant,
     build_toy_population,
     enumerate_population,
     load_population_config,
@@ -59,14 +59,9 @@ from .spectral import (
     reconstruction_gap,
     write_trace_csv,
 )
-from .theory import (
-    BOUNDARY_BAND,
-    DegenerateRegimeError,
-    ReducedParams,
-    TheoryVariant,
-    boundary_margin,
-    verify_against_pipeline,
-)
+
+# theory and loss are imported inside the commands that run them, so that
+# detect loads neither; see the package docstring.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -115,27 +110,17 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _theory_params(args: argparse.Namespace) -> ReducedParams:
-    return ReducedParams(
-        alpha_prime=args.alpha_prime,
-        beta_prime=args.beta_prime,
-        gamma_ratio=args.gamma_ratio,
-    )
+def cmd_toy_verify(args: argparse.Namespace) -> int:
+    from .theory import BOUNDARY_BAND, ReducedParams, boundary_margin, verify_against_pipeline
 
-
-def _guard_boundary(variant: TheoryVariant, params: ReducedParams) -> None:
+    params = ReducedParams(args.alpha_prime, args.beta_prime, args.gamma_ratio)
+    variant = TheoryVariant(args.variant)
     margin = boundary_margin(variant, params)
     if abs(margin) <= BOUNDARY_BAND:
         raise ConfigError(
             f"degenerate regime: boundary margin {margin:+.4f} is within the "
             f"excluded band +/-{BOUNDARY_BAND}"
         )
-
-
-def cmd_toy_verify(args: argparse.Namespace) -> int:
-    params = _theory_params(args)
-    variant = TheoryVariant(args.variant)
-    _guard_boundary(variant, params)
     report = verify_against_pipeline(
         variant, params, rho=args.rho, tolerance_scale=args.tolerance_scale
     )
@@ -178,6 +163,8 @@ def _count_column(count: np.ndarray) -> np.ndarray:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .theory import ReducedParams, verify_against_pipeline
+
     if not (0.0 < args.alpha_min <= args.alpha_max <= 0.25):
         raise ConfigError(f"alpha bounds ({args.alpha_min}, {args.alpha_max}) must lie in (0, 0.25]")
     if not (0.0 < args.beta_min <= args.beta_max <= 0.25):
@@ -278,6 +265,8 @@ def _require_rank(k: int, eigenvalues: np.ndarray) -> None:
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
+    from .loss import equivalence_gap
+
     bundle, _ = _bundle_from_args(args)
     k = args.k
     # Lifted to the vertices, factors on Q keep the loss and the projector
@@ -325,6 +314,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def cmd_loss_check(args: argparse.Namespace) -> int:
+    from .loss import equivalence_gap, matrix_loss, random_factors, surrogate_loss_from_parts
+
     bundle, _ = _bundle_from_args(args)
     equivalence = equivalence_gap(args.trials, args.seed, bundle, args.k)
     # one seeded draw: the first of equivalence_gap's trials
@@ -495,7 +486,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FactorizationError, EigensolverError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, PopulationError, GraphError, DegenerateRegimeError, ValueError) as exc:
+    # ValueError covers theory's DegenerateRegimeError, which cli need not import.
+    except (ConfigError, PopulationError, GraphError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -761,7 +761,9 @@ class TestParserReuse:
         # The parser is built once per process.  Toy defaults that factorize
         # fills in, and the seed detect gives a sampled mixture, must not
         # reach the next call: factorize --config refuses toy flags, and
-        # detect refuses --seed on an enumerated config.
+        # detect refuses --seed on an enumerated config.  theory and loss
+        # are imported by the first command that needs them, inside this
+        # process, and must give what a fresh process gives.
         assert cli.build_parser() is cli.build_parser()
         sampled = write_config(tmp_path, dict(SEPARATED_CONFIG, pi_c=0.3, pi_s=0.2), "sampled.json")
         enumerated = write_config(tmp_path, SEPARATED_CONFIG, "enumerated.json")
@@ -770,6 +772,9 @@ class TestParserReuse:
             (["factorize", "--config", enumerated, "--k", "3"], "config"),
             (["detect", "--config", sampled], "sampled-metrics.json"),
             (["detect", "--config", enumerated], "enumerated-metrics.json"),
+            (["toy-verify"], "verify.json"),
+            (["sweep", "--resolution", "3"], "sweep.csv"),
+            (["loss-check"], "loss.json"),
         ]
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -421,15 +421,18 @@ class TestConfigLoading:
 # A module-level ``typing.Union[...]`` alias is memoised in typing's LRU
 # cache, which then holds the module's classes, and through them every
 # function and the module dict of each earlier import of the package.
+# Names of theory and loss load on first use; one is touched first, so that
+# neither the loader nor the module it imported pins the old package.
 REIMPORT_SCRIPT = """
 import gc, sys, weakref
 import wildgraph
 ref = weakref.ref(wildgraph.population.Population)
+lazy_ref = weakref.ref(wildgraph.ReducedParams)
 for name in [n for n in sys.modules if n == "wildgraph" or n.startswith("wildgraph.")]:
     del sys.modules[name]
 import wildgraph
 gc.collect()
-sys.exit(0 if ref() is None else 1)
+sys.exit(0 if ref() is None and lazy_ref() is None else 1)
 """
 
 
