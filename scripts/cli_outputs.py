@@ -12,9 +12,10 @@ more than one block, and
 ``detect`` and ``factorize`` on population configs: the README's
 enumerated config (also at ranks 5 and 6, the second past the graph's
 rank), the same cells resampled as a wild mixture at two seeds, under an
-explicit matrix, and blown up twentyfold, and a three-class layout with
-unequal counts; and ``factorize`` and ``loss-check`` on the README config,
-its twentyfold blow-up, the three-class layout and the explicit matrix.
+explicit matrix, and blown up twentyfold and a hundred-thousandfold
+(3.4 million examples), and a three-class layout with unequal counts; and
+``factorize`` and ``loss-check`` on the README config, both of its
+blow-ups, the three-class layout and the explicit matrix.
 Every tolerance flag is also set away from its default once: toy-verify's
 ``--tolerance-scale`` and factorize's ``--loss-gap-tol`` and ``--spread-tol``.
 Each command runs from inside OUT_DIR with relative paths, so two
@@ -68,6 +69,7 @@ CONFIGS = {
     "mixture.json": MIXTURE_CONFIG,
     "matrix.json": matrix_config(),
     "readme-x20.json": blown_up(README_CONFIG, 20),
+    "readme-x100000.json": blown_up(README_CONFIG, 100_000),
     "three-class.json": THREE_CLASS_CONFIG,
 }
 
@@ -115,13 +117,13 @@ def commands() -> list[list[str]]:
                     "--out", f"detect-mixture-seed{seed}.json"])
     out.append(["detect", "--config", "matrix.json", "--k-neighbors", "3",
                 "--out", "detect-matrix.json"])
-    for name in ("readme-x20", "three-class"):
+    for name in ("readme-x20", "readme-x100000", "three-class"):
         out.append(["detect", "--config", f"{name}.json", "--k-neighbors", "3",
                     "--out", f"detect-{name}.json"])
     for k in (5, 6):  # the README graph has rank 5
         out.append(["detect", "--config", "readme.json", "--k", str(k), "--k-neighbors", "3",
                     "--out", f"detect-readme-rank-k{k}.json"])
-    for name in ("readme", "readme-x20", "three-class", "matrix"):
+    for name in ("readme", "readme-x20", "readme-x100000", "three-class", "matrix"):
         out.append(["factorize", "--config", f"{name}.json", "--k", "3", "--seed", "7",
                     "--out", f"factorize-{name}-seed7"])
         out.append(["loss-check", "--config", f"{name}.json", "--k", "3", "--seed", "7",

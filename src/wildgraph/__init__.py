@@ -17,14 +17,12 @@ from .population import (
     AugmentationModel,
     Cell,
     ExplicitAugmentation,
-    Groups,
     Membership,
     ParametricAugmentation,
     Population,
     PopulationError,
     PopulationSpec,
     TheoryVariant,
-    build_parametric_population,
     build_toy_population,
     enumerate_population,
     load_population_config,
@@ -84,7 +82,6 @@ _LAZY = {
             "equivalence_gap",
             "matrix_loss",
             "random_factors",
-            "surrogate_loss",
             "surrogate_loss_from_parts",
         ),
         "loss",
@@ -110,14 +107,12 @@ __all__ = [
     "AugmentationModel",
     "Cell",
     "ExplicitAugmentation",
-    "Groups",
     "Membership",
     "ParametricAugmentation",
     "Population",
     "PopulationError",
     "PopulationSpec",
     "TheoryVariant",
-    "build_parametric_population",
     "build_toy_population",
     "enumerate_population",
     "load_population_config",

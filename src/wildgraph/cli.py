@@ -321,7 +321,7 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
     # one seeded draw: the first of equivalence_gap's trials
     (H,), (f_rows,) = random_factors(bundle, args.k, args.seed, 1)
     breakdown = surrogate_loss_from_parts(
-        f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights, bundle.groups.counts
+        f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights, bundle.counts
     )
     constant_err = equivalence.max_constant_error / (1.0 + abs(equivalence.constant))
     passed = equivalence.relative_spread <= args.spread_tol and constant_err <= args.spread_tol
@@ -356,12 +356,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
     population = _population(spec, model, args.seed)
     bundle = build_graph(model, population, GraphWeights(args.eta_u, args.eta_l))
     k = args.k if args.k else len(population.classes) + 1
-    groups = bundle.groups
-    n = groups.counts
+    n = bundle.counts
     embedding = embed(bundle, min(k, len(n)))
     _require_rank(k, embedding.eigenvalues)
     z = embedding.Z
-    ev = evaluate(groups.population, z, n)
+    ev = evaluate(bundle.groups, z)
 
     labeled, wild_id, semantic = ev.labeled_rows, ev.wild_id_rows, ev.semantic_rows
     detector = fit_knn_detector(z[labeled], args.k_neighbors, args.percentile, n[labeled])
@@ -434,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A population config (sampled with --seed) and the edge weights."""
         p.add_argument("--config", type=str, default=None, required=config_required,
                        help="population config JSON")
-        p.add_argument("--seed", type=int, default=seed_default)
+        p.add_argument("--seed", type=_at_least(0), default=seed_default)
         p.add_argument("--eta-u", type=float, default=5.0)
         p.add_argument("--eta-l", type=float, default=1.0)
 

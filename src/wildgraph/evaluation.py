@@ -16,11 +16,11 @@ reference embedding (reference points exclude themselves) and flags OUT
 above a percentile threshold of the reference scores; a score equal to the
 threshold is accepted as IN.
 
-Every metric takes one embedding row per group of interchangeable
-examples with the group's size as its count: the probe's Gram matrix, the
+Every metric takes one embedding row per cell of interchangeable
+examples with the cell's count as its weight: the probe's Gram matrix, the
 probing count, separability and the accuracies weigh each row by it, and
 the k-th-neighbour search counts a reference row once per example, so a
-reference group of n examples gives each of them n - 1 neighbours at
+reference cell of n examples gives each of them n - 1 neighbours at
 distance zero.  The detector keeps one score per row, and weighs it by its
 count in the threshold, FPRs and AUROC.  Rows of one example each
 reproduce the per-example definitions exactly.
@@ -250,37 +250,31 @@ class Evaluation:
     covariate_accuracy: float
 
 
-def evaluate(
-    population: Population, Z: np.ndarray, counts: Optional[Sequence[int]] = None
-) -> Evaluation:
+def evaluate(population: Population, Z: np.ndarray) -> Evaluation:
     """Probe, probing error, separability and accuracies of an embedding.
 
-    Row x of ``Z`` embeds vertex x of ``population`` and stands for
-    ``counts[x]`` examples (one each by default), so a group's embedding
-    row enters every metric with its group's size.  The probe is fit on
-    the labeled ID rows and scored on the covariate rows.  Separability
-    pairs the labeled and then the wild ID rows with the semantic rows.  ID
-    accuracy is scored on the wild ID rows, the held-out ID side, or on the
-    labeled rows when there are none.
+    ``Z`` has one row per cell of ``population``, or one per example
+    (:meth:`Population.rows`), and a row enters every metric with the
+    examples it stands for.  The probe is fit on the labeled ID rows and
+    scored on the covariate rows.  Separability pairs the labeled and then
+    the wild ID rows with the semantic rows.  ID accuracy is scored on the
+    wild ID rows, the held-out ID side, or on the labeled rows when there
+    are none.
     """
     z = np.asarray(Z, dtype=float)
-    n = _counts(counts, len(population))
-    labeled = population.indices(Membership.LABELED_ID)
-    wild_id = population.indices(Membership.WILD_ID)
-    covariate = population.indices(Membership.WILD_COVARIATE)
-    semantic = population.indices(Membership.WILD_SEMANTIC)
+    cell, n = population.rows(z.shape[-2])
+    rows: dict[Membership, list[int]] = {kind: [] for kind in Membership}
+    for r, i in enumerate(cell.tolist()):
+        rows[population.cells[i].membership].append(r)
+    labeled, wild_id, covariate, semantic = (rows[kind] for kind in Membership)
     missing = [
         kind.value
-        for kind, rows in (
-            (Membership.LABELED_ID, labeled),
-            (Membership.WILD_COVARIATE, covariate),
-            (Membership.WILD_SEMANTIC, semantic),
-        )
-        if not rows
+        for kind in (Membership.LABELED_ID, Membership.WILD_COVARIATE, Membership.WILD_SEMANTIC)
+        if not rows[kind]
     ]
     if missing:
         raise EvaluationError(f"population lacks required membership kinds: {', '.join(missing)}")
-    labels = population.class_labels()
+    labels = np.array([c.class_label for c in population.cells])[cell]
     probe = fit_linear_probe(
         z[..., labeled, :], labels[labeled], classes=population.classes, counts=n[labeled]
     )

@@ -19,8 +19,8 @@ ones (L2, L5) is forced by the expansion of the factorization residual:
 
 so the two objectives differ by the constant sum(A_tilde^2) for every F.
 :func:`equivalence_gap` measures that constancy directly.  Both sides are
-evaluated over groups of interchangeable views: the sums weigh each group
-by its size, and the residual is taken on the graph's g x g quotient.
+evaluated over the graph's rows: the sums weigh each row by the views it
+stands for, and the residual is taken on the graph's g x g quotient.
 """
 
 from __future__ import annotations
@@ -29,13 +29,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph import GraphBundle, GraphWeights, self_supervised_adjacency, supervised_adjacency
-from .population import AugmentationModel, Population
+from .graph import GraphBundle, GraphWeights
 
 __all__ = [
     "LossBreakdown",
     "EquivalenceReport",
-    "surrogate_loss",
     "surrogate_loss_from_parts",
     "matrix_loss",
     "random_factors",
@@ -103,18 +101,6 @@ def surrogate_loss_from_parts(
     return LossBreakdown(L1=L1, L2=L2, L3=L3, L4=L4, L5=L5, total=total)
 
 
-def surrogate_loss(
-    f_rows: np.ndarray,
-    model: AugmentationModel,
-    population: Population,
-    weights: GraphWeights,
-) -> LossBreakdown:
-    """Exact surrogate loss of the feature map ``f_rows`` over a population."""
-    A_u = self_supervised_adjacency(model, population)
-    A_l = supervised_adjacency(model, population)
-    return surrogate_loss_from_parts(f_rows, A_u, A_l, weights)
-
-
 def matrix_loss(F: np.ndarray, A_tilde: np.ndarray) -> float:
     """Squared Frobenius residual ||A_tilde - F F^t||_F^2."""
     F = np.asarray(F, dtype=float)
@@ -151,15 +137,15 @@ class EquivalenceReport:
 def random_factors(
     bundle: GraphBundle, k: int, seed: int, trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``trials`` seeded g x k factor matrices H over the groups, and their feature rows.
+    """``trials`` seeded g x k factor matrices H over the bundle's rows, and their feature rows.
 
     H lifts to the vertices (:attr:`GraphBundle.Q`) with the matrix loss
     ||Q - H H^t||_F^2, and its feature rows are H[a] / sqrt(n[a] D_g[a])
-    on group a.  Both arrays are stacked (trials, g, k).
+    on row a.  Both arrays are stacked (trials, g, k).
     """
     g = bundle.Q.shape[0]
     h = np.random.default_rng(seed).standard_normal((trials, g, k)) / np.sqrt(g * k)
-    return h, h / np.sqrt(bundle.groups.counts * bundle.D_g)[:, None]
+    return h, h / np.sqrt(bundle.counts * bundle.D_g)[:, None]
 
 
 def equivalence_gap(
@@ -175,7 +161,7 @@ def equivalence_gap(
         raise ValueError(f"need at least 2 trials, got {trials}")
     h, f_rows = random_factors(bundle, k, seed, trials)
     totals = surrogate_loss_from_parts(
-        f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights, bundle.groups.counts
+        f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights, bundle.counts
     ).total
     gaps = [matrix_loss(factor, bundle.Q) - total for factor, total in zip(h, totals.tolist())]
     constant = float(np.sum(bundle.Q**2))

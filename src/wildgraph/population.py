@@ -9,12 +9,14 @@ and vertex i of the graph is the i-th example when the runs are laid end
 to end.  An enumerated config keeps its cells as written; a sampled wild
 mixture is its labeled cells followed by one count-1 cell per drawn wild
 example; a toy layout is five count-1 cells.  One rule set
-(:func:`_check_cells`) covers all of them.  Examples that share all three
+(:func:`_check_cells`) covers all of them.  Each count is stored once, on
+its cell, and no array is kept per example.  Examples that share all three
 tags are interchangeable under the four-parameter rule below, so
-:meth:`Population.groups` merges such cells into groups with summed counts;
-the graph is then solved on one row per group.  An augmentation model assigns
-every (source, view) pair a nonnegative transformation probability, either
-through an explicit matrix or through the four-parameter rule
+:meth:`Population.groups` merges such cells, summing their counts; the
+graph is then solved on one row per merged cell, weighed by its count.  An
+augmentation model assigns every (source, view) pair a nonnegative
+transformation probability, either through an explicit matrix over the
+examples or through the four-parameter rule
 
     rho    same class, same domain
     alpha  same class, different domain
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Optional
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "Membership",
     "Population",
     "Cell",
-    "Groups",
     "PopulationSpec",
     "ParametricAugmentation",
     "ExplicitAugmentation",
@@ -53,7 +53,6 @@ __all__ = [
     "transformation_matrix",
     "enumerate_population",
     "build_toy_population",
-    "build_parametric_population",
     "sample_wild_mixture",
     "load_population_config",
 ]
@@ -132,8 +131,6 @@ class Population:
     ``classes`` lists the known class ids; ``domains`` lists the domain ids,
     the first being the ID domain.  Vertex i is the i-th example of the
     cells' runs laid end to end, and the cells obey :func:`_check_cells`.
-    The per-vertex class and domain arrays are built once, read-only, and
-    are not fields: equality and hashing compare ``(classes, domains, cells)``.
     """
 
     classes: tuple[int, ...]
@@ -142,90 +139,39 @@ class Population:
 
     def __post_init__(self) -> None:
         _check_cells(self.classes, self.domains, self.cells)
-        counts = [cell.count for cell in self.cells]
-        for name, values in (
-            ("_class_labels", [cell.class_label for cell in self.cells]),
-            ("_domain_labels", [cell.domain_label for cell in self.cells]),
-        ):
-            per_vertex = np.repeat(np.array(values, dtype=int), counts)
-            per_vertex.setflags(write=False)
-            object.__setattr__(self, name, per_vertex)
 
     def __len__(self) -> int:
-        return len(self._class_labels)
+        return sum(cell.count for cell in self.cells)
 
-    def _runs(self) -> Iterator[tuple[Cell, range]]:
-        """Each cell with the range of vertices it covers, in vertex order."""
-        start = 0
-        for cell in self.cells:
-            yield cell, range(start, start + cell.count)
-            start += cell.count
+    def groups(self) -> Population:
+        """Cells with equal (class, domain, membership) merged, their counts summed.
 
-    def indices(self, *memberships: Membership) -> list[int]:
-        return [i for cell, run in self._runs() if cell.membership in memberships for i in run]
-
-    def class_labels(self) -> np.ndarray:
-        return self._class_labels
-
-    def domain_labels(self) -> np.ndarray:
-        return self._domain_labels
-
-    def labeled_indices_by_class(self) -> dict[int, list[int]]:
-        """Known classes mapped to their labeled example indices (present ones only)."""
-        out: dict[int, list[int]] = {}
-        for cell, run in self._runs():
-            if cell.membership is Membership.LABELED_ID:
-                out.setdefault(cell.class_label, []).extend(run)
-        return out
-
-    def groups(self) -> Groups:
-        """Cells with equal (class, domain, membership) merged into groups.
-
-        Groups follow the order of their first cell, and each is one count-1
-        cell of the returned ``population`` with its summed count.
+        The merged cells follow the order of their first cell.
         """
-        first: dict[tuple, int] = {}
-        of_cell = [
-            first.setdefault((c.class_label, c.domain_label, c.membership), len(first))
-            for c in self.cells
-        ]
-        sizes = [cell.count for cell in self.cells]
-        counts = [0] * len(first)
-        for group, size in zip(of_cell, sizes):
-            counts[group] += size
-        return Groups(
-            population=Population(
-                classes=self.classes,
-                domains=self.domains,
-                cells=tuple(Cell(*key, 1) for key in first),
-            ),
-            counts=np.array(counts),
-            index=np.repeat(of_cell, sizes),
+        counts: dict[tuple, int] = {}
+        for c in self.cells:
+            key = (c.class_label, c.domain_label, c.membership)
+            counts[key] = counts.get(key, 0) + c.count
+        return Population(
+            self.classes, self.domains, tuple(Cell(*key, n) for key, n in counts.items())
         )
 
+    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The cell of each of ``n`` matrix rows, and the examples each row stands for.
 
-@dataclass(frozen=True)
-class Groups:
-    """A partition of a graph's vertices into groups of interchangeable ones.
-
-    Vertex a of ``population`` stands for group a, whose ``counts[a]``
-    vertices share one row of every adjacency; ``index[x]`` is the group
-    of vertex x.  ``population`` is ``None`` for a graph built from bare
-    adjacency matrices.
-    """
-
-    population: Optional[Population]
-    counts: np.ndarray
-    index: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("counts", "index"):
-            getattr(self, name).setflags(write=False)
-
-    @classmethod
-    def of_one(cls, population: Optional[Population], n: int) -> Groups:
-        """Every one of n vertices a group of its own."""
-        return cls(population, np.ones(n, dtype=int), np.arange(n))
+        A matrix over the cells has one row per cell, standing for its
+        count.  An explicit matrix has one row per example, in vertex order,
+        standing for one; the two agree when every count is 1.
+        """
+        counts = np.array([cell.count for cell in self.cells])
+        if n == counts.size:
+            return np.arange(n), counts
+        if n != counts.sum():
+            raise PopulationError(
+                f"{n} matrix rows fit neither the {counts.size} cells nor the "
+                f"{counts.sum()} examples of the population"
+            )
+        return np.repeat(np.arange(counts.size), counts), np.ones(n, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -280,23 +226,29 @@ AugmentationModel = ParametricAugmentation | ExplicitAugmentation
 
 
 def transformation_matrix(model: AugmentationModel, population: Population) -> np.ndarray:
-    """Expand ``model`` into an explicit matrix aligned with ``population``.
+    """Expand ``model`` into a matrix aligned with ``population``.
 
-    For a parametric model the result is square (views are the natural
-    examples themselves) and every entry is one of rho, alpha, beta, gamma
-    as selected by class/domain agreement; array-valued parameters give a
-    stack of such matrices along their leading axes.  An explicit model is
-    checked for a matching source count and returned as-is.
+    A parametric model gives one row and one column per cell, each entry
+    one of rho, alpha, beta, gamma as selected by class/domain agreement;
+    array-valued parameters give a stack of such matrices along their
+    leading axes.  An explicit model has one row and one column per
+    example; it is checked for that shape and returned as-is.
     """
     if isinstance(model, ExplicitAugmentation):
-        if model.matrix.shape[-2] != len(population):
+        rows, columns = model.matrix.shape[-2:]
+        if rows != len(population):
             raise PopulationError(
-                f"transformation matrix has {model.matrix.shape[-2]} source rows "
+                f"transformation matrix has {rows} source rows "
                 f"for a population of {len(population)} examples"
             )
+        if columns != rows:
+            raise PopulationError(
+                f"transformation matrix has {columns} view columns for {rows} source rows: "
+                f"the views are the examples, so it must be square"
+            )
         return model.matrix
-    cls = population.class_labels()
-    dom = population.domain_labels()
+    cls = np.array([cell.class_label for cell in population.cells])
+    dom = np.array([cell.domain_label for cell in population.cells])
     class_match = cls[:, None] == cls[None, :]
     domain_match = dom[:, None] == dom[None, :]
     rho, alpha, beta, gamma = (
@@ -371,15 +323,6 @@ def build_toy_population(
 def enumerate_population(spec: PopulationSpec) -> Population:
     """Exact enumeration of the spec: its cells, in cell order."""
     return Population(classes=spec.classes, domains=spec.domains, cells=spec.cells)
-
-
-def build_parametric_population(
-    spec: PopulationSpec, params: ParametricAugmentation
-) -> tuple[Population, ExplicitAugmentation]:
-    """Enumerate ``spec`` exactly and expand the four-parameter rule over it."""
-    population = enumerate_population(spec)
-    t = transformation_matrix(params, population)
-    return population, ExplicitAugmentation(t)
 
 
 def _round_half_up(x: float) -> int:

@@ -10,9 +10,9 @@ from wildgraph import (
     PopulationSpec,
     TheoryVariant,
     build_graph,
-    build_parametric_population,
     build_toy_population,
 )
+from vertex_level import build_parametric_population
 
 # property tests must be as reproducible as everything else
 settings.register_profile("deterministic", derandomize=True, deadline=None)

@@ -592,6 +592,20 @@ class TestConfigValidation:
         assert key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["detect", "factorize", "loss-check"])
+    def test_non_square_matrix_is_config_error(self, tmp_path, capsys, command):
+        # Six examples but eight view columns: refused by name, where numpy
+        # used to fail to broadcast.
+        matrix = [[1.0 if i == j else 0.1 for j in range(8)] for i in range(6)]
+        config = write_config(tmp_path, {**RANK_TWO_CELLS, "augmentation_matrix": matrix})
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: transformation matrix has 8 view columns for 6 source rows: "
+            "the views are the examples, so it must be square\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("pi_c, pi_s", [(0.0, 0.0), (0.3, 0.1)])
     def test_wild_id_outside_id_domain_is_config_error(self, tmp_path, capsys, pi_c, pi_s):
         # Enumerated and sampled configs obey one rule set.
@@ -664,6 +678,18 @@ class TestFlags:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["detect", "factorize", "loss-check"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        # A sampled mixture reads the seed; a negative one is refused before
+        # the population is drawn, not by numpy's generator afterwards.
+        config = write_config(tmp_path, dict(SEPARATED_CONFIG, pi_c=0.3, pi_s=0.2))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config, "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: -1 is not a finite value >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["factorize", "loss-check"])
     @pytest.mark.parametrize(
         "flag, value",
@@ -709,6 +735,42 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err == f"config error: {flag[2:].replace('-', '_')} must be finite, got {value}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "factorize", "loss-check"])
+def test_readme_cells_a_hundred_thousandfold(tmp_path, command):
+    # 3.4 million examples in five cells.  No array as long as the population
+    # is built: one int64 per example would take 27 MB.  Each report equals
+    # the README config's, as under the blow-ups of test_quotient.py: counts
+    # scale, rates and distances do not.
+    factor = 100_000
+    reports = []
+    for m in (1, factor):
+        cells = [dict(c, count=m * c["count"]) for c in README_CONFIG["cells"]]
+        config = write_config(tmp_path, dict(README_CONFIG, cells=cells), name=f"x{m}.json")
+        out = tmp_path / f"{command}-x{m}"
+        flags = [] if command == "detect" else ["--k", "3"]
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", config, *flags, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        report = json.loads((out / "gaps.json" if command == "factorize" else out).read_text())
+        del report["config"]
+        reports.append(report)
+    small, large = reports
+    keys = {
+        "detect": small.keys(),
+        "factorize": ("final_loss", "spectral_optimum", "equivalence_constant"),
+        "loss-check": ("L1", "L2", "L3", "L4", "L5", "total", "matrix_loss", "constant"),
+    }[command]
+    for key in keys:
+        if key == "probing_error_count":
+            assert large[key] == factor * small[key]
+        else:
+            assert large[key] == pytest.approx(small[key], rel=1e-9, abs=1e-300), key
 
 
 class TestIoErrors:

@@ -17,8 +17,10 @@ from wildgraph import (
     combine_and_normalize,
     self_supervised_adjacency,
     supervised_adjacency,
+    transformation_matrix,
 )
 from conftest import STANDARD_WEIGHTS, parametric_50_node, random_symmetric, toy_bundle
+from vertex_level import build_parametric_population, indicator, split
 
 RHO, ALPHA, BETA, GAMMA = 1.0, 0.2, 0.1, 0.05
 
@@ -44,7 +46,7 @@ class TestSelfSupervisedAdjacency:
     def test_random_matrix_against_triple_loop(self):
         rng = np.random.default_rng(42)
         t = rng.uniform(0.0, 1.0, size=(7, 7))
-        from wildgraph import Cell, PopulationSpec, build_parametric_population, ParametricAugmentation
+        from wildgraph import Cell, PopulationSpec
 
         spec = PopulationSpec(
             classes=(0,),
@@ -71,9 +73,10 @@ class TestSelfSupervisedAdjacency:
         with pytest.raises(PopulationError):
             self_supervised_adjacency(ExplicitAugmentation(np.ones((3, 3))), population)
 
-    def test_non_square_transformation_builds_view_graph(self):
-        # more augmented views than source examples: adjacency lives in view space
-        from wildgraph import Cell, PopulationSpec, enumerate_population
+    def test_non_square_transformation_refused(self):
+        # The views are the examples themselves, so a matrix with more view
+        # columns than source rows is refused by name, not by broadcasting.
+        from wildgraph import Cell, PopulationError, PopulationSpec, enumerate_population
 
         spec = PopulationSpec(
             classes=(0, 1),
@@ -86,23 +89,36 @@ class TestSelfSupervisedAdjacency:
         )
         population = enumerate_population(spec)
         rng = np.random.default_rng(2)
-        t = rng.uniform(0.1, 1.0, size=(3, 7))
-        model = ExplicitAugmentation(t)
-        a_u = self_supervised_adjacency(model, population)
-        a_l = supervised_adjacency(model, population)
-        assert a_u.shape == a_l.shape == (7, 7)
-        bundle = combine_and_normalize(a_u, a_l, GraphWeights(5.0, 1.0))
-        assert abs(bundle.A_g.sum() - 1.0) <= 1e-12
+        model = ExplicitAugmentation(rng.uniform(0.1, 1.0, size=(3, 7)))
+        for build in (self_supervised_adjacency, supervised_adjacency):
+            with pytest.raises(PopulationError, match="7 view columns for 3 source rows"):
+                build(model, population)
+        with pytest.raises(PopulationError, match="must be square"):
+            build_graph(model, population, GraphWeights(5.0, 1.0))
 
 
 class TestSupervisedAdjacency:
+    def test_unequal_labeled_cells_weigh_by_count(self):
+        # Two labeled cells of one class, counts 1 and 3: the class mean is
+        # the mean over its four labeled examples, not over its two cells.
+        from wildgraph import Cell, Population
+
+        cells = (
+            Cell(0, 0, Membership.LABELED_ID, 1), Cell(0, 1, Membership.WILD_COVARIATE, 2),
+            Cell(0, 0, Membership.LABELED_ID, 3),
+        )
+        population = Population(classes=(0,), domains=(0, 1), cells=cells)
+        t = np.array([[1.0, 0.2, 0.5], [0.3, 1.0, 0.1], [0.4, 0.6, 1.0]])
+        mu = (t[0] + 3 * t[2]) / 4
+        np.testing.assert_allclose(supervised_adjacency(t, population), np.outer(mu, mu), atol=1e-15)
+
     def test_toy_off_diagonal_pair_weight(self, toy_a):
         population, model = toy_a
         a_l = supervised_adjacency(model, population)
         np.testing.assert_allclose(a_l[0, 1], 2 * RHO * BETA, rtol=1e-14)
 
     def test_no_labeled_examples_gives_zero(self):
-        from wildgraph import Cell, PopulationSpec, build_parametric_population, ParametricAugmentation
+        from wildgraph import Cell, PopulationSpec
 
         spec = PopulationSpec(
             classes=(0,),
@@ -113,7 +129,7 @@ class TestSupervisedAdjacency:
         np.testing.assert_array_equal(supervised_adjacency(model, population), np.zeros((4, 4)))
 
     def test_two_labeled_per_class_against_pair_loop(self):
-        from wildgraph import Cell, PopulationSpec, build_parametric_population, ParametricAugmentation
+        from wildgraph import Cell, PopulationSpec, enumerate_population
 
         spec = PopulationSpec(
             classes=(0, 1),
@@ -130,7 +146,10 @@ class TestSupervisedAdjacency:
         t = model.matrix
         n = t.shape[0]
         brute = np.zeros((n, n))
-        by_class = population.labeled_indices_by_class()
+        by_class: dict[int, list[int]] = {}
+        for i, cell in enumerate(population.cells):
+            if cell.membership is Membership.LABELED_ID:
+                by_class.setdefault(cell.class_label, []).append(i)
         for rows in by_class.values():
             n_i = len(rows)
             for x in range(n):
@@ -139,6 +158,12 @@ class TestSupervisedAdjacency:
                         for src_b in rows:
                             brute[x, y] += t[src_a, x] * t[src_b, y] / n_i**2
         np.testing.assert_allclose(supervised_adjacency(model, population), brute, atol=1e-13)
+        # Over the unsplit cells (counts 2, 2, 2) the rule gives one row per
+        # cell, holding the weight between two single examples of the cells.
+        cells = enumerate_population(spec)
+        a_l = supervised_adjacency(ParametricAugmentation(1.0, 0.3, 0.2, 0.05), cells)
+        e = np.repeat(np.eye(3), 2, axis=0)  # examples by cells
+        np.testing.assert_allclose(e @ a_l @ e.T, brute, atol=1e-13)
 
 
 class TestCombineAndNormalize:
@@ -259,6 +284,20 @@ class TestBuildGraph:
         reference = build_graph(explicit, population, weights)
         np.testing.assert_array_equal(bundle.A_tilde, reference.A_tilde)
 
+    def test_isolated_cell_names_its_first_example(self):
+        # With rho = beta = gamma = 0 the novel class, alone in its domain,
+        # has no edge.  Its two cells merge into one row, and the error names
+        # the row's first example in the population's vertex order.
+        from wildgraph import Cell, Population
+
+        cells = (
+            Cell(0, 0, Membership.LABELED_ID, 2), Cell(2, 1, Membership.WILD_SEMANTIC, 1),
+            Cell(0, 1, Membership.WILD_COVARIATE, 3), Cell(2, 1, Membership.WILD_SEMANTIC, 2),
+        )
+        population = Population(classes=(0,), domains=(0, 1), cells=cells)
+        with pytest.raises(IsolatedVertexError, match="^vertex 2 has zero degree$"):
+            build_graph(ParametricAugmentation(0.0, 0.1, 0.0, 0.0), population, STANDARD_WEIGHTS)
+
     def test_stack_of_models_matches_each_model(self, toy_a):
         # Array-valued parameters build one graph per entry, each equal to
         # the graph of that entry's own model.
@@ -282,7 +321,7 @@ class TestVertexView:
         a = bundle.A_tilde
         assert not a.flags.writeable
         assert a.shape == bundle.A_tilde_g.shape[:-2] + (vertices, vertices)
-        e = np.eye(bundle.groups.counts.shape[0])[bundle.groups.index]
+        e = indicator(bundle)
         expected = e @ bundle.A_tilde_g @ e.T
         assert a.dtype == expected.dtype and a.tobytes() == expected.tobytes()
 
@@ -290,8 +329,27 @@ class TestVertexView:
         population, _ = parametric_50_node()
         model = ParametricAugmentation(1.0, 0.05, 0.02, 0.01)
         bundle = build_graph(model, population, STANDARD_WEIGHTS)
-        assert bundle.groups.counts.shape[0] < len(population)
+        assert bundle.counts.shape[0] < len(population)
         self.assert_expands_the_groups(bundle, len(population))
+
+    def test_vertex_order_is_the_population_s(self):
+        # A cell key listed twice merges into one row, but the view keeps
+        # every example where the population put it.
+        from wildgraph import Cell, Population
+
+        cells = (
+            Cell(0, 0, Membership.LABELED_ID, 2), Cell(1, 1, Membership.WILD_COVARIATE, 1),
+            Cell(0, 0, Membership.LABELED_ID, 1), Cell(2, 1, Membership.WILD_SEMANTIC, 2),
+        )
+        population = Population(classes=(0, 1), domains=(0, 1), cells=cells)
+        model = ParametricAugmentation(1.0, 0.05, 0.02, 0.01)
+        bundle = build_graph(model, population, STANDARD_WEIGHTS)
+        assert bundle.vertex_rows().tolist() == [0, 0, 1, 0, 2, 2]
+        self.assert_expands_the_groups(bundle, 6)
+        examples = split(population)
+        dense = build_graph(ExplicitAugmentation(transformation_matrix(model, examples)), examples,
+                            STANDARD_WEIGHTS)
+        np.testing.assert_allclose(bundle.A_tilde, dense.A_tilde, rtol=0, atol=1e-15)
 
     def test_stack_of_toy_bundles(self, toy_a):
         population, _ = toy_a

@@ -97,3 +97,13 @@ def test_star_import_binds_exactly_all():
     exec("from wildgraph import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(wildgraph.__all__)
+
+
+def test_readme_quickstart_runs():
+    # The README's library quickstart, run as written: every name it uses
+    # is public, and each of its assertions holds.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "wg." in block
+    exec(compile(block, "README.md quickstart", "exec"), {})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from wildgraph import (
     PopulationError,
     PopulationSpec,
     TheoryVariant,
-    build_parametric_population,
+    build_graph,
     build_toy_population,
     enumerate_population,
     load_population_config,
@@ -26,6 +27,8 @@ from wildgraph import (
 )
 import wildgraph
 from wildgraph.population import mixture_counts
+from conftest import STANDARD_WEIGHTS
+from vertex_level import build_parametric_population, split
 
 
 class TestToyPopulation:
@@ -54,13 +57,13 @@ class TestToyPopulation:
             Membership.WILD_COVARIATE,
             Membership.WILD_SEMANTIC,
         ]
-        assert population.class_labels()[4] not in population.classes
+        assert population.cells[4].class_label not in population.classes
 
     def test_case_b_shares_covariate_domain(self):
         pop_a, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.1, 0.1, 0.01)
         pop_b, _ = build_toy_population(TheoryVariant.CASE_B, 1.0, 0.1, 0.1, 0.01)
-        assert pop_a.domain_labels()[4] not in (0, 1)
-        assert pop_b.domain_labels()[4] == pop_b.domain_labels()[2]
+        assert pop_a.cells[4].domain_label not in (0, 1)
+        assert pop_b.cells[4].domain_label == pop_b.cells[2].domain_label
 
 
 TOY_SPEC = PopulationSpec(
@@ -94,8 +97,8 @@ class TestParametricPopulation:
         params = ParametricAugmentation(1.0, 0.25, 0.15, 0.05)
         population, model = build_parametric_population(spec, params)
         assert model.matrix.shape == (13, 13)
-        cls = population.class_labels()
-        dom = population.domain_labels()
+        cls = [cell.class_label for cell in population.cells]
+        dom = [cell.domain_label for cell in population.cells]
         for i in range(13):
             for j in range(13):
                 if cls[i] == cls[j] and dom[i] == dom[j]:
@@ -177,16 +180,24 @@ class TestPopulationInvariants:
 
     def test_vertices_are_numbered_by_position(self):
         population = Population(
-            classes=(0,), domains=(0, 1), cells=(Cell(0, 1, Membership.WILD_COVARIATE, 1),)
+            classes=(0,),
+            domains=(0, 1),
+            cells=(Cell(0, 1, Membership.WILD_COVARIATE, 2), Cell(0, 0, Membership.LABELED_ID, 1)),
         )
-        assert len(population) == 1
-        assert population.indices(Membership.WILD_COVARIATE) == [0]
+        assert len(population) == 3
+        # a row per example, in vertex order, or a row per cell with its count
+        for rows, cells, counts in ((3, [0, 0, 1], [1, 1, 1]), (2, [0, 1], [2, 1])):
+            assert [a.tolist() for a in population.rows(rows)] == [cells, counts]
+        with pytest.raises(PopulationError, match="4 matrix rows"):
+            population.rows(4)
 
-    def test_vertex_arrays_are_read_only(self):
+    def test_population_keeps_no_per_example_array(self):
+        # Each count is stored once, on its cell: the three fields are all
+        # a population holds, and they cannot be rebound.
         population, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.1, 0.1, 0.01)
-        for labels in (population.class_labels(), population.domain_labels()):
-            with pytest.raises(ValueError):
-                labels[0] = 9
+        assert vars(population).keys() == {"classes", "domains", "cells"}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            population.cells = ()
 
 
 KINDS = list(Membership)
@@ -225,20 +236,16 @@ class TestCellExpansion:
         ]
         n = len(expanded)
         assert len(population) == n
-        assert population.class_labels().tolist() == [c for c, _, _ in expanded]
-        assert population.domain_labels().tolist() == [d for _, d, _ in expanded]
-
-        rows = [population.indices(kind) for kind in KINDS]
-        for kind, kind_rows in zip(KINDS, rows):
-            assert kind_rows == [i for i, (_, _, m) in enumerate(expanded) if m is kind]
-        assert sorted(sum(rows, [])) == list(range(n))
-        assert population.indices(*KINDS) == list(range(n))
-
-        by_class: dict[int, list[int]] = {}
-        for i, (c, _, m) in enumerate(expanded):
-            if m is Membership.LABELED_ID:
-                by_class.setdefault(c, []).append(i)
-        assert population.labeled_indices_by_class() == by_class
+        # one row per example: the example's cell, standing for one
+        cell, counts = population.rows(n)
+        key = lambda c: (c.class_label, c.domain_label, c.membership)  # noqa: E731
+        assert [key(population.cells[i]) for i in cell] == expanded
+        assert counts.tolist() == [1] * n
+        assert [key(c) for c in split(population).cells] == expanded
+        if n != len(cells):  # one row per cell, standing for its count
+            cell, counts = population.rows(len(cells))
+            assert cell.tolist() == list(range(len(cells)))
+            assert counts.tolist() == [c.count for c in cells]
         assert enumerate_population(PopulationSpec(classes, domains, cells)) == population
 
 
@@ -272,22 +279,19 @@ class TestWildMixture:
     def test_seeded_sequences_are_pinned(self):
         # Recorded before populations were stored as cells; any change to the
         # order of the sampler's RNG calls changes these strings.
-        population = sample_wild_mixture(WILD_SPEC, seed=3)
+        population = split(sample_wild_mixture(WILD_SPEC, seed=3))
         letter = {
             Membership.LABELED_ID: "L",
             Membership.WILD_ID: "I",
             Membership.WILD_COVARIATE: "C",
             Membership.WILD_SEMANTIC: "S",
         }
-        memberships = [""] * len(population)
-        for kind in Membership:
-            for i in population.indices(kind):
-                memberships[i] = letter[kind]
-        assert "".join(map(str, population.class_labels())) == (
+        memberships = [letter[cell.membership] for cell in population.cells]
+        assert "".join(str(cell.class_label) for cell in population.cells) == (
             "000011111101101000001011000000012111102011111002110010112101011000120210"
             "111100101100011010010020012000200201"
         )
-        assert "".join(map(str, population.domain_labels())) == (
+        assert "".join(str(cell.domain_label) for cell in population.cells) == (
             "000000000111110100100101111011011011001011100111011011001010111000111101"
             "000000010111000100111110111111110111"
         )
@@ -305,8 +309,9 @@ class TestWildMixture:
                 Cell(0, 0, Membership.WILD_ID, 30),
             ),
         )
-        population = sample_wild_mixture(spec, seed=0)
-        assert population.indices(Membership.WILD_ID) == list(range(2, 32))
+        population = split(sample_wild_mixture(spec, seed=0))
+        wild_id = [i for i, c in enumerate(population.cells) if c.membership is Membership.WILD_ID]
+        assert wild_id == list(range(2, 32))
 
     def test_same_seed_reproduces_population(self):
         assert sample_wild_mixture(WILD_SPEC, seed=11) == sample_wild_mixture(WILD_SPEC, seed=11)
@@ -346,24 +351,28 @@ class TestGroups:
         groups = population.groups()
         keys = [(c.class_label, c.domain_label, c.membership) for c in cells]
         distinct = list(dict.fromkeys(keys))
-        merged = groups.population.cells
+        merged = groups.cells
         assert [(c.class_label, c.domain_label, c.membership) for c in merged] == distinct
-        assert all(c.count == 1 for c in merged)
-        assert groups.counts.tolist() == [
+        # the merged cells carry the summed counts
+        assert [c.count for c in merged] == [
             sum(c.count for c, key in zip(cells, keys) if key == want) for want in distinct
         ]
-        vertex_keys = [key for c, key in zip(cells, keys) for _ in range(c.count)]
-        assert groups.index.tolist() == [distinct.index(key) for key in vertex_keys]
-        assert groups.population.classes == classes and groups.population.domains == domains
+        assert len(groups) == len(population)
+        assert groups.classes == classes and groups.domains == domains
+        assert groups.groups() == groups
 
     def test_sampled_mixture_cells_merge(self):
         population = sample_wild_mixture(WILD_SPEC, seed=3)
         groups = population.groups()
         # two labeled cells, wild-ID of two classes, covariate of two classes, one semantic
-        assert len(groups.population) == 7
-        assert groups.counts.sum() == len(population)
+        assert len(groups.cells) == 7
+        assert len(groups) == len(population)
+        # the graph's rows are the merged cells, and each example maps to its own
+        bundle = build_graph(ParametricAugmentation(1.0, 0.1, 0.05, 0.01), population, STANDARD_WEIGHTS)
+        assert bundle.groups == groups
+        row_class = np.array([c.class_label for c in groups.cells])
         np.testing.assert_array_equal(
-            groups.population.class_labels()[groups.index], population.class_labels()
+            row_class[bundle.vertex_rows()], [c.class_label for c in split(population).cells]
         )
 
 

@@ -56,6 +56,7 @@ from wildgraph import (
     transformation_matrix,
 )
 from wildgraph.cli import main
+from vertex_level import indicator, split
 
 REL = 1e-9
 WEIGHTS = GraphWeights(5.0, 1.0)
@@ -92,7 +93,7 @@ def _spectrum(config: dict, weights: GraphWeights = WEIGHTS) -> np.ndarray:
     """The descending spectrum of the config's quotient."""
     spec, model = load_population_config(config)
     bundle = build_graph(model, enumerate_population(spec), weights)
-    root = np.sqrt(bundle.groups.counts)
+    root = np.sqrt(bundle.counts)
     return np.linalg.eigvalsh(root[:, None] * bundle.A_tilde_g * root)[::-1]
 
 
@@ -133,7 +134,7 @@ def _assert_same(have: dict, want: dict, count_factor: int = 1, rel: float = REL
 def _expanded(config: dict) -> dict:
     """The same cells under their parametric matrix, written out per example."""
     spec, model = load_population_config(config)
-    matrix = transformation_matrix(model, enumerate_population(spec))
+    matrix = transformation_matrix(model, split(enumerate_population(spec)))
     return dict({k: v for k, v in config.items() if k != "augmentation"},
                 augmentation_matrix=matrix.tolist())
 
@@ -180,14 +181,15 @@ def test_lifted_vectors_are_eigenvectors_of_the_expanded_graph(config):
     bundle = build_graph(model, population, WEIGHTS)
     k = len(spec.classes) + 1
     embedding = embed(bundle, k)
-    v = embedding.V_k[bundle.groups.index]
+    v = embedding.V_k[bundle.vertex_rows()]
     a = bundle.A_tilde
     residual = np.linalg.norm(a @ v - v * embedding.eigenvalues[:k])
     assert residual <= 1e-10 * np.linalg.norm(a)
     np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-10)
     # The expansion is the graph of the per-example matrix.
+    examples = split(population)
     dense = build_graph(
-        ExplicitAugmentation(transformation_matrix(model, population)), population, WEIGHTS
+        ExplicitAugmentation(transformation_matrix(model, examples)), examples, WEIGHTS
     )
     np.testing.assert_allclose(a, dense.A_tilde, rtol=0.0, atol=1e-14)
 
@@ -246,12 +248,11 @@ def small_blow_ups(draw):
 
 
 def _expansion(config: dict):
-    """The config's bundle, its vertices-by-groups indicator E and the lift E diag(n)^-1/2."""
+    """The config's bundle, its vertices-by-rows indicator E and the lift E diag(n)^-1/2."""
     spec, model = load_population_config(config)
     bundle = build_graph(model, enumerate_population(spec), WEIGHTS)
-    counts = bundle.groups.counts
-    indicator = np.eye(counts.shape[0])[bundle.groups.index]
-    return bundle, indicator, indicator / np.sqrt(counts)
+    e = indicator(bundle)
+    return bundle, e, e / np.sqrt(bundle.counts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,7 +267,7 @@ def test_quotient_loss_gradient_and_sums_equal_the_expanded_ones(config, k, seed
     np.testing.assert_allclose(
         lift @ (4.0 * (h @ h.T - bundle.Q) @ h), grad, rtol=0, atol=1e-12 * np.abs(grad).max()
     )
-    counts = bundle.groups.counts
+    counts = bundle.counts
     have = surrogate_loss_from_parts(
         h / np.sqrt(counts * bundle.D_g)[:, None], bundle.A_u_g, bundle.A_l_g, WEIGHTS, counts
     )
