@@ -7,11 +7,11 @@ covariate-shifted, wild semantic-shifted).  It is stored as a list of
 cells: a cell is a run of ``count`` examples that share all three tags,
 and vertex i of the graph is the i-th example when the runs are laid end
 to end.  An enumerated config keeps its cells as written; a sampled wild
-mixture is its labeled cells followed by one count-1 cell per drawn wild
-example; a toy layout is five count-1 cells.  One rule set
-(:func:`_check_cells`) covers all of them.  Each count is stored once, on
-its cell, and no array is kept per example.  Examples that share all three
-tags are interchangeable under the four-parameter rule below, so
+mixture is its labeled cells followed by the drawn count of each wild
+(class, domain, membership) key; a toy layout is five count-1 cells.  One
+rule set (:func:`_check_cells`) covers all of them.  Each count is stored
+once, on its cell, and no array is kept per example.  Examples that share
+all three tags are interchangeable under the four-parameter rule below, so
 :meth:`Population.groups` merges such cells, summing their counts; the
 graph is then solved on one row per merged cell, weighed by its count.  An
 augmentation model assigns every (source, view) pair a nonnegative
@@ -200,18 +200,15 @@ class ParametricAugmentation:
 
 @dataclass(frozen=True)
 class ExplicitAugmentation:
-    """Explicit nonnegative transformation matrix, sources by views.
-
-    Leading axes, if any, stack one matrix per model.
-    """
+    """Explicit nonnegative transformation matrix, sources by views."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim < 2:
+        if m.ndim != 2:
             raise PopulationError(
-                f"transformation matrix must have at least two axes, got shape {m.shape}"
+                f"transformation matrix must have two axes, got shape {m.shape}"
             )
         if not np.all(np.isfinite(m)) or np.any(m < 0):
             raise PopulationError("transformation matrix entries must be finite and nonnegative")
@@ -235,7 +232,7 @@ def transformation_matrix(model: AugmentationModel, population: Population) -> n
     example; it is checked for that shape and returned as-is.
     """
     if isinstance(model, ExplicitAugmentation):
-        rows, columns = model.matrix.shape[-2:]
+        rows, columns = model.matrix.shape
         if rows != len(population):
             raise PopulationError(
                 f"transformation matrix has {rows} source rows "
@@ -308,16 +305,13 @@ def _toy_examples(variant: TheoryVariant) -> Population:
 
 def build_toy_population(
     variant: TheoryVariant | str,
-    rho: float,
-    alpha: float,
-    beta: float,
-    gamma: float,
-) -> tuple[Population, ExplicitAugmentation]:
-    """Five-example population with its 5x5 transformation matrix."""
-    population = _toy_examples(TheoryVariant(variant))
-    params = ParametricAugmentation(rho, alpha, beta, gamma)
-    t = transformation_matrix(params, population)
-    return population, ExplicitAugmentation(t)
+    rho: float | np.ndarray,
+    alpha: float | np.ndarray,
+    beta: float | np.ndarray,
+    gamma: float | np.ndarray,
+) -> tuple[Population, ParametricAugmentation]:
+    """Five-example population with its four-parameter model (a stack, for arrays)."""
+    return _toy_examples(TheoryVariant(variant)), ParametricAugmentation(rho, alpha, beta, gamma)
 
 
 def enumerate_population(spec: PopulationSpec) -> Population:
@@ -354,43 +348,36 @@ def sample_wild_mixture(spec: PopulationSpec, seed: int) -> Population:
     """Random population whose wild part follows the spec's mixture fractions.
 
     Labeled cells are kept as they are.  The wild cells only size the wild
-    pool; each wild example is then assigned a membership so that the
-    covariate/semantic fractions match pi_c and pi_s (see
-    :func:`mixture_counts`), a uniformly random known class (novel class for
-    semantic examples), and a uniformly random non-ID domain where the
-    membership requires one, and appended as a count-1 cell.  Deterministic
-    for a fixed seed.
+    pool, which :func:`mixture_counts` splits into wild-ID, covariate and
+    semantic totals.  Each total is spread by one multinomial draw, uniform
+    over its (class, domain) keys: wild-ID over the known classes in the ID
+    domain, covariate over the known classes and the non-ID domains, and
+    semantic over the spec's novel classes (those of its semantic cells, or
+    ``max(classes) + 1`` if it has none) and the non-ID domains.  The
+    nonzero counts follow the labeled cells in that order, so the cells
+    number at most the labeled ones plus C + C S + (novel classes) S.
+    Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    wild_kinds = (Membership.WILD_ID, Membership.WILD_COVARIATE, Membership.WILD_SEMANTIC)
-    total_wild = sum(c.count for c in spec.cells if c.membership in wild_kinds)
-    m_c, m_s, m_id = mixture_counts(total_wild, spec.pi_c, spec.pi_s)
-
-    id_domain = spec.domains[0]
-    shifted_domains = [d for d in spec.domains if d != id_domain]
-    if (m_c or m_s) and not shifted_domains:
+    wild = [c for c in spec.cells if c.membership is not Membership.LABELED_ID]
+    m_c, m_s, m_id = mixture_counts(sum(c.count for c in wild), spec.pi_c, spec.pi_s)
+    shifted = spec.domains[1:]
+    if (m_c or m_s) and not shifted:
         raise PopulationError("covariate or semantic examples need a non-ID domain")
-    novel_class = max(spec.classes) + 1
+    novel = tuple(
+        dict.fromkeys(c.class_label for c in wild if c.membership is Membership.WILD_SEMANTIC)
+    ) or (max(spec.classes) + 1,)
 
-    cells = [cell for cell in spec.cells if cell.membership is Membership.LABELED_ID]
-    memberships = (
-        [Membership.WILD_COVARIATE] * m_c
-        + [Membership.WILD_SEMANTIC] * m_s
-        + [Membership.WILD_ID] * m_id
-    )
-    order = rng.permutation(total_wild)
-    for pos in order:
-        kind = memberships[pos]
-        if kind is Membership.WILD_ID:
-            cls = int(rng.choice(spec.classes))
-            dom = id_domain
-        elif kind is Membership.WILD_COVARIATE:
-            cls = int(rng.choice(spec.classes))
-            dom = int(rng.choice(shifted_domains))
-        else:
-            cls = novel_class
-            dom = int(rng.choice(shifted_domains))
-        cells.append(Cell(cls, dom, kind, 1))
+    cells = [c for c in spec.cells if c.membership is Membership.LABELED_ID]
+    for kind, total, classes, domains in (
+        (Membership.WILD_ID, m_id, spec.classes, spec.domains[:1]),
+        (Membership.WILD_COVARIATE, m_c, spec.classes, shifted),
+        (Membership.WILD_SEMANTIC, m_s, novel, shifted),
+    ):
+        if total:
+            keys = [(c, d) for c in classes for d in domains]
+            counts = rng.multinomial(total, np.full(len(keys), 1.0 / len(keys)))
+            cells += [Cell(c, d, kind, int(n)) for (c, d), n in zip(keys, counts) if n]
     return Population(classes=spec.classes, domains=spec.domains, cells=tuple(cells))
 
 

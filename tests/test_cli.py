@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_golden import README_CONFIG
+from test_golden import MIXTURE_CONFIG, README_CONFIG
 from wildgraph import cli, spectral
 from wildgraph.cli import main
 from wildgraph.theory import ReducedParams, verify_against_pipeline
@@ -742,25 +742,27 @@ def test_readme_cells_a_hundred_thousandfold(tmp_path, command):
     # 3.4 million examples in five cells.  No array as long as the population
     # is built: one int64 per example would take 27 MB.  Each report equals
     # the README config's, as under the blow-ups of test_quotient.py: counts
-    # scale, rates and distances do not.
+    # scale, rates and distances do not.  The README mixture blown up as far
+    # samples its 1.8 million wild examples as counts, under the same bound.
     factor = 100_000
+    flags = [] if command == "detect" else ["--k", "3"]
     reports = []
-    for m in (1, factor):
-        cells = [dict(c, count=m * c["count"]) for c in README_CONFIG["cells"]]
-        config = write_config(tmp_path, dict(README_CONFIG, cells=cells), name=f"x{m}.json")
-        out = tmp_path / f"{command}-x{m}"
-        flags = [] if command == "detect" else ["--k", "3"]
+    for name, base, m in (("x1", README_CONFIG, 1), ("x100000", README_CONFIG, factor),
+                          ("mixture-x100000", MIXTURE_CONFIG, factor)):
+        cells = [dict(c, count=m * c["count"]) for c in base["cells"]]
+        config = write_config(tmp_path, dict(base, cells=cells), name=f"{name}.json")
+        out = tmp_path / f"{command}-{name}"
         tracemalloc.start()
         try:
             assert main([command, "--config", config, *flags, "--out", str(out)]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5e6
+        assert peak < 5e6, name
         report = json.loads((out / "gaps.json" if command == "factorize" else out).read_text())
         del report["config"]
         reports.append(report)
-    small, large = reports
+    small, large, _ = reports
     keys = {
         "detect": small.keys(),
         "factorize": ("final_loss", "spectral_optimum", "equivalence_constant"),

@@ -15,7 +15,10 @@ moved to the cell quotient, and ``factorize`` on explicit matrices of seeds 3
 and 4 from the unscaled conjugate gradient, before the descent's gradients
 were scaled by the k x k metric, and ``factorize`` and ``loss-check`` on the
 README and three-class configs from the vertex-level factorizer and loss
-sums, before both commands moved to the cell quotient.
+sums, before both commands moved to the cell quotient.  ``detect`` on the
+sampled mixture was recorded again, from the cell quotient, when the
+sampler switched from one draw per wild example to one multinomial draw
+per membership: the law is the same, the seeded sample is not.
 
 Comparison: metrics within GOLDEN_RTOL relative, spectra elementwise within
 SPECTRUM_ATOL times the largest eigenvalue, counts, flags and exit codes
@@ -98,8 +101,8 @@ def matrix_config() -> dict:
 
 
 # (case name, config, seed) of the detect cases.  The mixture's wild
-# examples are count-1 cells that the engine merges into groups; the
-# explicit matrix has no interchangeable vertices at all.
+# examples are drawn as counts, one cell per (class, domain, membership)
+# key; the explicit matrix has no interchangeable vertices at all.
 DETECT_CASES = [
     ("detect-readme", README_CONFIG, None),
     ("detect-mixture-seed1", MIXTURE_CONFIG, 1),

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wildgraph import (
@@ -28,23 +30,25 @@ from wildgraph import (
 import wildgraph
 from wildgraph.population import mixture_counts
 from conftest import STANDARD_WEIGHTS
-from vertex_level import build_parametric_population, split
+from vertex_level import build_parametric_population, sample_per_example, split
 
 
 class TestToyPopulation:
     def test_case_a_first_row(self):
         rho, alpha, beta, gamma = 0.9, 0.2, 0.1, 0.05
-        _, model = build_toy_population(TheoryVariant.CASE_A, rho, alpha, beta, gamma)
-        np.testing.assert_allclose(model.matrix[0], [rho, beta, alpha, gamma, gamma])
+        population, model = build_toy_population(TheoryVariant.CASE_A, rho, alpha, beta, gamma)
+        t = transformation_matrix(model, population)
+        np.testing.assert_allclose(t[0], [rho, beta, alpha, gamma, gamma])
 
     def test_case_b_third_row(self):
         rho, alpha, beta, gamma = 0.9, 0.2, 0.1, 0.05
-        _, model = build_toy_population(TheoryVariant.CASE_B, rho, alpha, beta, gamma)
-        np.testing.assert_allclose(model.matrix[2], [alpha, gamma, rho, beta, beta])
+        population, model = build_toy_population(TheoryVariant.CASE_B, rho, alpha, beta, gamma)
+        t = transformation_matrix(model, population)
+        np.testing.assert_allclose(t[2], [alpha, gamma, rho, beta, beta])
 
     def test_all_cross_probabilities_zero_gives_diagonal(self):
-        _, model = build_toy_population(TheoryVariant.CASE_A, 0.7, 0.0, 0.0, 0.0)
-        np.testing.assert_array_equal(model.matrix, 0.7 * np.eye(5))
+        population, model = build_toy_population(TheoryVariant.CASE_A, 0.7, 0.0, 0.0, 0.0)
+        np.testing.assert_array_equal(transformation_matrix(model, population), 0.7 * np.eye(5))
 
     def test_ordering_and_memberships(self):
         population, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.1, 0.1, 0.01)
@@ -83,8 +87,8 @@ class TestParametricPopulation:
     def test_reduces_to_toy(self):
         params = ParametricAugmentation(1.0, 0.3, 0.2, 0.1)
         _, model = build_parametric_population(TOY_SPEC, params)
-        _, toy_model = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.3, 0.2, 0.1)
-        np.testing.assert_array_equal(model.matrix, toy_model.matrix)
+        toy, toy_model = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.3, 0.2, 0.1)
+        np.testing.assert_array_equal(model.matrix, transformation_matrix(toy_model, toy))
 
     def test_13_node_grid_against_entrywise_rule(self):
         cells = []
@@ -262,43 +266,79 @@ WILD_SPEC = PopulationSpec(
 )
 
 
+def membership_totals(cells) -> tuple[int, int, int]:
+    """The (covariate, semantic, wild-ID) example counts of ``cells``, as ``mixture_counts`` orders them."""
+    kinds = (Membership.WILD_COVARIATE, Membership.WILD_SEMANTIC, Membership.WILD_ID)
+    return tuple(sum(c.count for c in cells if c.membership is kind) for kind in kinds)
+
+
 class TestWildMixture:
     def test_reference_mixture_counts(self):
         population = sample_wild_mixture(WILD_SPEC, seed=3)
-        wild = population.cells[2:]
-        assert len(wild) == 100
-        assert all(cell.count == 1 for cell in wild)
-        counts = {
-            kind: sum(1 for cell in wild if cell.membership is kind)
-            for kind in (Membership.WILD_COVARIATE, Membership.WILD_SEMANTIC, Membership.WILD_ID)
-        }
-        assert counts[Membership.WILD_COVARIATE] == 50
-        assert counts[Membership.WILD_SEMANTIC] == 10
-        assert counts[Membership.WILD_ID] == 40
+        assert population.cells[:2] == WILD_SPEC.cells[:2]
+        assert membership_totals(population.cells[2:]) == (50, 10, 40)
 
     def test_seeded_sequences_are_pinned(self):
-        # Recorded before populations were stored as cells; any change to the
-        # order of the sampler's RNG calls changes these strings.
-        population = split(sample_wild_mixture(WILD_SPEC, seed=3))
-        letter = {
-            Membership.LABELED_ID: "L",
-            Membership.WILD_ID: "I",
-            Membership.WILD_COVARIATE: "C",
-            Membership.WILD_SEMANTIC: "S",
-        }
-        memberships = [letter[cell.membership] for cell in population.cells]
-        assert "".join(str(cell.class_label) for cell in population.cells) == (
-            "000011111101101000001011000000012111102011111002110010112101011000120210"
-            "111100101100011010010020012000200201"
+        # Recorded when the sampler switched to one multinomial draw per
+        # membership; any change to the order of its RNG calls changes them.
+        population = sample_wild_mixture(WILD_SPEC, seed=3)
+        assert [(c.class_label, c.domain_label, c.membership.value, c.count)
+                for c in population.cells] == [
+            (0, 0, "labeled_id", 4), (1, 0, "labeled_id", 4),
+            (0, 0, "wild_id", 16), (1, 0, "wild_id", 24),
+            (0, 1, "wild_covariate", 22), (1, 1, "wild_covariate", 28),
+            (2, 1, "wild_semantic", 10),
+        ]
+
+    def test_sampled_cells_keep_the_config_s_novel_classes(self):
+        spec = PopulationSpec(
+            classes=(0, 1),
+            domains=(0, 1, 2),
+            cells=(
+                Cell(0, 0, Membership.LABELED_ID, 3),
+                Cell(5, 1, Membership.WILD_SEMANTIC, 20),
+                Cell(7, 2, Membership.WILD_SEMANTIC, 20),
+            ),
+            pi_c=0.2,
+            pi_s=0.6,
         )
-        assert "".join(str(cell.domain_label) for cell in population.cells) == (
-            "000000000111110100100101111011011011001011100111011011001010111000111101"
-            "000000010111000100111110111111110111"
-        )
-        assert "".join(memberships) == (
-            "LLLLLLLLICCCCCICIICIICICCCCICCICSICCIISICCCIICCSICCICCIISICICCCIIICSCSIC"
-            "IIIIIIICICCCIIICIICCCCSICCSCCCSCISCC"
-        )
+        population = sample_wild_mixture(spec, seed=0)
+        semantic = [c for c in population.cells if c.membership is Membership.WILD_SEMANTIC]
+        assert sorted({c.class_label for c in semantic}) == [5, 7]
+        assert sum(c.count for c in semantic) == 24
+        # without semantic cells, the one novel class follows the known ones
+        plain = PopulationSpec(WILD_SPEC.classes, WILD_SPEC.domains, WILD_SPEC.cells, 0.0, 0.5)
+        novel = {c.class_label for c in sample_wild_mixture(plain, seed=0).cells
+                 if c.membership is Membership.WILD_SEMANTIC}
+        assert novel == {2}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3), st.integers(1, 3), st.integers(0, 2),
+        st.lists(st.integers(1, 40), min_size=1, max_size=4),
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+    )
+    def test_membership_totals_are_the_mixture_counts(
+        self, n_classes, n_domains, n_novel, wild, pi_c, pi_s, seed
+    ):
+        pi_s = min(pi_s, 1.0 - pi_c)
+        classes, domains = tuple(range(n_classes)), tuple(range(n_domains))
+        cells = [Cell(0, 0, Membership.LABELED_ID, 2)] + [
+            Cell(0, 0, Membership.WILD_ID, count) for count in wild
+        ]
+        if n_domains > 1:
+            cells += [Cell(n_classes + j, 1, Membership.WILD_SEMANTIC, 1) for j in range(n_novel)]
+        total = sum(c.count for c in cells[1:])
+        m_c, m_s, m_id = mixture_counts(total, pi_c, pi_s)
+        assume(n_domains > 1 or m_c + m_s == 0)
+        spec = PopulationSpec(classes, domains, tuple(cells), pi_c, pi_s)
+        population = sample_wild_mixture(spec, seed)
+        assert population.cells[0] == cells[0]
+        assert membership_totals(population.cells[1:]) == (m_c, m_s, m_id)
+        # one cell at most per (class, domain, membership) key
+        shifted = n_domains - 1
+        assert len(population.cells) <= 1 + n_classes + n_classes * shifted + max(n_novel, 1) * shifted
+        assert len(population.groups().cells) == len(population.cells)
 
     def test_zero_fractions_give_all_wild_id(self):
         spec = PopulationSpec(
@@ -340,6 +380,53 @@ class TestWildMixture:
         # 0.5 * 3 = 1.5 rounds up for covariate, 0.5 * 3 = 1.5 rounds down for semantic
         m_c, m_s, _ = mixture_counts(3, 0.5, 0.5)
         assert (m_c, m_s) == (2, 1)
+
+
+# Three shifted keys per known class, so that the class and domain laws both show.
+LAW_SPEC = PopulationSpec(
+    classes=(0, 1),
+    domains=(0, 1, 2, 3),
+    cells=(Cell(0, 0, Membership.LABELED_ID, 2), Cell(0, 0, Membership.WILD_ID, 60)),
+    pi_c=0.5,
+    pi_s=0.2,
+)
+LAW_SEEDS = range(200)
+# Over 200 seeds of 60 wild examples the two samplers' merged key
+# frequencies lie 0.017 apart in total variation, against 0.014 expected
+# from two independent draws of 12 000 wild examples over 11 wild keys;
+# piling every covariate example on one key moves them 0.41 apart.
+LAW_TV_BOUND = 0.03
+
+
+def law_distance(sampler) -> float:
+    """Total variation between ``sampler``'s and the per-example sampler's key frequencies."""
+    def frequencies(draw):
+        tally: Counter = Counter()
+        for seed in LAW_SEEDS:
+            for c in draw(LAW_SPEC, seed).cells:
+                tally[c.class_label, c.domain_label, c.membership] += c.count
+        total = sum(tally.values())
+        return {key: n / total for key, n in tally.items()}
+
+    have, want = frequencies(sampler), frequencies(sample_per_example)
+    return 0.5 * sum(abs(have.get(key, 0.0) - want.get(key, 0.0)) for key in have.keys() | want.keys())
+
+
+def one_covariate_key(spec, seed):
+    """A wrong sampler: every covariate example on the first covariate key."""
+    cells = sample_wild_mixture(spec, seed).cells
+    covariate = [c for c in cells if c.membership is Membership.WILD_COVARIATE]
+    others = tuple(c for c in cells if c.membership is not Membership.WILD_COVARIATE)
+    piled = (replace(covariate[0], count=sum(c.count for c in covariate)),) if covariate else ()
+    return Population(spec.classes, spec.domains, others + piled)
+
+
+class TestMixtureLaw:
+    def test_counts_follow_the_per_example_law(self):
+        assert law_distance(sample_wild_mixture) <= LAW_TV_BOUND
+
+    def test_bound_catches_a_misplaced_membership(self):
+        assert law_distance(one_covariate_key) > LAW_TV_BOUND
 
 
 class TestGroups:
@@ -397,8 +484,8 @@ class TestConfigLoading:
         path.write_text(json.dumps(self.CONFIG))
         spec, model = load_population_config(path)
         population, explicit = build_parametric_population(spec, model)
-        _, toy_model = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.3, 0.2, 0.1)
-        np.testing.assert_array_equal(explicit.matrix, toy_model.matrix)
+        toy, toy_model = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.3, 0.2, 0.1)
+        np.testing.assert_array_equal(explicit.matrix, transformation_matrix(toy_model, toy))
 
     def test_explicit_matrix_alternative(self):
         config = dict(self.CONFIG)

@@ -18,6 +18,7 @@ from wildgraph import (
     evaluate,
     run_toy_pipeline,
     separability_gap,
+    transformation_matrix,
     verify_against_pipeline,
 )
 from wildgraph.theory import (
@@ -376,7 +377,9 @@ def test_string_variant_matches_enum(variant):
     pop_s, model_s = build_toy_population(variant, 1.0, 0.03, 0.01, 1e-6)
     pop_e, model_e = build_toy_population(member, 1.0, 0.03, 0.01, 1e-6)
     assert pop_s == pop_e
-    np.testing.assert_array_equal(model_s.matrix, model_e.matrix)
+    np.testing.assert_array_equal(
+        transformation_matrix(model_s, pop_s), transformation_matrix(model_e, pop_e)
+    )
 
     assert boundary_margin(variant, params) == boundary_margin(member, params)
 
