@@ -17,7 +17,11 @@ explicit matrix, and blown up twentyfold and a hundred-thousandfold
 ``factorize`` and ``loss-check`` on the README config, both of its
 blow-ups, the three-class layout and the explicit matrix.  ``detect``,
 ``factorize --k 3`` and ``loss-check --k 3`` also run on the mixture blown
-up a hundred-thousandfold (1.8 million sampled wild examples).
+up a hundred-thousandfold (1.8 million sampled wild examples), and on five
+broken variants of the explicit matrix, each of which they refuse: a zero
+view column (an isolated vertex), every entry 1e200 (the total weight
+overflows), a diagonal entry of 1e-155 alone in its row and column (a
+subnormal degree), one row short and one column short.
 Every tolerance flag is also set away from its default once: toy-verify's
 ``--tolerance-scale`` and factorize's ``--loss-gap-tol`` and ``--spread-tol``.
 Each command runs from inside OUT_DIR with relative paths, so two
@@ -66,6 +70,24 @@ SWEEP_BOXES = (
     ("-blocks", ("0.01", "0.25"), ("0.01", "0.25"), "65"),
 )
 
+def broken_matrices() -> dict[str, dict]:
+    """Five explicit matrices over the README's cells that every command refuses."""
+    config = matrix_config()
+    rows = config["augmentation_matrix"]
+    subnormal = [[0.0 if 33 in (i, j) else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    subnormal[33][33] = 1e-155
+    variants = {
+        "zero-column": [[0.0 if j == 9 else v for j, v in enumerate(row)] for row in rows],
+        "overflow": [[1e200] * len(row) for row in rows],
+        "subnormal-degree": subnormal,
+        "row-short": rows[:-1],
+        "column-short": [row[:-1] for row in rows],
+    }
+    return {f"matrix-{name}": dict(config, augmentation_matrix=m) for name, m in variants.items()}
+
+
+BROKEN_MATRICES = broken_matrices()
+
 CONFIGS = {
     "readme.json": README_CONFIG,
     "mixture.json": MIXTURE_CONFIG,
@@ -74,6 +96,7 @@ CONFIGS = {
     "readme-x100000.json": blown_up(README_CONFIG, 100_000),
     "mixture-x100000.json": blown_up(MIXTURE_CONFIG, 100_000),
     "three-class.json": THREE_CLASS_CONFIG,
+    **{f"{name}.json": config for name, config in BROKEN_MATRICES.items()},
 }
 
 
@@ -131,6 +154,11 @@ def commands() -> list[list[str]]:
         out.append(["factorize", "--config", f"{name}.json", "--k", "3", "--seed", "7",
                     "--out", f"factorize-{name}-seed7"])
         out.append(["loss-check", "--config", f"{name}.json", "--k", "3", "--seed", "7",
+                    "--out", f"loss-check-{name}.json"])
+    for name in BROKEN_MATRICES:
+        out.append(["detect", "--config", f"{name}.json", "--out", f"detect-{name}.json"])
+        out.append(["factorize", "--config", f"{name}.json", "--k", "3", "--out", f"factorize-{name}"])
+        out.append(["loss-check", "--config", f"{name}.json", "--k", "3",
                     "--out", f"loss-check-{name}.json"])
     return out
 

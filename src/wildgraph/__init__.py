@@ -35,7 +35,6 @@ from .graph import (
     GraphWeights,
     IsolatedVertexError,
     build_graph,
-    combine_and_normalize,
     self_supervised_adjacency,
     supervised_adjacency,
 )
@@ -96,7 +95,6 @@ _LAZY = {
             "VerificationReport",
             "closed_form",
             "run_toy_pipeline",
-            "separability_gap",
             "verify_against_pipeline",
         ),
         "theory",
@@ -123,7 +121,6 @@ __all__ = [
     "GraphWeights",
     "IsolatedVertexError",
     "build_graph",
-    "combine_and_normalize",
     "self_supervised_adjacency",
     "supervised_adjacency",
     "AsymmetricMatrixError",

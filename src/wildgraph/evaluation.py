@@ -253,19 +253,20 @@ class Evaluation:
 def evaluate(population: Population, Z: np.ndarray) -> Evaluation:
     """Probe, probing error, separability and accuracies of an embedding.
 
-    ``Z`` has one row per cell of ``population``, or one per example
-    (:meth:`Population.rows`), and a row enters every metric with the
-    examples it stands for.  The probe is fit on the labeled ID rows and
-    scored on the covariate rows.  Separability pairs the labeled and then
-    the wild ID rows with the semantic rows.  ID accuracy is scored on the
-    wild ID rows, the held-out ID side, or on the labeled rows when there
-    are none.
+    ``Z`` has one row per cell of ``population``, and a row enters every
+    metric with the examples its cell stands for.  The probe is fit on the
+    labeled ID rows and scored on the covariate rows.  Separability pairs
+    the labeled and then the wild ID rows with the semantic rows.  ID
+    accuracy is scored on the wild ID rows, the held-out ID side, or on the
+    labeled rows when there are none.
     """
     z = np.asarray(Z, dtype=float)
-    cell, n = population.rows(z.shape[-2])
+    if z.ndim < 2 or z.shape[-2] != len(population.cells):
+        raise EvaluationError(f"got an embedding of shape {z.shape} for {len(population.cells)} cells")
+    n = population.counts()
     rows: dict[Membership, list[int]] = {kind: [] for kind in Membership}
-    for r, i in enumerate(cell.tolist()):
-        rows[population.cells[i].membership].append(r)
+    for r, c in enumerate(population.cells):
+        rows[c.membership].append(r)
     labeled, wild_id, covariate, semantic = (rows[kind] for kind in Membership)
     missing = [
         kind.value
@@ -274,7 +275,7 @@ def evaluate(population: Population, Z: np.ndarray) -> Evaluation:
     ]
     if missing:
         raise EvaluationError(f"population lacks required membership kinds: {', '.join(missing)}")
-    labels = np.array([c.class_label for c in population.cells])[cell]
+    labels = np.array([c.class_label for c in population.cells])
     probe = fit_linear_probe(
         z[..., labeled, :], labels[labeled], classes=population.classes, counts=n[labeled]
     )

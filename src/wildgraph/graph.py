@@ -9,14 +9,16 @@ adjacency is scaled by a single global constant so its entries sum to one,
 degrees are its row sums, and the normalized adjacency divides each entry
 by the square root of both endpoint degrees.
 
-Under the four-parameter rule, examples that share a class, a domain and a
-membership have identical rows in every adjacency, so the graph is built
-over the merged cells (:meth:`Population.groups`), one row per cell.  With
-the cells' counts n and T expanded over one example per cell,
-A_u = T^t diag(n) T / N, each labeled class is one cell whose row is its
-mean, C = n^t raw n and D = raw n / C; no array grows with the number of
-examples.  An explicit matrix's rows are arbitrary, so it keeps one row
-per example (:meth:`Population.rows`) and the same code runs with n = 1.
+Every graph is built over cells, one row per cell, weighed by its count:
+under the four-parameter rule the merged cells (:meth:`Population.groups`),
+whose examples have identical rows in every adjacency, and under an
+explicit matrix, whose rows are arbitrary, one count-1 cell per example
+(:meth:`Population.examples`).  With the cells' counts n and T expanded
+over one example per cell, A_u = T^t diag(n) T / N, each labeled class is
+one cell whose row is its mean, C = n^t raw n and D = raw n / C.  Every
+array is exactly symmetric by construction: A_u is (sqrt(n) T)^t
+(sqrt(n) T), A_l a sum of outer products, and each normalization divides
+entries (i, j) and (j, i) by one product.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "IsolatedVertexError",
     "self_supervised_adjacency",
     "supervised_adjacency",
-    "combine_and_normalize",
     "build_graph",
 ]
 
@@ -75,15 +75,15 @@ class GraphWeights:
 
 @dataclass(frozen=True)
 class GraphBundle:
-    """All adjacency views of one population graph, held over its rows.
+    """All adjacency views of one population graph, held over its cells.
 
-    ``population`` is the population the graph was built on, ``None`` for
-    bare adjacency matrices.  Under the four-parameter rule the rows are
-    the cells of ``groups``, its merged cells, each standing for its count
-    of interchangeable vertices; under an explicit matrix they are its
-    examples, and ``groups`` is ``population`` itself (:meth:`Population.rows`).
-    Every array ending in ``_g`` has one row (and column) per row: the
-    weight between two single vertices of those rows, or a vertex's
+    ``population`` is the population the graph was built on, and the rows
+    are the cells of ``groups``, each standing for its count of
+    interchangeable vertices: under the four-parameter rule its merged
+    cells (:meth:`Population.groups`), under an explicit matrix its
+    examples, one count-1 cell each (:meth:`Population.examples`).
+    Every array ending in ``_g`` has one row (and column) per cell: the
+    weight between two single vertices of those cells, or a vertex's
     degree.  ``A_g`` is globally normalized, so that the entries of its
     vertex expansion sum to one, with ``C`` the raw total that was divided
     out.  ``D_g`` holds the degrees and ``A_tilde_g`` the degree-normalized
@@ -101,8 +101,8 @@ class GraphBundle:
     D_g: np.ndarray
     A_tilde_g: np.ndarray
     weights: GraphWeights
-    population: Optional[Population]
-    groups: Optional[Population]
+    population: Population
+    groups: Population
 
     def __post_init__(self) -> None:
         for name in ("A_u_g", "A_l_g", "A_g", "D_g", "A_tilde_g"):
@@ -111,8 +111,7 @@ class GraphBundle:
     @cached_property
     def counts(self) -> np.ndarray:
         """The vertices each row stands for, read off ``groups``; read-only."""
-        rows = self.A_tilde_g.shape[-1]
-        counts = np.ones(rows, dtype=int) if self.groups is None else self.groups.rows(rows)[1]
+        counts = self.groups.counts()
         counts.setflags(write=False)
         return counts
 
@@ -123,7 +122,7 @@ class GraphBundle:
         views only.
         """
         rows = self.A_tilde_g.shape[-1]
-        if self.population is None or rows == len(self.population):
+        if rows == len(self.population):
             return np.arange(rows)
         row_of = {
             (c.class_label, c.domain_label, c.membership): a for a, c in enumerate(self.groups.cells)
@@ -173,12 +172,12 @@ def self_supervised_adjacency(
 
     Returns the views-by-views matrix (1/N) T^t diag(n) T, where T is the
     transformation matrix of ``model`` over ``population`` (or ``model``
-    itself, if it is that matrix), source row a stands for n[a] natural
-    examples (:meth:`Population.rows`) and N is their total; a stack of
-    models gives a stack of matrices.
+    itself, if it is that matrix), source row a stands for the n[a]
+    natural examples of cell a and N is their total; a stack of models
+    gives a stack of matrices.
     """
     t = _expanded(model, population)
-    _, n = population.rows(t.shape[-2])
+    n = population.counts()
     # As (sqrt(n) T)^t (sqrt(n) T): one operand and its transpose, which
     # matmul evaluates as a symmetric product.
     root_t = t * np.sqrt(n)[:, None]
@@ -198,9 +197,9 @@ def supervised_adjacency(
     so over merged cells a class's mean is its one labeled cell's row.
     """
     t = _expanded(model, population)
-    cell, n = population.rows(t.shape[-2])
-    labeled = np.array([c.membership is Membership.LABELED_ID for c in population.cells])[cell]
-    label = np.array([c.class_label for c in population.cells])[cell]
+    n = population.counts()
+    labeled = np.array([c.membership is Membership.LABELED_ID for c in population.cells])
+    label = np.array([c.class_label for c in population.cells])
     out = np.zeros(t.shape[:-2] + (t.shape[-1], t.shape[-1]))
     for cls in sorted(set(label[labeled].tolist())):
         rows = np.flatnonzero(labeled & (label == cls))
@@ -211,43 +210,24 @@ def supervised_adjacency(
     return out
 
 
-def combine_and_normalize(
-    A_u: np.ndarray, A_l: np.ndarray, weights: GraphWeights
-) -> GraphBundle:
-    """Combine the two adjacencies, normalize globally, and derive degrees.
-
-    Every vertex is a row of its own.  Raises
-    :class:`IsolatedVertexError` if any vertex ends up with zero degree;
-    silently dropping it would desynchronize vertex indices.
-    """
-    A_u = np.asarray(A_u, dtype=float)
-    A_l = np.asarray(A_l, dtype=float)
-    if A_u.shape != A_l.shape or A_u.ndim != 2 or A_u.shape[0] != A_u.shape[1]:
-        raise GraphError(f"adjacency shapes {A_u.shape} and {A_l.shape} are incompatible")
-    return _normalize(A_u.copy(), A_l.copy(), weights, None, None)
-
-
 # Overflow is refused by name, so numpy's floating-point warnings are silenced.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _normalize(
     A_u: np.ndarray,
     A_l: np.ndarray,
     weights: GraphWeights,
-    population: Optional[Population],
-    groups: Optional[Population],
+    population: Population,
+    groups: Population,
 ) -> GraphBundle:
-    """:func:`combine_and_normalize` over the rows of ``groups`` and any leading batch axes.
+    """Combine the two adjacencies, normalize globally, and derive degrees.
 
-    A row stands for its count of vertices (:meth:`Population.rows`), so
-    every sum over vertices weighs it by that count.  Weights that
-    overflow float64, here or in the adjacencies passed in, raise
-    :class:`GraphError`.
+    The adjacencies hold one row per cell of ``groups``, with any leading
+    batch axes.  A row stands for its cell's count of vertices, so every
+    sum over vertices weighs it by that count.  Raises
+    :class:`IsolatedVertexError` if any vertex ends up with zero degree,
+    and :class:`GraphError` for weights that overflow float64.
     """
-    for name, m in (("A_u", A_u), ("A_l", A_l)):
-        if np.max(np.abs(m - np.swapaxes(m, -1, -2)), initial=0.0) > 1e-10:
-            raise GraphError(f"{name} is not symmetric")
-    rows = A_u.shape[-1]
-    n = (np.ones(rows) if groups is None else groups.rows(rows)[1]).astype(float)
+    n = groups.counts().astype(float)
     raw = weights.eta_u * A_u + weights.eta_l * A_l
     C = (raw * np.outer(n, n)).sum(axis=(-2, -1))
     # a non-finite entry of either part makes C non-finite too
@@ -257,10 +237,7 @@ def _normalize(
         raise GraphError("combined adjacency has nonpositive total weight")
     A = raw / C[..., None, None]
     D = (A * n).sum(axis=-1)
-    # The check above lets caller matrices be symmetric only to 1e-10, so
-    # A_tilde is made exactly symmetric here.
     A_tilde = A / np.sqrt(D[..., :, None] * D[..., None, :])
-    A_tilde = 0.5 * (A_tilde + np.swapaxes(A_tilde, -1, -2))
     bundle = GraphBundle(
         A_u_g=A_u, A_l_g=A_l, A_g=A, C=C, D_g=D, A_tilde_g=A_tilde, weights=weights,
         population=population, groups=groups,
@@ -291,10 +268,10 @@ def _build_graph(
     Under a parametric model the population's merged cells
     (:meth:`Population.groups`) are interchangeable, and T is expanded
     once, over one example per merged cell, so no array grows with the
-    number of examples.  An explicit matrix's rows are arbitrary: it keeps
-    one row per example.
+    number of examples.  An explicit matrix's rows are arbitrary: it is
+    solved on :meth:`Population.examples`, one count-1 cell per example.
     """
-    groups = population.groups() if isinstance(model, ParametricAugmentation) else population
+    groups = population.groups() if isinstance(model, ParametricAugmentation) else population.examples()
     t = transformation_matrix(model, groups)
     return _normalize(
         self_supervised_adjacency(t, groups),

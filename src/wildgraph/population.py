@@ -14,6 +14,8 @@ once, on its cell, and no array is kept per example.  Examples that share
 all three tags are interchangeable under the four-parameter rule below, so
 :meth:`Population.groups` merges such cells, summing their counts; the
 graph is then solved on one row per merged cell, weighed by its count.  An
+explicit matrix's rows are arbitrary, so it is solved on
+:meth:`Population.examples`, one count-1 cell per example.  An
 augmentation model assigns every (source, view) pair a nonnegative
 transformation probability, either through an explicit matrix over the
 examples or through the four-parameter rule
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -156,22 +158,14 @@ class Population:
             self.classes, self.domains, tuple(Cell(*key, n) for key, n in counts.items())
         )
 
-    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The cell of each of ``n`` matrix rows, and the examples each row stands for.
+    def examples(self) -> Population:
+        """Each example as its own count-1 cell, in vertex order."""
+        cells = tuple(one for c in self.cells for one in (replace(c, count=1),) * c.count)
+        return Population(self.classes, self.domains, cells)
 
-        A matrix over the cells has one row per cell, standing for its
-        count.  An explicit matrix has one row per example, in vertex order,
-        standing for one; the two agree when every count is 1.
-        """
-        counts = np.array([cell.count for cell in self.cells])
-        if n == counts.size:
-            return np.arange(n), counts
-        if n != counts.sum():
-            raise PopulationError(
-                f"{n} matrix rows fit neither the {counts.size} cells nor the "
-                f"{counts.sum()} examples of the population"
-            )
-        return np.repeat(np.arange(counts.size), counts), np.ones(n, dtype=int)
+    def counts(self) -> np.ndarray:
+        """The examples each cell stands for, in cell order."""
+        return np.array([cell.count for cell in self.cells])
 
 
 @dataclass(frozen=True)
@@ -229,7 +223,9 @@ def transformation_matrix(model: AugmentationModel, population: Population) -> n
     one of rho, alpha, beta, gamma as selected by class/domain agreement;
     array-valued parameters give a stack of such matrices along their
     leading axes.  An explicit model has one row and one column per
-    example; it is checked for that shape and returned as-is.
+    example, so it needs a population of count-1 cells
+    (:meth:`Population.examples`); it is checked for that shape and
+    returned as-is.
     """
     if isinstance(model, ExplicitAugmentation):
         rows, columns = model.matrix.shape
@@ -237,6 +233,11 @@ def transformation_matrix(model: AugmentationModel, population: Population) -> n
             raise PopulationError(
                 f"transformation matrix has {rows} source rows "
                 f"for a population of {len(population)} examples"
+            )
+        if rows != len(population.cells):
+            raise PopulationError(
+                f"an explicit matrix needs one count-1 cell per example (Population.examples()), "
+                f"got {rows} examples in {len(population.cells)} cells"
             )
         if columns != rows:
             raise PopulationError(

@@ -56,7 +56,6 @@ __all__ = [
     "BOUNDARY_BAND",
     "THEORY_WEIGHTS",
     "closed_form",
-    "separability_gap",
     "boundary_margin",
     "run_toy_pipeline",
     "verify_against_pipeline",
@@ -274,7 +273,7 @@ def _unsupervised(params: ReducedParams) -> ClosedFormPrediction:
 
 # Each layout's closed form at every point, the regime picked by the sign
 # of its boundary margin; closed_form refuses points on the boundary, and
-# verify_against_pipeline marks them NaN.  _gap takes the layouts in this order.
+# verify_against_pipeline marks them NaN.  The gaps take the layouts in this order.
 _CLOSED_FORMS = {
     TheoryVariant.CASE_A: _case_a,
     TheoryVariant.CASE_B: _case_b,
@@ -297,27 +296,13 @@ def closed_form(variant: TheoryVariant | str, params: ReducedParams) -> ClosedFo
 
 @dataclass(frozen=True)
 class SeparabilityGap:
+    """The layouts' closed-form separabilities; gap_ab = a - b, gap_label = a - unsup."""
+
     s_case_a: float | np.ndarray
     s_case_b: float | np.ndarray
     s_unsup: float | np.ndarray
     gap_ab: float | np.ndarray
     gap_label: float | np.ndarray
-
-
-def separability_gap(params: ReducedParams) -> SeparabilityGap:
-    """Closed-form separabilities of all three layouts and their differences.
-
-    ``gap_ab`` contrasts the two novel-class placements; its sign flips
-    across the ratio plane.  ``gap_label`` contrasts supervised against
-    unsupervised edges on the same layout and stays positive whenever both
-    ratios are positive.
-    """
-    return _gap(*(closed_form(v, params).separability for v in _CLOSED_FORMS))
-
-
-def _gap(s_a, s_b, s_u) -> SeparabilityGap:
-    """The gaps from the separabilities of case a, case b and the unsupervised layout."""
-    return SeparabilityGap(*(_unstacked(s) for s in (s_a, s_b, s_u, s_a - s_b, s_a - s_u)))
 
 
 @dataclass(frozen=True)
@@ -482,5 +467,6 @@ def verify_against_pipeline(
                  PROJECTOR_TOLERANCE * tolerance_scale, relative=False),
     ]
     both = defined[TheoryVariant.CASE_A] & defined[TheoryVariant.UNSUPERVISED]
-    gaps = _gap(*(np.where(both, form.separability, np.nan) for form in forms.values()))
+    s_a, s_b, s_u = (np.where(both, form.separability, np.nan) for form in forms.values())
+    gaps = SeparabilityGap(*(_unstacked(s) for s in (s_a, s_b, s_u, s_a - s_b, s_a - s_u)))
     return VerificationReport(variant=variant, comparisons=tuple(comparisons), gaps=gaps)

@@ -8,12 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildgraph import (
+    Cell,
     EvaluationError,
+    Membership,
+    Population,
     ReducedParams,
     TheoryVariant,
     auroc_midrank,
     classification_accuracy,
     detection_metrics,
+    evaluate,
     fit_knn_detector,
     fit_linear_probe,
     knn_scores,
@@ -390,6 +394,16 @@ class TestCounts:
     def test_mismatched_counts_rejected(self):
         with pytest.raises(EvaluationError, match="counts"):
             separability(np.zeros((3, 2)), np.ones((2, 2)), counts_id=[1, 2])
+
+    def test_evaluate_needs_one_row_per_cell(self):
+        # One row per example, or none at all, is refused by name.
+        population = Population(classes=(0,), domains=(0, 1), cells=(
+            Cell(0, 0, Membership.LABELED_ID, 2), Cell(0, 1, Membership.WILD_COVARIATE, 3),
+            Cell(1, 1, Membership.WILD_SEMANTIC, 1),
+        ))
+        for z in (np.zeros((len(population), 2)), np.zeros(3)):
+            with pytest.raises(EvaluationError, match="for 3 cells"):
+                evaluate(population, z)
 
     def test_negative_counts_rejected(self):
         # A repeated score list cannot hold a score a negative number of times.

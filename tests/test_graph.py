@@ -3,26 +3,47 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildgraph import (
+    Cell,
     ExplicitAugmentation,
     GraphError,
     GraphWeights,
     IsolatedVertexError,
     Membership,
     ParametricAugmentation,
+    Population,
+    PopulationError,
     TheoryVariant,
     build_graph,
     build_toy_population,
-    combine_and_normalize,
+    enumerate_population,
+    load_population_config,
     self_supervised_adjacency,
     supervised_adjacency,
     transformation_matrix,
 )
-from conftest import STANDARD_WEIGHTS, parametric_50_node, random_symmetric, toy_bundle
+from conftest import STANDARD_WEIGHTS, parametric_50_node, toy_bundle
+from test_golden import matrix_config
 from vertex_level import build_parametric_population, indicator, split
 
 RHO, ALPHA, BETA, GAMMA = 1.0, 0.2, 0.1, 0.05
+
+
+def readme_matrix() -> tuple[Population, np.ndarray]:
+    """The README's examples, one count-1 cell each, and a copy of their explicit matrix."""
+    spec, model = load_population_config(matrix_config())
+    return enumerate_population(spec).examples(), model.matrix.copy()
+
+
+def subnormal_degree() -> np.ndarray:
+    """The README matrix with wild example 33 reached only from itself, by 1e-155."""
+    _, t = readme_matrix()
+    t[33, :] = t[:, 33] = 0.0
+    t[33, 33] = 1e-155
+    return t
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +93,18 @@ class TestSelfSupervisedAdjacency:
         population, _ = toy_a
         with pytest.raises(PopulationError):
             self_supervised_adjacency(ExplicitAugmentation(np.ones((3, 3))), population)
+
+    def test_explicit_matrix_needs_count_1_cells(self):
+        # A row per example, over three examples in two cells: refused by
+        # name, not by broadcasting.  build_graph expands the cells itself.
+        population = Population(classes=(0,), domains=(0,), cells=(
+            Cell(0, 0, Membership.LABELED_ID, 2), Cell(0, 0, Membership.WILD_ID, 1),
+        ))
+        model = ExplicitAugmentation(np.eye(3))
+        for build in (transformation_matrix, self_supervised_adjacency, supervised_adjacency):
+            with pytest.raises(PopulationError, match="3 examples in 2 cells"):
+                build(model, population)
+        assert build_graph(model, population, STANDARD_WEIGHTS).groups == population.examples()
 
     def test_non_square_transformation_refused(self):
         # The views are the examples themselves, so a matrix with more view
@@ -167,6 +200,8 @@ class TestSupervisedAdjacency:
 
 
 class TestCombineAndNormalize:
+    """``build_graph``'s combination and normalization, on explicit matrices."""
+
     def test_first_order_structure_at_small_ratios(self):
         ap, bp = 1e-3, 5e-4
         bundle, _ = toy_bundle(TheoryVariant.CASE_A, 1.0, ap, bp, 1e-9)
@@ -178,15 +213,21 @@ class TestCombineAndNormalize:
         bundle, _ = case_a_bundle
         assert abs(bundle.A_g.sum() - 1.0) <= 1e-12
 
-    def test_zero_supervised_part_leaves_direction(self, toy_a):
-        population, model = toy_a
-        a_u = self_supervised_adjacency(model, population)
-        bundle = combine_and_normalize(a_u, np.zeros_like(a_u), GraphWeights(2.0, 3.0))
+    def test_zero_supervised_part_leaves_direction(self):
+        # Without labeled examples A_l is zero, whatever its weight.
+        population = Population(classes=(0,), domains=(0, 1), cells=(
+            Cell(0, 0, Membership.WILD_ID, 3), Cell(0, 1, Membership.WILD_COVARIATE, 2),
+            Cell(1, 1, Membership.WILD_SEMANTIC, 1),
+        ))
+        model = ExplicitAugmentation(np.random.default_rng(3).uniform(0.0, 1.0, size=(6, 6)))
+        a_u = self_supervised_adjacency(model, population.examples())
+        bundle = build_graph(model, population, GraphWeights(2.0, 3.0))
         np.testing.assert_allclose(bundle.A_g, a_u / a_u.sum(), atol=1e-15)
 
     def test_random_symmetric_normalization_oracle(self):
-        m = np.abs(random_symmetric(9, seed=5)) + 0.01
-        bundle = combine_and_normalize(m, np.zeros_like(m), GraphWeights(1.0, 0.0))
+        population, _ = readme_matrix()
+        t = np.random.default_rng(5).uniform(0.01, 1.0, size=(len(population),) * 2)
+        bundle = build_graph(ExplicitAugmentation(t), population, GraphWeights(1.0, 0.0))
         np.testing.assert_allclose(bundle.A_g.sum(), 1.0, atol=1e-12)
         np.testing.assert_allclose(bundle.D_g, bundle.A_g.sum(axis=1), atol=1e-15)
         lam = np.linalg.eigvalsh(bundle.A_tilde)
@@ -195,20 +236,20 @@ class TestCombineAndNormalize:
 
     def test_weight_rescaling_is_absorbed(self, toy_a):
         population, model = toy_a
-        a_u = self_supervised_adjacency(model, population)
-        a_l = supervised_adjacency(model, population)
-        base = combine_and_normalize(a_u, a_l, GraphWeights(5.0, 1.0))
-        scaled = combine_and_normalize(a_u, a_l, GraphWeights(35.0, 7.0))
+        explicit = ExplicitAugmentation(transformation_matrix(model, population))
+        base = build_graph(explicit, population, GraphWeights(5.0, 1.0))
+        scaled = build_graph(explicit, population, GraphWeights(35.0, 7.0))
         np.testing.assert_allclose(scaled.A_g, base.A_g, atol=1e-14)
         np.testing.assert_allclose(scaled.D_g, base.D_g, atol=1e-14)
         np.testing.assert_allclose(scaled.A_tilde, base.A_tilde, atol=1e-14)
 
     def test_normalized_adjacency_ignores_global_scale(self, toy_a):
+        # T scaled by sqrt(13) scales both adjacencies, and C, by 13.
         population, model = toy_a
-        a_u = self_supervised_adjacency(model, population)
-        a_l = supervised_adjacency(model, population)
-        base = combine_and_normalize(a_u, a_l, GraphWeights(5.0, 1.0))
-        rescaled = combine_and_normalize(13.0 * a_u, 13.0 * a_l, GraphWeights(5.0, 1.0))
+        t = transformation_matrix(model, population)
+        weights = GraphWeights(5.0, 1.0)
+        base = build_graph(ExplicitAugmentation(t), population, weights)
+        rescaled = build_graph(ExplicitAugmentation(math.sqrt(13.0) * t), population, weights)
         assert rescaled.C == pytest.approx(13.0 * base.C, rel=1e-14)
         np.testing.assert_allclose(rescaled.A_tilde, base.A_tilde, atol=1e-13)
 
@@ -224,34 +265,31 @@ class TestCombineAndNormalize:
         assert np.all(bundle.D_g > 0)
 
     def test_isolated_vertex_named(self):
-        t = np.eye(5)
-        t[:, 2] = 0.0
-        t[2, :] = 0.0
-        a = 0.5 * (t + t.T)
-        with pytest.raises(IsolatedVertexError, match="vertex 2"):
-            combine_and_normalize(a, np.zeros_like(a), GraphWeights(1.0, 0.0))
+        # A view no source reaches has no edge at all.
+        population, t = readme_matrix()
+        t[:, 9] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IsolatedVertexError, match="^vertex 9 has zero degree$"):
+                build_graph(ExplicitAugmentation(t), population, GraphWeights(5.0, 1.0))
 
-    def test_asymmetric_input_rejected(self):
-        m = np.eye(4)
-        m[0, 1] = 1e-6
-        with pytest.raises(GraphError, match="symmetric"):
-            combine_and_normalize(m, np.zeros_like(m), GraphWeights(1.0, 0.0))
-
-    # an infinite entry, finite entries whose total overflows, and a
-    # subnormal degree whose square underflows to zero
+    # a transformation matrix over the README's examples: products that
+    # overflow; finite adjacencies whose total overflows; and a subnormal
+    # degree whose square underflows to zero
     @pytest.mark.parametrize(
         "a, message",
         [
-            (np.full((3, 3), np.inf), "total weight overflows float64"),
-            (np.full((3, 3), 1e308), "total weight overflows float64"),
-            (np.diag([1.0, 1e-320]), "normalized adjacency has non-finite entries"),
+            (np.full((34, 34), 1e200), "total weight overflows float64"),
+            (np.full((34, 34), 1e153), "total weight overflows float64"),
+            (subnormal_degree(), "normalized adjacency has non-finite entries"),
         ],
     )
     def test_overflow_named_without_numpy_warnings(self, a, message):
+        population, _ = readme_matrix()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GraphError, match=message):
-                combine_and_normalize(a, np.zeros_like(a), GraphWeights(5.0, 1.0))
+                build_graph(ExplicitAugmentation(a), population, GraphWeights(5.0, 1.0))
 
     def test_weights_validated(self):
         with pytest.raises(GraphError):
@@ -269,7 +307,7 @@ class TestBuildGraph:
     def test_parametric_model_is_expanded_once(self, toy_a, monkeypatch):
         import wildgraph.graph as graph_module
 
-        population, explicit = toy_a
+        population, parametric = toy_a
         expansions = []
         real = graph_module.transformation_matrix
 
@@ -281,6 +319,7 @@ class TestBuildGraph:
         weights = GraphWeights(5.0, 1.0)
         bundle = build_graph(ParametricAugmentation(RHO, ALPHA, BETA, GAMMA), population, weights)
         assert expansions.count(True) == 1
+        explicit = ExplicitAugmentation(transformation_matrix(parametric, population))
         reference = build_graph(explicit, population, weights)
         np.testing.assert_array_equal(bundle.A_tilde, reference.A_tilde)
 
@@ -311,6 +350,45 @@ class TestBuildGraph:
             for name in ("A_u_g", "A_l_g", "A_g", "D_g", "A_tilde_g", "A_tilde"):
                 np.testing.assert_array_equal(getattr(stack, name)[i], getattr(one, name))
             assert stack.C[i] == one.C
+
+
+KEYS = (
+    (0, 0, Membership.LABELED_ID), (1, 0, Membership.LABELED_ID), (0, 0, Membership.WILD_ID),
+    (0, 1, Membership.WILD_COVARIATE), (1, 1, Membership.WILD_COVARIATE),
+    (2, 1, Membership.WILD_SEMANTIC),
+)
+RATES = st.floats(0.01, 1.0)
+
+
+@st.composite
+def graph_inputs(draw):
+    """A population of up to 96 examples, its first cell labeled, and a model over it.
+
+    The model is an explicit matrix, a parametric model or a stack of three.
+    """
+    keys = [KEYS[0]] + draw(st.lists(st.sampled_from(KEYS), max_size=7))
+    cells = tuple(Cell(*key, draw(st.integers(1, 12))) for key in keys)
+    population = Population(classes=(0, 1), domains=(0, 1), cells=cells)
+    kind = draw(st.sampled_from(["explicit", "parametric", "stacked"]))
+    if kind == "explicit":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return population, ExplicitAugmentation(rng.uniform(0.01, 1.0, size=(len(population),) * 2))
+    rates = RATES if kind == "parametric" else st.lists(RATES, min_size=3, max_size=3).map(np.array)
+    return population, ParametricAugmentation(*(draw(rates) for _ in range(4)))
+
+
+class TestExactSymmetry:
+    @settings(max_examples=150, deadline=None)
+    @given(graph_inputs())
+    def test_adjacencies_equal_their_transposes_bit_for_bit(self, inputs):
+        # By construction, with no symmetrization: A_u = (sqrt n T)^t (sqrt n T),
+        # A_l a sum of outer products, and each normalization divides (i, j)
+        # and (j, i) by one product.
+        population, model = inputs
+        bundle = build_graph(model, population, STANDARD_WEIGHTS)
+        for name in ("A_u_g", "A_l_g", "A_g", "A_tilde_g"):
+            a = getattr(bundle, name)
+            assert a.tobytes() == np.swapaxes(a, -1, -2).tobytes(), name
 
 
 class TestVertexView:

@@ -189,11 +189,10 @@ class TestPopulationInvariants:
             cells=(Cell(0, 1, Membership.WILD_COVARIATE, 2), Cell(0, 0, Membership.LABELED_ID, 1)),
         )
         assert len(population) == 3
-        # a row per example, in vertex order, or a row per cell with its count
-        for rows, cells, counts in ((3, [0, 0, 1], [1, 1, 1]), (2, [0, 1], [2, 1])):
-            assert [a.tolist() for a in population.rows(rows)] == [cells, counts]
-        with pytest.raises(PopulationError, match="4 matrix rows"):
-            population.rows(4)
+        # a count per cell, or a count-1 cell per example, in vertex order
+        assert population.counts().tolist() == [2, 1]
+        covariate, labeled = Cell(0, 1, Membership.WILD_COVARIATE, 1), Cell(0, 0, Membership.LABELED_ID, 1)
+        assert population.examples().cells == (covariate, covariate, labeled)
 
     def test_population_keeps_no_per_example_array(self):
         # Each count is stored once, on its cell: the three fields are all
@@ -238,18 +237,13 @@ class TestCellExpansion:
             for cell in cells
             for _ in range(cell.count)
         ]
-        n = len(expanded)
-        assert len(population) == n
-        # one row per example: the example's cell, standing for one
-        cell, counts = population.rows(n)
-        key = lambda c: (c.class_label, c.domain_label, c.membership)  # noqa: E731
-        assert [key(population.cells[i]) for i in cell] == expanded
-        assert counts.tolist() == [1] * n
-        assert [key(c) for c in split(population).cells] == expanded
-        if n != len(cells):  # one row per cell, standing for its count
-            cell, counts = population.rows(len(cells))
-            assert cell.tolist() == list(range(len(cells)))
-            assert counts.tolist() == [c.count for c in cells]
+        assert len(population) == len(expanded)
+        # one count-1 cell per example, in vertex order, as the reference splits it
+        examples = population.examples()
+        assert examples == split(population)
+        assert [(c.class_label, c.domain_label, c.membership) for c in examples.cells] == expanded
+        assert examples.counts().tolist() == [1] * len(expanded)
+        assert population.counts().tolist() == [c.count for c in cells]
         assert enumerate_population(PopulationSpec(classes, domains, cells)) == population
 
 

@@ -18,10 +18,10 @@ from wildgraph import (
     eigendecompose,
     embed,
     GraphWeights,
-    combine_and_normalize,
     Membership,
     PopulationSpec,
     build_graph,
+    build_toy_population,
     enumerate_population,
     lowrank_factorize,
     matrix_loss,
@@ -245,7 +245,8 @@ class TestClosedFormEmbedding:
         # The toy chain embeds at k = 3 whatever the rank; refusing such a k
         # is detect's choice, not embed's.
         u = np.vstack([np.ones(5), np.arange(1.0, 6.0)])
-        bundle = combine_and_normalize(u.T @ u, np.zeros((5, 5)), GraphWeights(1.0, 1.0))
+        population, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.1, 0.1, 0.1)
+        bundle = build_graph(ExplicitAugmentation(u.T @ u), population, GraphWeights(1.0, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             emb = embed(bundle, 4)

@@ -17,7 +17,6 @@ from wildgraph import (
     embed,
     evaluate,
     run_toy_pipeline,
-    separability_gap,
     transformation_matrix,
     verify_against_pipeline,
 )
@@ -285,14 +284,19 @@ class TestUnsupervised:
         assert worst <= 0.06
 
 
+def closed_gaps(ap: float, bp: float) -> tuple[float, float, float, float]:
+    """Closed-form separability of case a and of the unsupervised layout, gap_ab and gap_label."""
+    s_a, s_b, s_u = (closed_form(v, ReducedParams(ap, bp)).separability for v in TheoryVariant)
+    return s_a, s_u, s_a - s_b, s_a - s_u
+
+
 class TestSeparabilityGap:
     def test_label_benefit_positive_on_grid(self):
         for ap in GRID:
             for bp in GRID:
                 if abs(ap - bp) <= 0.005 or abs(1.125 * ap - bp) <= 0.005:
                     continue
-                gaps = separability_gap(ReducedParams(ap, bp))
-                assert gaps.gap_label > 0
+                assert closed_gaps(ap, bp)[3] > 0
 
     def test_placement_gap_changes_sign(self):
         signs = set()
@@ -300,16 +304,15 @@ class TestSeparabilityGap:
             for bp in np.linspace(0.01, 0.2, 9):
                 if abs(ap - bp) <= 0.005 or abs(1.125 * ap - bp) <= 0.005:
                     continue
-                gaps = separability_gap(ReducedParams(float(ap), float(bp)))
-                signs.add(gaps.gap_ab > 0)
+                signs.add(closed_gaps(float(ap), float(bp))[2] > 0)
         assert signs == {True, False}
 
     def test_small_ratio_limits(self):
         eps = 1e-6
-        gaps = separability_gap(ReducedParams(2 * eps, eps))
-        assert gaps.s_case_a == pytest.approx(7 * (1 / 3 + 1), abs=1e-4)
-        assert gaps.s_unsup == pytest.approx(5 * (1 / 2 + 1), abs=1e-4)
-        assert gaps.gap_label == pytest.approx(7 * 4 / 3 - 7.5, abs=1e-3)
+        s_case_a, s_unsup, _, gap_label = closed_gaps(2 * eps, eps)
+        assert s_case_a == pytest.approx(7 * (1 / 3 + 1), abs=1e-4)
+        assert s_unsup == pytest.approx(5 * (1 / 2 + 1), abs=1e-4)
+        assert gap_label == pytest.approx(7 * 4 / 3 - 7.5, abs=1e-3)
 
 
 class TestVerifyAgainstPipeline:
