@@ -6,94 +6,45 @@ embed it spectrally two independent ways; and evaluate linear probing,
 embedding separability, and KNN-distance detection, with closed-form
 oracles for the five-example reference populations.
 
-``theory`` (the closed-form toy checks) and ``loss`` (the contrastive-loss
-identity) are imported on first use of one of their names (PEP 562), so a
-process that only detects or embeds never loads them.
+Each submodule's ``__all__`` is the one list of its public names, and the
+package re-exports exactly those.  ``theory`` (the closed-form toy checks)
+and ``loss`` (the contrastive-loss identity) are imported on first use of
+one of their names (PEP 562), so a process that only detects or embeds
+never loads them; their names are therefore also listed in ``_LAZY``,
+which ``tests/test_imports.py`` keeps equal to their ``__all__``.
 """
 
 import importlib
 
-from .population import (
-    AugmentationModel,
-    Cell,
-    ExplicitAugmentation,
-    Membership,
-    ParametricAugmentation,
-    Population,
-    PopulationError,
-    PopulationSpec,
-    TheoryVariant,
-    build_toy_population,
-    enumerate_population,
-    load_population_config,
-    sample_wild_mixture,
-    transformation_matrix,
-)
-from .graph import (
-    GraphBundle,
-    GraphError,
-    GraphWeights,
-    IsolatedVertexError,
-    build_graph,
-    self_supervised_adjacency,
-    supervised_adjacency,
-)
-from .spectral import (
-    AsymmetricMatrixError,
-    EigensolverError,
-    FactorizationState,
-    FactorizerOptions,
-    ReconstructionGap,
-    SpectralEmbedding,
-    SpectralError,
-    closed_form_embedding,
-    eigendecompose,
-    embed,
-    lowrank_factorize,
-    reconstruction_gap,
-)
-from .evaluation import (
-    DetectionMetrics,
-    Evaluation,
-    EvaluationError,
-    KnnDetector,
-    LinearProbe,
-    MetricsReport,
-    ProbingResult,
-    auroc_midrank,
-    classification_accuracy,
-    detection_metrics,
-    evaluate,
-    fit_knn_detector,
-    fit_linear_probe,
-    knn_scores,
-    predict,
-    probing_error,
-    separability,
-)
+from .population import *
+from .graph import *
+from .spectral import *
+from .evaluation import *
 
-# Re-exported names of the verification layers -> the module that owns them.
+# Public names of the verification layers -> the module that owns them.
 _LAZY = {
     **dict.fromkeys(
         (
-            "EquivalenceReport",
             "LossBreakdown",
-            "equivalence_gap",
+            "EquivalenceReport",
+            "surrogate_loss_from_parts",
             "matrix_loss",
             "random_factors",
-            "surrogate_loss_from_parts",
+            "equivalence_gap",
         ),
         "loss",
     ),
     **dict.fromkeys(
         (
-            "BOUNDARY_BAND",
-            "ClosedFormPrediction",
-            "DegenerateRegimeError",
             "ReducedParams",
+            "ClosedFormPrediction",
             "SeparabilityGap",
+            "QuantityComparison",
             "VerificationReport",
+            "BOUNDARY_BAND",
+            "THEORY_WEIGHTS",
             "closed_form",
+            "boundary_margin",
             "run_toy_pipeline",
             "verify_against_pipeline",
         ),
@@ -101,59 +52,7 @@ _LAZY = {
     ),
 }
 
-__all__ = [
-    "AugmentationModel",
-    "Cell",
-    "ExplicitAugmentation",
-    "Membership",
-    "ParametricAugmentation",
-    "Population",
-    "PopulationError",
-    "PopulationSpec",
-    "TheoryVariant",
-    "build_toy_population",
-    "enumerate_population",
-    "load_population_config",
-    "sample_wild_mixture",
-    "transformation_matrix",
-    "GraphBundle",
-    "GraphError",
-    "GraphWeights",
-    "IsolatedVertexError",
-    "build_graph",
-    "self_supervised_adjacency",
-    "supervised_adjacency",
-    "AsymmetricMatrixError",
-    "EigensolverError",
-    "FactorizationState",
-    "FactorizerOptions",
-    "ReconstructionGap",
-    "SpectralEmbedding",
-    "SpectralError",
-    "closed_form_embedding",
-    "eigendecompose",
-    "embed",
-    "lowrank_factorize",
-    "reconstruction_gap",
-    "DetectionMetrics",
-    "Evaluation",
-    "EvaluationError",
-    "KnnDetector",
-    "LinearProbe",
-    "MetricsReport",
-    "ProbingResult",
-    "auroc_midrank",
-    "classification_accuracy",
-    "detection_metrics",
-    "evaluate",
-    "fit_knn_detector",
-    "fit_linear_probe",
-    "knn_scores",
-    "predict",
-    "probing_error",
-    "separability",
-    *_LAZY,
-]
+__all__ = [*population.__all__, *graph.__all__, *spectral.__all__, *evaluation.__all__, *_LAZY]
 
 __version__ = "0.1.0"
 

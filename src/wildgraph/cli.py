@@ -137,18 +137,7 @@ def cmd_toy_verify(args: argparse.Namespace) -> int:
         args.out,
         {
             "variant": variant.value,
-            "comparisons": [
-                {
-                    "name": c.name,
-                    "closed": c.closed,
-                    "numeric": c.numeric,
-                    "abs_dev": c.abs_dev,
-                    "rel_dev": c.rel_dev,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in report.comparisons
-            ],
+            "comparisons": [dict(vars(c), passed=c.passed) for c in report.comparisons],
             "passed": report.passed,
         },
         args,
@@ -485,7 +474,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FactorizationError, EigensolverError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    # ValueError covers theory's DegenerateRegimeError, which cli need not import.
     except (ConfigError, PopulationError, GraphError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,6 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graph import GraphBundle, GraphWeights
+from .spectral import _residual
 
 __all__ = [
     "LossBreakdown",
@@ -107,9 +108,7 @@ def matrix_loss(F: np.ndarray, A_tilde: np.ndarray) -> float:
     A_tilde = np.asarray(A_tilde, dtype=float)
     if F.ndim != 2 or F.shape[0] != A_tilde.shape[0]:
         raise ValueError(f"shapes {F.shape} and {A_tilde.shape} are incompatible")
-    r = F @ F.T
-    r -= A_tilde
-    return float(np.vdot(r, r))
+    return _residual(F, A_tilde)[1]
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,13 @@ eta_u = 5, eta_l = 1.  :func:`closed_form` takes the layout as a
 
 The two eigenvalues at 1 span a degenerate subspace, so all comparisons
 against the numeric pipeline go through projectors: the top pair jointly,
-the third vector on its own.  :func:`verify_against_pipeline` runs the full
-numeric chain at finite parameters and reports per-quantity deviations
-against fixed gates, which only its ``tolerance_scale`` widens.  It is the
-one engine behind both ``toy-verify`` and ``sweep``: a point on a regime
-boundary, or one where k cuts a tied eigenspace, reads NaN rather than an
-ill-posed value, and a NaN fails its gate.
+the third vector on its own.  Nothing here refuses an ill-posed point; it
+reads NaN instead.  :func:`closed_form` marks the points on its regime
+boundary, where the eigenbasis switches.  :func:`verify_against_pipeline`
+runs the full numeric chain at finite parameters and reports per-quantity
+deviations against fixed gates, which only its ``tolerance_scale`` widens.
+It is the one engine behind both ``toy-verify`` and ``sweep``: it also
+marks the points where k cuts a tied eigenspace, and a NaN fails its gate.
 
 The ratios in :class:`ReducedParams` may be arrays.  The closed forms,
 :func:`run_toy_pipeline` and :func:`verify_against_pipeline` then return
@@ -52,7 +53,6 @@ __all__ = [
     "SeparabilityGap",
     "QuantityComparison",
     "VerificationReport",
-    "DegenerateRegimeError",
     "BOUNDARY_BAND",
     "THEORY_WEIGHTS",
     "closed_form",
@@ -69,10 +69,6 @@ EIGENVALUE_TIE = 1e-9  # lambda_k and lambda_{k+1} closer than this cut a tied e
 SEPARABILITY_TOLERANCE = 0.05
 PROJECTOR_TOLERANCE = 0.25
 THEORY_WEIGHTS = {"supervised": GraphWeights(5.0, 1.0), "unsupervised": GraphWeights(5.0, 0.0)}
-
-
-class DegenerateRegimeError(ValueError):
-    """Parameters sit on a regime boundary where the eigenbasis switches."""
 
 
 @dataclass(frozen=True)
@@ -155,23 +151,7 @@ def _last_axis(*values) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*values), axis=-1)
 
 
-def _prediction(
-    eigenvalues: np.ndarray,
-    basis: np.ndarray,
-    count: np.ndarray,
-    sep: np.ndarray,
-    degenerate_pair: bool,
-) -> ClosedFormPrediction:
-    return ClosedFormPrediction(
-        eigenvalues=eigenvalues,
-        eigenbasis=basis,
-        probing_error_count=_unstacked(count, int),
-        separability=_unstacked(sep),
-        degenerate_pair=degenerate_pair,
-    )
-
-
-def _case_a(params: ReducedParams) -> ClosedFormPrediction:
+def _case_a(params: ReducedParams) -> tuple:
     ap, bp = params.alpha_prime, params.beta_prime
     generalizes = np.asarray(params.case_a_margin > 0)
     normalization = 7.0 + 12.0 * bp + 12.0 * ap
@@ -192,9 +172,7 @@ def _case_a(params: ReducedParams) -> ClosedFormPrediction:
         np.minimum(1.0 - 4.0 * bp, 1.0 - 4.5 * ap),
         1.0 - 4.0 * bp - 4.5 * ap,
     )
-    return _prediction(
-        eigenvalues, _last_axis(v1, v2, v3), np.where(generalizes, 0, 2), sep, True
-    )
+    return eigenvalues, _last_axis(v1, v2, v3), np.where(generalizes, 0, 2), sep, True
 
 
 def _case_b_eigenvalues(ap: float | np.ndarray, bp: float | np.ndarray) -> np.ndarray:
@@ -218,7 +196,7 @@ def _case_b_coeffs(
     return a, b, c
 
 
-def _case_b(params: ReducedParams) -> ClosedFormPrediction:
+def _case_b(params: ReducedParams) -> tuple:
     ap, bp = params.alpha_prime, params.beta_prime
     normalization = 7.0 + 20.0 * bp + 12.0 * ap
     eigenvalues = _case_b_eigenvalues(ap, bp)
@@ -241,12 +219,10 @@ def _case_b(params: ReducedParams) -> ClosedFormPrediction:
         1.0 / s7, root2 / norm2, 0.0
     )
     sep = np.sum(np.square(z_id - z_sem), axis=-1)
-    return _prediction(
-        eigenvalues, _last_axis(v1, v2, v3), np.zeros(sep.shape, dtype=int), sep, False
-    )
+    return eigenvalues, _last_axis(v1, v2, v3), np.zeros(sep.shape, dtype=int), sep, False
 
 
-def _unsupervised(params: ReducedParams) -> ClosedFormPrediction:
+def _unsupervised(params: ReducedParams) -> tuple:
     ap, bp = params.alpha_prime, params.beta_prime
     generalizes = np.asarray(params.unsup_margin > 0)
     normalization = 5.0 + 8.0 * bp + 8.0 * ap
@@ -266,14 +242,13 @@ def _unsupervised(params: ReducedParams) -> ClosedFormPrediction:
         np.minimum(1.0 - 4.0 * bp, 1.0 - 4.0 * ap),
         1.0 - 4.0 * ap - 4.0 * bp,
     )
-    return _prediction(
-        eigenvalues, _last_axis(v1, v2, v3), np.where(generalizes, 0, 2), sep, True
-    )
+    return eigenvalues, _last_axis(v1, v2, v3), np.where(generalizes, 0, 2), sep, True
 
 
-# Each layout's closed form at every point, the regime picked by the sign
-# of its boundary margin; closed_form refuses points on the boundary, and
-# verify_against_pipeline marks them NaN.  The gaps take the layouts in this order.
+# Each layout's eigenvalues, eigenbasis, probing error count, separability
+# and degenerate_pair flag at every point, the regime picked by the sign of
+# its boundary margin; closed_form marks the points on the boundary NaN.
+# The gaps take the layouts in this order.
 _CLOSED_FORMS = {
     TheoryVariant.CASE_A: _case_a,
     TheoryVariant.CASE_B: _case_b,
@@ -282,16 +257,28 @@ _CLOSED_FORMS = {
 
 
 def closed_form(variant: TheoryVariant | str, params: ReducedParams) -> ClosedFormPrediction:
-    """The variant's closed form; raises if any point is on its regime boundary."""
+    """The variant's closed form at each point, marked on its regime boundary.
+
+    Within ``DEGENERACY_EPS`` of the boundary the eigenbasis switches, so
+    the eigenvalues, eigenbasis, count and separability are NaN there.  A
+    marked count is a float, since NaN cannot be cast to ``int``.
+    """
     variant = TheoryVariant(variant)
-    if np.any(np.abs(boundary_margin(variant, params)) <= DEGENERACY_EPS):
-        ap, bp = params.alpha_prime, params.beta_prime
-        raise DegenerateRegimeError(
-            f"degenerate regime: (9/8) alpha' = {1.125 * ap} coincides with beta' = {bp}"
-            if variant is TheoryVariant.CASE_A
-            else f"degenerate regime: alpha' = beta' = {ap} without label information"
-        )
-    return _CLOSED_FORMS[variant](params)
+    eigenvalues, basis, count, sep, degenerate_pair = _CLOSED_FORMS[variant](params)
+    on_boundary = np.asarray(np.abs(boundary_margin(variant, params)) <= DEGENERACY_EPS)
+    cast = int
+    if on_boundary.any():
+        eigenvalues = np.where(on_boundary[..., None], np.nan, eigenvalues)
+        basis = np.where(on_boundary[..., None, None], np.nan, basis)
+        count, sep = np.where(on_boundary, np.nan, count), np.where(on_boundary, np.nan, sep)
+        cast = float
+    return ClosedFormPrediction(
+        eigenvalues=eigenvalues,
+        eigenbasis=basis,
+        probing_error_count=_unstacked(count, cast),
+        separability=_unstacked(sep),
+        degenerate_pair=degenerate_pair,
+    )
 
 
 @dataclass(frozen=True)
@@ -432,10 +419,10 @@ def verify_against_pipeline(
     by ``tolerance_scale``.  The probing error count must match exactly.
 
     Arrays of ratios run the numeric chain once over the stack of graphs,
-    and each layout's closed form is evaluated once per call, for both the
+    and :func:`closed_form` is called once per layout, for both the
     comparisons and ``gaps``.  Ill-posed points are marked, not refused:
-    within ``DEGENERACY_EPS`` of the variant's regime boundary the closed
-    values and the projector deviation are NaN; where k cuts a tied
+    where the closed form is NaN on its regime boundary, so are the closed
+    values and the projector deviation; where k cuts a tied
     eigenspace (numeric lambda_k and lambda_{k+1} within
     ``EIGENVALUE_TIE``) the numeric count and separability are NaN; a NaN
     fails its gate.  The gaps are NaN wherever case a or the unsupervised
@@ -444,29 +431,29 @@ def verify_against_pipeline(
     """
     variant = TheoryVariant(variant)
     _require_connected(params)
-    forms = {v: form(params) for v, form in _CLOSED_FORMS.items()}
-    defined = {v: np.abs(boundary_margin(v, params)) > DEGENERACY_EPS for v in forms}
-    closed, own = forms[variant], defined[variant]
+    forms = {v: closed_form(v, params) for v in _CLOSED_FORMS}
+    closed = forms[variant]
     numeric = run_toy_pipeline(variant, params, rho=rho)
     lam, k = numeric.embedding.eigenvalues, numeric.embedding.k
     untied = np.abs(lam[..., k - 1] - lam[..., k]) > EIGENVALUE_TIE
     envelope = _square(params.alpha_prime + params.beta_prime) + params.gamma_ratio
     eig_gate = np.maximum(0.01, 20.0 * envelope)
-    sep_c = np.where(own, closed.separability, np.nan)
+    sep_c = closed.separability
     comparisons = [
-        _compare(f"eigenvalue_{i + 1}", np.where(own, closed.eigenvalues[..., i], np.nan),
+        _compare(f"eigenvalue_{i + 1}", closed.eigenvalues[..., i],
                  lam[..., i], eig_gate * tolerance_scale if i < 3 else None)
         for i in range(5)
     ] + [
-        _compare("probing_error_count", np.where(own, closed.probing_error_count, np.nan),
+        _compare("probing_error_count", closed.probing_error_count,
                  np.where(untied, numeric.probing.count, np.nan), 0.0, relative=False),
         _compare("separability", sep_c, np.where(untied, numeric.separability, np.nan),
                  SEPARABILITY_TOLERANCE * tolerance_scale * np.maximum(np.abs(sep_c), 1e-300)),
-        _compare("projector_deviation", 0.0,
-                 np.where(own, _projector_deviation(closed, numeric.embedding), np.nan),
+        _compare("projector_deviation", 0.0, _projector_deviation(closed, numeric.embedding),
                  PROJECTOR_TOLERANCE * tolerance_scale, relative=False),
     ]
-    both = defined[TheoryVariant.CASE_A] & defined[TheoryVariant.UNSUPERVISED]
-    s_a, s_b, s_u = (np.where(both, form.separability, np.nan) for form in forms.values())
+    # case b has no boundary, so its gap to case a is masked where unsup is degenerate too
+    s_a, s_b, s_u = (form.separability for form in forms.values())
+    degenerate = np.isnan(s_a - s_u)
+    s_a, s_b, s_u = (np.where(degenerate, np.nan, s) for s in (s_a, s_b, s_u))
     gaps = SeparabilityGap(*(_unstacked(s) for s in (s_a, s_b, s_u, s_a - s_b, s_a - s_u)))
     return VerificationReport(variant=variant, comparisons=tuple(comparisons), gaps=gaps)

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
 
 import wildgraph
@@ -78,6 +79,34 @@ def test_each_exported_name_is_its_submodule_object():
         assert owners, f"{name} is in no submodule's __all__"
         for module in owners:
             assert getattr(wildgraph, name) is getattr(module, name), (name, module.__name__)
+
+
+def test_all_is_the_ordered_union_of_the_submodules_lists():
+    # Each submodule's __all__ is the one list of its public names; the
+    # package adds none and drops none.
+    from wildgraph import evaluation, graph, loss, population, spectral, theory
+
+    union = [*population.__all__, *graph.__all__, *spectral.__all__, *evaluation.__all__,
+             *loss.__all__, *theory.__all__]
+    assert wildgraph.__all__ == list(dict.fromkeys(union))
+    assert wildgraph.__all__.count("TheoryVariant") == 1
+
+
+def test_lazy_lists_exactly_the_verification_layers_names():
+    from wildgraph import loss, theory
+
+    eager = {*wildgraph.population.__all__, *wildgraph.graph.__all__,
+             *wildgraph.spectral.__all__, *wildgraph.evaluation.__all__}
+    owners = {name: module.__name__.rsplit(".", 1)[1]
+              for module in (loss, theory) for name in module.__all__ if name not in eager}
+    assert wildgraph._LAZY == owners
+
+
+def test_a_submodule_error_is_reachable_from_the_package():
+    assert wildgraph.FactorizationError is wildgraph.spectral.FactorizationError
+    huge = np.full((3, 3), 1e200)
+    with pytest.raises(wildgraph.FactorizationError, match="iteration"):
+        wildgraph.lowrank_factorize(huge, 2, wildgraph.FactorizerOptions(seed=0))
 
 
 def test_all_lists_every_public_name_once():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from wildgraph import (
-    DegenerateRegimeError,
     ReducedParams,
     TheoryVariant,
     build_graph,
@@ -146,9 +145,11 @@ class TestCaseA:
             residual = m @ pred.eigenbasis - pred.eigenbasis * pred.eigenvalues[:3]
             assert np.max(np.abs(residual)) <= 1e-12
 
-    def test_boundary_raises(self):
-        with pytest.raises(DegenerateRegimeError):
-            closed_form(TheoryVariant.CASE_A, ReducedParams(0.04, 0.045))
+    def test_boundary_marked_nan(self):
+        pred = closed_form(TheoryVariant.CASE_A, ReducedParams(0.04, 0.045))
+        assert np.isnan(pred.eigenvalues).all() and np.isnan(pred.eigenbasis).all()
+        assert isinstance(pred.probing_error_count, float)
+        assert math.isnan(pred.probing_error_count) and math.isnan(pred.separability)
 
     def test_projectors_idempotent_and_symmetric(self):
         pred = closed_form(TheoryVariant.CASE_A, ReducedParams(0.03, 0.01))
@@ -259,9 +260,18 @@ class TestUnsupervised:
             ref = np.sort(np.linalg.eigvalsh(m))[::-1]
             np.testing.assert_allclose(pred.eigenvalues, ref, atol=1e-12)
 
-    def test_boundary_raises(self):
-        with pytest.raises(DegenerateRegimeError):
-            closed_form(TheoryVariant.UNSUPERVISED, ReducedParams(0.05, 0.05))
+    def test_boundary_marked_nan(self):
+        # only the boundary point is marked; its neighbour keeps an int count
+        pred = closed_form(TheoryVariant.UNSUPERVISED, ReducedParams(np.array([0.05, 0.05]),
+                                                                     np.array([0.05, 0.02])))
+        assert np.isnan(pred.eigenvalues[0]).all() and np.isnan(pred.eigenbasis[0]).all()
+        assert np.isnan(pred.probing_error_count[0]) and np.isnan(pred.separability[0])
+        single = closed_form(TheoryVariant.UNSUPERVISED, ReducedParams(0.05, 0.02))
+        np.testing.assert_array_equal(pred.eigenvalues[1], single.eigenvalues)
+        np.testing.assert_array_equal(pred.eigenbasis[1], single.eigenbasis)
+        assert pred.probing_error_count[1] == single.probing_error_count == 0
+        assert isinstance(single.probing_error_count, int)
+        assert pred.separability[1] == single.separability
 
     def test_basis_matches_pipeline_projectors_exactly(self):
         # Without supervised edges the five-example graph has enough symmetry
