@@ -13,8 +13,10 @@ more than one block, and
 enumerated config (also at ranks 5 and 6, the second past the graph's
 rank), the same cells resampled as a wild mixture at two seeds, under an
 explicit matrix, and blown up twentyfold and a hundred-thousandfold
-(3.4 million examples), and a three-class layout with unequal counts; and
-``factorize`` and ``loss-check`` on the README config, both of its
+(3.4 million examples), and a three-class layout with unequal counts; a
+sampled mixture of two configs whose wild cells differ in domain or count
+(the paper's case a, with the novel class in a domain of its own, and the
+three-class layout), as ``detect`` at seed 1 and ``factorize --k 3``; and ``factorize`` and ``loss-check`` on the README config, both of its
 blow-ups, the three-class layout and the explicit matrix.  ``detect``,
 ``factorize --k 3`` and ``loss-check --k 3`` also run on the mixture blown
 up a hundred-thousandfold (1.8 million sampled wild examples), and on five
@@ -46,7 +48,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from test_golden import (  # noqa: E402
-    MIXTURE_CONFIG, README_CONFIG, THREE_CLASS_CONFIG, TOY_POINTS, matrix_config,
+    CASE_A_MIXTURE_CONFIG, MIXTURE_CONFIG, README_CONFIG, THREE_CLASS_CONFIG, TOY_POINTS,
+    matrix_config,
 )
 from wildgraph.cli import main as cli_main  # noqa: E402
 
@@ -96,6 +99,8 @@ CONFIGS = {
     "readme-x100000.json": blown_up(README_CONFIG, 100_000),
     "mixture-x100000.json": blown_up(MIXTURE_CONFIG, 100_000),
     "three-class.json": THREE_CLASS_CONFIG,
+    "case-a-mixture.json": CASE_A_MIXTURE_CONFIG,
+    "three-class-mixture.json": dict(THREE_CLASS_CONFIG, pi_c=0.3, pi_s=0.2),
     **{f"{name}.json": config for name, config in BROKEN_MATRICES.items()},
 }
 
@@ -141,6 +146,12 @@ def commands() -> list[list[str]]:
     for seed in (1, 5):
         out.append(["detect", "--config", "mixture.json", "--seed", str(seed), "--k-neighbors", "3",
                     "--out", f"detect-mixture-seed{seed}.json"])
+    # mixtures drawn from several shifted domains and from unequal counts
+    for name in ("case-a-mixture", "three-class-mixture"):
+        out.append(["detect", "--config", f"{name}.json", "--seed", "1", "--k-neighbors", "3",
+                    "--out", f"detect-{name}-seed1.json"])
+        out.append(["factorize", "--config", f"{name}.json", "--k", "3", "--seed", "1",
+                    "--out", f"factorize-{name}-seed1"])
     out.append(["detect", "--config", "matrix.json", "--k-neighbors", "3",
                 "--out", "detect-matrix.json"])
     for name in ("readme-x20", "readme-x100000", "mixture-x100000", "three-class"):

@@ -39,13 +39,10 @@ from .evaluation import (
 from .graph import GraphError, GraphWeights, build_graph
 from .population import (
     AugmentationModel,
-    ParametricAugmentation,
     Population,
     PopulationError,
-    PopulationSpec,
     TheoryVariant,
     build_toy_population,
-    enumerate_population,
     load_population_config,
     sample_wild_mixture,
 )
@@ -194,31 +191,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sampled(spec: PopulationSpec) -> bool:
-    return spec.pi_c > 0 or spec.pi_s > 0
+def _population_from_config(
+    config_path: str, seed: int
+) -> tuple[Population, AugmentationModel, bool]:
+    """The config's population and model, and whether the population was sampled.
 
-
-def _population(spec: PopulationSpec, model: AugmentationModel, seed: int) -> Population:
-    """The config's population: seeded samples of a mixture, or its cells as written."""
-    if not _sampled(spec):
-        return enumerate_population(spec)
-    if not isinstance(model, ParametricAugmentation):
-        raise ConfigError("sampled populations need a parametric augmentation block")
-    return sample_wild_mixture(spec, seed)
-
-
-def _population_from_config(config_path: str, seed: int) -> tuple[Population, AugmentationModel]:
-    """Population plus augmentation model from a config file.
-
-    Configs with nonzero mixture fractions go through the seeded sampler;
-    otherwise the cells are enumerated exactly.
+    A config with nonzero mixture fractions is drawn by the seeded sampler;
+    otherwise its cells are the population as written.
     """
-    spec, model = load_population_config(config_path)
-    return _population(spec, model, seed), model
+    population, model, fractions = load_population_config(config_path)
+    sampled = any(fractions)
+    if sampled:
+        population = sample_wild_mixture(population, *fractions, seed)
+    return population, model, sampled
 
 
 def _bundle_from_args(args: argparse.Namespace):
-    """The toy case, or the config's population when --config is given.
+    """The graph of the toy case, or of the config's population when --config is given.
 
     The toy flags default to None here, so that one given next to --config,
     which would be ignored, is refused; the toy case fills in the defaults.
@@ -228,19 +217,19 @@ def _bundle_from_args(args: argparse.Namespace):
         for name in TOY_DEFAULTS:
             if getattr(args, name) is not None:
                 raise ConfigError(f"--{name.replace('_', '-')} does not apply with --config")
-        population, model = _population_from_config(args.config, args.seed)
-        return build_graph(model, population, weights), population
-    for name, default in TOY_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-    population, model = build_toy_population(
-        args.variant,
-        rho=args.rho,
-        alpha=args.alpha_prime * args.rho,
-        beta=args.beta_prime * args.rho,
-        gamma=args.gamma_ratio * args.rho,
-    )
-    return build_graph(model, population, weights), population
+        population, model, _ = _population_from_config(args.config, args.seed)
+    else:
+        for name, default in TOY_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+        population, model = build_toy_population(
+            args.variant,
+            rho=args.rho,
+            alpha=args.alpha_prime * args.rho,
+            beta=args.beta_prime * args.rho,
+            gamma=args.gamma_ratio * args.rho,
+        )
+    return build_graph(model, population, weights)
 
 
 def _require_rank(k: int, eigenvalues: np.ndarray) -> None:
@@ -256,7 +245,7 @@ def _require_rank(k: int, eigenvalues: np.ndarray) -> None:
 def cmd_factorize(args: argparse.Namespace) -> int:
     from .loss import equivalence_gap
 
-    bundle, _ = _bundle_from_args(args)
+    bundle = _bundle_from_args(args)
     k = args.k
     # Lifted to the vertices, factors on Q keep the loss and the projector
     # distances (GraphBundle.Q), so both checks run on Q.
@@ -305,7 +294,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 def cmd_loss_check(args: argparse.Namespace) -> int:
     from .loss import equivalence_gap, matrix_loss, random_factors, surrogate_loss_from_parts
 
-    bundle, _ = _bundle_from_args(args)
+    bundle = _bundle_from_args(args)
     equivalence = equivalence_gap(args.trials, args.seed, bundle, args.k)
     # one seeded draw: the first of equivalence_gap's trials
     (H,), (f_rows,) = random_factors(bundle, args.k, args.seed, 1)
@@ -314,16 +303,14 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
     )
     constant_err = equivalence.max_constant_error / (1.0 + abs(equivalence.constant))
     passed = equivalence.relative_spread <= args.spread_tol and constant_err <= args.spread_tol
-    payload = breakdown.to_json_dict()
-    payload.update(
-        {
-            "gap_spread": equivalence.spread,
-            "constant": equivalence.constant,
-            "relative_spread": equivalence.relative_spread,
-            "constant_relative_error": constant_err,
-            "matrix_loss": matrix_loss(H, bundle.Q),
-            "passed": passed,
-        }
+    payload = dict(
+        vars(breakdown),
+        gap_spread=equivalence.spread,
+        constant=equivalence.constant,
+        relative_spread=equivalence.relative_spread,
+        constant_relative_error=constant_err,
+        matrix_loss=matrix_loss(H, bundle.Q),
+        passed=passed,
     )
     _write_json(args.out, payload, args)
     print(f"loss-check: relative spread={equivalence.relative_spread:.3e} "
@@ -334,15 +321,14 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    spec, model = load_population_config(args.config)
-    if args.seed is None:
-        args.seed = 0 if _sampled(spec) else None
-    elif not _sampled(spec):
+    population, model, sampled = _population_from_config(args.config, args.seed or 0)
+    if sampled:
+        args.seed = args.seed or 0
+    elif args.seed is not None:
         raise ConfigError(
             "--seed applies only to a sampled mixture (nonzero pi_c or pi_s); "
             "this config's cells are enumerated exactly"
         )
-    population = _population(spec, model, args.seed)
     bundle = build_graph(model, population, GraphWeights(args.eta_u, args.eta_l))
     k = args.k if args.k else len(population.classes) + 1
     n = bundle.counts
@@ -372,8 +358,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         fpr95=detection.fpr95,
         auroc=detection.auroc,
     )
-    _write_json(args.out, report.to_json_dict(), args)
-    for key, value in report.to_json_dict().items():
+    _write_json(args.out, vars(report), args)
+    for key, value in vars(report).items():
         print(f"detect: {key}={value}")
     return EXIT_OK
 

@@ -35,7 +35,7 @@ axes before the rows) and return one value per embedding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -211,6 +211,16 @@ def probing_error(
     )
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from each row of ``a`` to each row of ``b``.
+
+    Taken from the differences, so equal rows are exactly 0 apart, which
+    the expansion |a|^2 + |b|^2 - 2 a.b is not.
+    """
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    return np.sum(diff * diff, axis=-1)
+
+
 def separability(
     Z_id: np.ndarray,
     Z_sem: np.ndarray,
@@ -228,8 +238,7 @@ def separability(
     if a.shape[-1] != b.shape[-1]:
         raise EvaluationError(f"embedding dimensions differ: {a.shape[-1]} vs {b.shape[-1]}")
     n_a, n_b = _counts(counts_id, a.shape[-2]), _counts(counts_sem, b.shape[-2])
-    diff = a[..., :, None, :] - b[..., None, :, :]
-    pairs = np.sum(diff * diff, axis=-1) * (n_a[:, None] * n_b)
+    pairs = _squared_distances(a, b) * (n_a[:, None] * n_b)
     return _unstacked(np.sum(pairs, axis=(-2, -1)) / (n_a.sum() * n_b.sum()))
 
 
@@ -320,15 +329,6 @@ class KnnDetector:
             getattr(self, name).setflags(write=False)
 
 
-def _pairwise_distances(queries: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(queries**2, axis=1)[:, None]
-        + np.sum(reference**2, axis=1)[None, :]
-        - 2.0 * queries @ reference.T
-    )
-    return np.sqrt(np.clip(d2, 0.0, None))
-
-
 def _kth_smallest(d: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     """Each row's k-th smallest entry, with column j counted counts[j] times."""
     rows = np.arange(d.shape[0])
@@ -377,10 +377,9 @@ def fit_knn_detector(
         raise EvaluationError(f"k_neighbors={k_neighbors} must be < reference count {n.sum()}")
     if k_neighbors < 1:
         raise EvaluationError(f"k_neighbors must be >= 1, got {k_neighbors}")
-    d = _pairwise_distances(ref, ref)
+    d = np.sqrt(_squared_distances(ref, ref))
     # An example's own zero distance is the first of its row, so its k-th
     # neighbour is the (k+1)-th entry.
-    np.fill_diagonal(d, 0.0)
     scores = _kth_smallest(d, n, k_neighbors + 1)
     return KnnDetector(
         reference=ref.copy(),
@@ -394,7 +393,7 @@ def fit_knn_detector(
 
 def knn_scores(detector: KnnDetector, Z: np.ndarray) -> np.ndarray:
     """Distance of each external query row to its k-th nearest reference example."""
-    d = _pairwise_distances(np.asarray(Z, dtype=float), detector.reference)
+    d = np.sqrt(_squared_distances(np.asarray(Z, dtype=float), detector.reference))
     return _kth_smallest(d, detector.counts, detector.k_neighbors)
 
 
@@ -480,6 +479,3 @@ class MetricsReport:
                 raise EvaluationError(f"{name} must lie in [0, 1], got {value}")
         if self.separability < 0:
             raise EvaluationError(f"separability must be nonnegative, got {self.separability}")
-
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -25,7 +25,7 @@ stands for, and the residual is taken on the graph's g x g quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class LossBreakdown:
     L4: float
     L5: float
     total: float
-
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def surrogate_loss_from_parts(

@@ -6,10 +6,11 @@ split it belongs to (labeled in-distribution, wild in-distribution, wild
 covariate-shifted, wild semantic-shifted).  It is stored as a list of
 cells: a cell is a run of ``count`` examples that share all three tags,
 and vertex i of the graph is the i-th example when the runs are laid end
-to end.  An enumerated config keeps its cells as written; a sampled wild
-mixture is its labeled cells followed by the drawn count of each wild
-(class, domain, membership) key; a toy layout is five count-1 cells.  One
-rule set (:func:`_check_cells`) covers all of them.  Each count is stored
+to end.  A config loads as the population of its cells as written, plus
+the two fractions of the wild mixture; a sampled mixture keeps the labeled
+cells and redraws each wild count from the config's own cells of that
+membership; a toy layout is five count-1 cells.  One rule set
+(:func:`_check_cells`) covers all of them.  Each count is stored
 once, on its cell, and no array is kept per example.  Examples that share
 all three tags are interchangeable under the four-parameter rule below, so
 :meth:`Population.groups` merges such cells, summing their counts; the
@@ -46,14 +47,12 @@ __all__ = [
     "Membership",
     "Population",
     "Cell",
-    "PopulationSpec",
     "ParametricAugmentation",
     "ExplicitAugmentation",
     "AugmentationModel",
     "TheoryVariant",
     "PopulationError",
     "transformation_matrix",
-    "enumerate_population",
     "build_toy_population",
     "sample_wild_mixture",
     "load_population_config",
@@ -61,7 +60,7 @@ __all__ = [
 
 
 class PopulationError(ValueError):
-    """A population, spec, or augmentation model violates its contract."""
+    """A population, config, or augmentation model violates its contract."""
 
 
 class Membership(str, Enum):
@@ -97,7 +96,7 @@ class Cell:
 def _check_cells(
     classes: tuple[int, ...], domains: tuple[int, ...], cells: tuple[Cell, ...]
 ) -> None:
-    """The one rule set for the cells of every spec and population; domains[0] is the ID domain."""
+    """The one rule set for the cells of every population; domains[0] is the ID domain."""
     if not classes:
         raise PopulationError("population has no known classes")
     if not domains:
@@ -262,31 +261,6 @@ def transformation_matrix(model: AugmentationModel, population: Population) -> n
     return t
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
-    """Declarative layout: known classes, domains, cells and mixture fractions.
-
-    The cells obey the same rules as a :class:`Population`'s.  ``pi_c`` and
-    ``pi_s`` are the covariate and semantic fractions used only by
-    :func:`sample_wild_mixture`; exact enumerations ignore them.
-    """
-
-    classes: tuple[int, ...]
-    domains: tuple[int, ...]
-    cells: tuple[Cell, ...]
-    pi_c: float = 0.0
-    pi_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_cells(self.classes, self.domains, self.cells)
-        if not (0.0 <= self.pi_c <= 1.0 and 0.0 <= self.pi_s <= 1.0):
-            raise PopulationError("mixture fractions must lie in [0, 1]")
-        if self.pi_c + self.pi_s > 1.0 + 1e-12:
-            raise PopulationError(
-                f"mixture fractions sum to {self.pi_c + self.pi_s}, must be <= 1"
-            )
-
-
 def _toy_examples(variant: TheoryVariant) -> Population:
     # Five examples in fixed order: two labeled ID in the ID domain, two
     # covariate-shifted ones in a second domain, one novel-class example.
@@ -315,11 +289,6 @@ def build_toy_population(
     return _toy_examples(TheoryVariant(variant)), ParametricAugmentation(rho, alpha, beta, gamma)
 
 
-def enumerate_population(spec: PopulationSpec) -> Population:
-    """Exact enumeration of the spec: its cells, in cell order."""
-    return Population(classes=spec.classes, domains=spec.domains, cells=spec.cells)
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -345,41 +314,50 @@ def mixture_counts(total_wild: int, pi_c: float, pi_s: float) -> tuple[int, int,
     return m_c, m_s, m_id
 
 
-def sample_wild_mixture(spec: PopulationSpec, seed: int) -> Population:
-    """Random population whose wild part follows the spec's mixture fractions.
+def _check_fractions(pi_c: float, pi_s: float) -> None:
+    if not (0.0 <= pi_c <= 1.0 and 0.0 <= pi_s <= 1.0):
+        raise PopulationError("mixture fractions must lie in [0, 1]")
+    if pi_c + pi_s > 1.0 + 1e-12:
+        raise PopulationError(f"mixture fractions sum to {pi_c + pi_s}, must be <= 1")
 
-    Labeled cells are kept as they are.  The wild cells only size the wild
+
+def sample_wild_mixture(population: Population, pi_c: float, pi_s: float, seed: int) -> Population:
+    """Random population whose wild part is the mixture with fractions ``pi_c`` and ``pi_s``.
+
+    Labeled cells are kept as they are.  The wild cells size the wild
     pool, which :func:`mixture_counts` splits into wild-ID, covariate and
-    semantic totals.  Each total is spread by one multinomial draw, uniform
-    over its (class, domain) keys: wild-ID over the known classes in the ID
-    domain, covariate over the known classes and the non-ID domains, and
-    semantic over the spec's novel classes (those of its semantic cells, or
-    ``max(classes) + 1`` if it has none) and the non-ID domains.  The
-    nonzero counts follow the labeled cells in that order, so the cells
-    number at most the labeled ones plus C + C S + (novel classes) S.
+    semantic totals.  Each total is spread by one multinomial draw over
+    the population's merged cells of that membership, with probabilities
+    proportional to their counts; wild-ID falls back on the labeled cells
+    when there is no wild-ID cell.  A nonzero total with no cell to draw
+    from is refused.  The drawn cells follow the labeled ones, wild-ID,
+    covariate and semantic in turn, at most one per merged cell.
     Deterministic for a fixed seed.
     """
+    _check_fractions(pi_c, pi_s)
     rng = np.random.default_rng(seed)
-    wild = [c for c in spec.cells if c.membership is not Membership.LABELED_ID]
-    m_c, m_s, m_id = mixture_counts(sum(c.count for c in wild), spec.pi_c, spec.pi_s)
-    shifted = spec.domains[1:]
-    if (m_c or m_s) and not shifted:
-        raise PopulationError("covariate or semantic examples need a non-ID domain")
-    novel = tuple(
-        dict.fromkeys(c.class_label for c in wild if c.membership is Membership.WILD_SEMANTIC)
-    ) or (max(spec.classes) + 1,)
-
-    cells = [c for c in spec.cells if c.membership is Membership.LABELED_ID]
-    for kind, total, classes, domains in (
-        (Membership.WILD_ID, m_id, spec.classes, spec.domains[:1]),
-        (Membership.WILD_COVARIATE, m_c, spec.classes, shifted),
-        (Membership.WILD_SEMANTIC, m_s, novel, shifted),
+    merged = population.groups().cells
+    by_kind = {kind: [c for c in merged if c.membership is kind] for kind in Membership}
+    m_c, m_s, m_id = mixture_counts(
+        sum(c.count for c in merged if c.membership is not Membership.LABELED_ID), pi_c, pi_s
+    )
+    cells = [c for c in population.cells if c.membership is Membership.LABELED_ID]
+    for kind, total, laws in (
+        (Membership.WILD_ID, m_id, by_kind[Membership.WILD_ID] or by_kind[Membership.LABELED_ID]),
+        (Membership.WILD_COVARIATE, m_c, by_kind[Membership.WILD_COVARIATE]),
+        (Membership.WILD_SEMANTIC, m_s, by_kind[Membership.WILD_SEMANTIC]),
     ):
-        if total:
-            keys = [(c, d) for c in classes for d in domains]
-            counts = rng.multinomial(total, np.full(len(keys), 1.0 / len(keys)))
-            cells += [Cell(c, d, kind, int(n)) for (c, d), n in zip(keys, counts) if n]
-    return Population(classes=spec.classes, domains=spec.domains, cells=tuple(cells))
+        if not total:
+            continue
+        if not laws:
+            raise PopulationError(
+                f"the mixture draws {total} {kind.value} examples, "
+                f"but the config has no {kind.value} cell to draw them from"
+            )
+        weights = np.array([c.count for c in laws])
+        drawn = rng.multinomial(total, weights / weights.sum())
+        cells += [Cell(c.class_label, c.domain_label, kind, int(n)) for c, n in zip(laws, drawn) if n]
+    return Population(population.classes, population.domains, tuple(cells))
 
 
 def _integer(value: object, key: str) -> int:
@@ -396,8 +374,10 @@ def _number(value: object, key: str) -> float:
     return float(value)
 
 
-def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, AugmentationModel]:
-    """Parse the JSON population config.
+def load_population_config(
+    source: str | Path | dict,
+) -> tuple[Population, AugmentationModel, tuple[float, float]]:
+    """Parse the JSON population config into its cells, its model and ``(pi_c, pi_s)``.
 
     Expected shape::
 
@@ -410,7 +390,9 @@ def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, A
 
     Ids and counts must be JSON integers, and the augmentation parameters
     and fractions JSON numbers.  An explicit matrix may replace the
-    parametric block via ``{"augmentation_matrix": [[...], ...]}``.
+    parametric block via ``{"augmentation_matrix": [[...], ...]}``, but not
+    under a mixture (nonzero fractions), whose drawn cells the matrix's
+    rows could not follow.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -448,13 +430,9 @@ def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, A
             )
         except (KeyError, ValueError) as exc:
             raise PopulationError(f"cells[{i}] is malformed: {exc}") from exc
-    spec = PopulationSpec(
-        classes=classes,
-        domains=domains,
-        cells=tuple(cells),
-        pi_c=_number(raw.get("pi_c", 0.0), "pi_c"),
-        pi_s=_number(raw.get("pi_s", 0.0), "pi_s"),
-    )
+    fractions = (_number(raw.get("pi_c", 0.0), "pi_c"), _number(raw.get("pi_s", 0.0), "pi_s"))
+    population = Population(classes=classes, domains=domains, cells=tuple(cells))
+    _check_fractions(*fractions)
 
     if "augmentation_matrix" in raw:
         rows = raw["augmentation_matrix"]
@@ -472,6 +450,8 @@ def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, A
         except ValueError as exc:
             raise PopulationError(f"augmentation_matrix is malformed: {exc}") from exc
         model: AugmentationModel = ExplicitAugmentation(matrix)
+        if any(fractions):
+            raise PopulationError("sampled populations need a parametric augmentation block")
     else:
         aug = require("augmentation")
         try:
@@ -480,4 +460,4 @@ def load_population_config(source: str | Path | dict) -> tuple[PopulationSpec, A
             )
         except (KeyError, TypeError) as exc:
             raise PopulationError(f"augmentation block is malformed: {exc}") from exc
-    return spec, model
+    return population, model, fractions

@@ -7,7 +7,7 @@ from wildgraph import (
     GraphWeights,
     Membership,
     ParametricAugmentation,
-    PopulationSpec,
+    Population,
     TheoryVariant,
     build_graph,
     build_toy_population,
@@ -46,9 +46,9 @@ def parametric_50_node():
         for dom in (1, 2, 3):
             cells.append(Cell(cls, dom, Membership.WILD_COVARIATE, 4))
     cells.append(Cell(3, 3, Membership.WILD_SEMANTIC, 2))
-    spec = PopulationSpec(classes=(0, 1, 2), domains=(0, 1, 2, 3), cells=tuple(cells))
+    population = Population(classes=(0, 1, 2), domains=(0, 1, 2, 3), cells=tuple(cells))
     params = ParametricAugmentation(rho=1.0, alpha=0.05, beta=0.02, gamma=0.01)
-    return build_parametric_population(spec, params)
+    return build_parametric_population(population, params)
 
 
 @pytest.fixture(scope="session")

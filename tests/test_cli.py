@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_golden import MIXTURE_CONFIG, README_CONFIG
+from test_golden import MIXTURE_CONFIG, README_CONFIG, matrix_config
 from wildgraph import cli, spectral
 from wildgraph.cli import main
 from wildgraph.theory import ReducedParams, verify_against_pipeline
@@ -456,6 +456,7 @@ class TestDetect:
             "cells": [
                 {"class": 0, "domain": 0, "membership": "labeled_id", "count": 4},
                 {"class": 0, "domain": 0, "membership": "wild_id", "count": 20},
+                {"class": 0, "domain": 1, "membership": "wild_covariate", "count": 1},
             ],
             "augmentation": {"rho": 1.0, "alpha": 0.1, "beta": 0.01, "gamma": 0.01},
             "pi_c": 0.5,
@@ -464,7 +465,22 @@ class TestDetect:
         config = write_config(tmp_path, config_payload)
         code = main(["detect", "--config", config, "--k-neighbors", "2"])
         assert code == 2
-        assert "wild_semantic" in capsys.readouterr().err
+        assert "lacks required membership kinds: wild_semantic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "factorize", "loss-check"])
+    def test_mixture_without_cells_to_draw_is_config_error(self, tmp_path, capsys, command):
+        # pi_s draws semantic examples, but the config lists no semantic cell.
+        cells = [c for c in SEPARATED_CONFIG["cells"] if c["membership"] != "wild_semantic"]
+        config = write_config(tmp_path, dict(SEPARATED_CONFIG, cells=cells, pi_c=0.3, pi_s=0.2))
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert "no wild_semantic cell to draw them from" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mixture_under_an_explicit_matrix_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, dict(matrix_config(), pi_c=0.3, pi_s=0.2))
+        assert main(["detect", "--config", config]) == 2
+        assert "sampled populations need a parametric augmentation block" in capsys.readouterr().err
 
     def test_toy_separability_matches_toy_verify(self, tmp_path):
         config = write_config(tmp_path, TOY_A_CONFIG)

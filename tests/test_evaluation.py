@@ -257,6 +257,15 @@ class TestKnnDetector:
         detector = fit_knn_detector(ref, k_neighbors=1, percentile=0.5)
         np.testing.assert_allclose(detector.reference_scores, [1.0, 1.0, 4.0])
 
+    def test_query_equal_to_a_reference_row_scores_exactly_zero(self):
+        # At |z| = 17 the expansion |q|^2 + |r|^2 - 2 q.r leaves one of these
+        # rows 3.4e-7 from itself; the difference form leaves exactly 0.
+        rng = np.random.default_rng(3)
+        ref = rng.standard_normal((6, 3))
+        ref *= 17.0 / np.linalg.norm(ref, axis=1, keepdims=True)
+        detector = fit_knn_detector(ref, k_neighbors=1, percentile=0.5)
+        np.testing.assert_array_equal(knn_scores(detector, ref.copy()), np.zeros(6))
+
     def test_threshold_is_interpolated_percentile(self):
         rng = np.random.default_rng(7)
         ref = rng.standard_normal((60, 2))

@@ -86,6 +86,14 @@ THREE_CLASS_CONFIG = {
 # 4 semantic and 9 wild-ID draws.
 MIXTURE_CONFIG = dict(README_CONFIG, pi_c=0.3, pi_s=0.2)
 
+# The same mixture over the paper's case a: the novel class alone in a
+# domain of its own, so each shifted membership has a domain of its own.
+CASE_A_MIXTURE_CONFIG = dict(
+    MIXTURE_CONFIG,
+    domains=[0, 1, 2],
+    cells=README_CONFIG["cells"][:4] + [dict(README_CONFIG["cells"][4], domain=2)],
+)
+
 
 def matrix_config() -> dict:
     """The README's cells under an explicit, slightly asymmetric matrix."""
@@ -139,7 +147,7 @@ def _run(argv: list[str]) -> int:
 
 
 def _spectrum(config_path: Path, seed: int = 0) -> list[float]:
-    population, explicit = _population_from_config(str(config_path), seed)
+    population, explicit, _ = _population_from_config(str(config_path), seed)
     bundle = build_graph(explicit, population, GraphWeights(5.0, 1.0))
     return eigendecompose(bundle.A_tilde, 1).eigenvalues.tolist()
 

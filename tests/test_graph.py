@@ -19,7 +19,6 @@ from wildgraph import (
     TheoryVariant,
     build_graph,
     build_toy_population,
-    enumerate_population,
     load_population_config,
     self_supervised_adjacency,
     supervised_adjacency,
@@ -34,8 +33,8 @@ RHO, ALPHA, BETA, GAMMA = 1.0, 0.2, 0.1, 0.05
 
 def readme_matrix() -> tuple[Population, np.ndarray]:
     """The README's examples, one count-1 cell each, and a copy of their explicit matrix."""
-    spec, model = load_population_config(matrix_config())
-    return enumerate_population(spec).examples(), model.matrix.copy()
+    population, model, _ = load_population_config(matrix_config())
+    return population.examples(), model.matrix.copy()
 
 
 def subnormal_degree() -> np.ndarray:
@@ -67,9 +66,7 @@ class TestSelfSupervisedAdjacency:
     def test_random_matrix_against_triple_loop(self):
         rng = np.random.default_rng(42)
         t = rng.uniform(0.0, 1.0, size=(7, 7))
-        from wildgraph import Cell, PopulationSpec
-
-        spec = PopulationSpec(
+        population = Population(
             classes=(0,),
             domains=(0, 1),
             cells=(
@@ -78,7 +75,7 @@ class TestSelfSupervisedAdjacency:
                 Cell(9, 1, Membership.WILD_SEMANTIC, 1),
             ),
         )
-        population7, _ = build_parametric_population(spec, ParametricAugmentation(1, 0, 0, 0))
+        population7, _ = build_parametric_population(population, ParametricAugmentation(1, 0, 0, 0))
         a_u = self_supervised_adjacency(ExplicitAugmentation(t), population7)
         brute = np.zeros((7, 7))
         for x in range(7):
@@ -109,9 +106,7 @@ class TestSelfSupervisedAdjacency:
     def test_non_square_transformation_refused(self):
         # The views are the examples themselves, so a matrix with more view
         # columns than source rows is refused by name, not by broadcasting.
-        from wildgraph import Cell, PopulationError, PopulationSpec, enumerate_population
-
-        spec = PopulationSpec(
+        population = Population(
             classes=(0, 1),
             domains=(0,),
             cells=(
@@ -120,7 +115,6 @@ class TestSelfSupervisedAdjacency:
                 Cell(0, 0, Membership.WILD_ID, 1),
             ),
         )
-        population = enumerate_population(spec)
         rng = np.random.default_rng(2)
         model = ExplicitAugmentation(rng.uniform(0.1, 1.0, size=(3, 7)))
         for build in (self_supervised_adjacency, supervised_adjacency):
@@ -151,20 +145,16 @@ class TestSupervisedAdjacency:
         np.testing.assert_allclose(a_l[0, 1], 2 * RHO * BETA, rtol=1e-14)
 
     def test_no_labeled_examples_gives_zero(self):
-        from wildgraph import Cell, PopulationSpec
-
-        spec = PopulationSpec(
+        population = Population(
             classes=(0,),
             domains=(0,),
             cells=(Cell(0, 0, Membership.WILD_ID, 4),),
         )
-        population, model = build_parametric_population(spec, ParametricAugmentation(1, 0.1, 0.1, 0.1))
+        population, model = build_parametric_population(population, ParametricAugmentation(1, 0.1, 0.1, 0.1))
         np.testing.assert_array_equal(supervised_adjacency(model, population), np.zeros((4, 4)))
 
     def test_two_labeled_per_class_against_pair_loop(self):
-        from wildgraph import Cell, PopulationSpec, enumerate_population
-
-        spec = PopulationSpec(
+        cells = Population(
             classes=(0, 1),
             domains=(0, 1),
             cells=(
@@ -174,7 +164,7 @@ class TestSupervisedAdjacency:
             ),
         )
         population, model = build_parametric_population(
-            spec, ParametricAugmentation(1.0, 0.3, 0.2, 0.05)
+            cells, ParametricAugmentation(1.0, 0.3, 0.2, 0.05)
         )
         t = model.matrix
         n = t.shape[0]
@@ -193,7 +183,6 @@ class TestSupervisedAdjacency:
         np.testing.assert_allclose(supervised_adjacency(model, population), brute, atol=1e-13)
         # Over the unsplit cells (counts 2, 2, 2) the rule gives one row per
         # cell, holding the weight between two single examples of the cells.
-        cells = enumerate_population(spec)
         a_l = supervised_adjacency(ParametricAugmentation(1.0, 0.3, 0.2, 0.05), cells)
         e = np.repeat(np.eye(3), 2, axis=0)  # examples by cells
         np.testing.assert_allclose(e @ a_l @ e.T, brute, atol=1e-13)

@@ -7,12 +7,11 @@ from wildgraph import (
     Cell,
     Membership,
     ParametricAugmentation,
-    PopulationSpec,
+    Population,
     TheoryVariant,
     build_graph,
     build_toy_population,
     embed,
-    enumerate_population,
     equivalence_gap,
     matrix_loss,
     surrogate_loss_from_parts,
@@ -36,9 +35,9 @@ def grouped_bundle():
         Cell(0, 1, Membership.WILD_COVARIATE, 5), Cell(1, 1, Membership.WILD_COVARIATE, 2),
         Cell(2, 1, Membership.WILD_SEMANTIC, 3),
     )
-    spec = PopulationSpec(classes=(0, 1), domains=(0, 1), cells=cells)
+    population = Population(classes=(0, 1), domains=(0, 1), cells=cells)
     params = ParametricAugmentation(rho=1.0, alpha=0.05, beta=0.02, gamma=0.01)
-    return build_graph(params, enumerate_population(spec), STANDARD_WEIGHTS)
+    return build_graph(params, population, STANDARD_WEIGHTS)
 
 
 class TestSurrogateLoss:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -18,11 +19,9 @@ from wildgraph import (
     ParametricAugmentation,
     Population,
     PopulationError,
-    PopulationSpec,
     TheoryVariant,
     build_graph,
     build_toy_population,
-    enumerate_population,
     load_population_config,
     sample_wild_mixture,
     transformation_matrix,
@@ -30,6 +29,7 @@ from wildgraph import (
 import wildgraph
 from wildgraph.population import mixture_counts
 from conftest import STANDARD_WEIGHTS
+from test_golden import CASE_A_MIXTURE_CONFIG
 from vertex_level import build_parametric_population, sample_per_example, split
 
 
@@ -70,7 +70,7 @@ class TestToyPopulation:
         assert pop_b.cells[4].domain_label == pop_b.cells[2].domain_label
 
 
-TOY_SPEC = PopulationSpec(
+TOY_CELLS = Population(
     classes=(0, 1),
     domains=(0, 1, 2),
     cells=(
@@ -86,7 +86,7 @@ TOY_SPEC = PopulationSpec(
 class TestParametricPopulation:
     def test_reduces_to_toy(self):
         params = ParametricAugmentation(1.0, 0.3, 0.2, 0.1)
-        _, model = build_parametric_population(TOY_SPEC, params)
+        _, model = build_parametric_population(TOY_CELLS, params)
         toy, toy_model = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.3, 0.2, 0.1)
         np.testing.assert_array_equal(model.matrix, transformation_matrix(toy_model, toy))
 
@@ -97,9 +97,9 @@ class TestParametricPopulation:
                 member = Membership.LABELED_ID if dom == 0 else Membership.WILD_COVARIATE
                 cells.append(Cell(cls, dom, member, 3))
         cells.append(Cell(5, 2, Membership.WILD_SEMANTIC, 1))
-        spec = PopulationSpec(classes=(0, 1), domains=(0, 1, 2), cells=tuple(cells))
+        population = Population(classes=(0, 1), domains=(0, 1, 2), cells=tuple(cells))
         params = ParametricAugmentation(1.0, 0.25, 0.15, 0.05)
-        population, model = build_parametric_population(spec, params)
+        population, model = build_parametric_population(population, params)
         assert model.matrix.shape == (13, 13)
         cls = [cell.class_label for cell in population.cells]
         dom = [cell.domain_label for cell in population.cells]
@@ -117,15 +117,15 @@ class TestParametricPopulation:
 
     def test_empty_classes_rejected(self):
         with pytest.raises(PopulationError):
-            PopulationSpec(classes=(), domains=(0,), cells=())
+            Population(classes=(), domains=(0,), cells=())
 
     def test_empty_domains_rejected(self):
         with pytest.raises(PopulationError):
-            PopulationSpec(classes=(0,), domains=(), cells=())
+            Population(classes=(0,), domains=(), cells=())
 
     def test_matrix_symmetric_and_four_valued(self):
         params = ParametricAugmentation(0.8, 0.3, 0.2, 0.1)
-        _, model = build_parametric_population(TOY_SPEC, params)
+        _, model = build_parametric_population(TOY_CELLS, params)
         np.testing.assert_array_equal(model.matrix, model.matrix.T)
         assert set(np.unique(model.matrix)) <= {0.8, 0.3, 0.2, 0.1}
 
@@ -162,10 +162,24 @@ BROKEN_LAYOUTS = {
 }
 
 
+def config_of(classes, domains, cells, **fields) -> dict:
+    """A JSON population config with these cells under a parametric model."""
+    return {
+        "classes": list(classes),
+        "domains": list(domains),
+        "cells": [{"class": c.class_label, "domain": c.domain_label,
+                   "membership": c.membership.value, "count": c.count} for c in cells],
+        "augmentation": {"rho": 1.0, "alpha": 0.1, "beta": 0.05, "gamma": 0.01},
+        **fields,
+    }
+
+
 def assert_rejected_by_population_and_spec(layout):
-    for kind in (Population, PopulationSpec):
-        with pytest.raises(PopulationError):
-            kind(**layout)
+    # A config (the spec of a population) is loaded through the same rules.
+    with pytest.raises(PopulationError):
+        Population(**layout)
+    with pytest.raises(PopulationError):
+        load_population_config(config_of(**layout))
 
 
 class TestPopulationInvariants:
@@ -244,20 +258,26 @@ class TestCellExpansion:
         assert [(c.class_label, c.domain_label, c.membership) for c in examples.cells] == expanded
         assert examples.counts().tolist() == [1] * len(expanded)
         assert population.counts().tolist() == [c.count for c in cells]
-        assert enumerate_population(PopulationSpec(classes, domains, cells)) == population
+        loaded, _, fractions = load_population_config(config_of(classes, domains, cells))
+        assert loaded == population and fractions == (0.0, 0.0)
 
 
-WILD_SPEC = PopulationSpec(
+# Unequal counts in every wild membership, so that the draws show the
+# config's own law: probabilities proportional to the counts.
+WILD_CELLS = Population(
     classes=(0, 1),
     domains=(0, 1),
     cells=(
         Cell(0, 0, Membership.LABELED_ID, 4),
         Cell(1, 0, Membership.LABELED_ID, 4),
-        Cell(0, 0, Membership.WILD_ID, 100),
+        Cell(0, 0, Membership.WILD_ID, 20),
+        Cell(1, 0, Membership.WILD_ID, 40),
+        Cell(0, 1, Membership.WILD_COVARIATE, 10),
+        Cell(1, 1, Membership.WILD_COVARIATE, 20),
+        Cell(2, 1, Membership.WILD_SEMANTIC, 10),
     ),
-    pi_c=0.5,
-    pi_s=0.1,
 )
+WILD_FRACTIONS = (0.5, 0.1)
 
 
 def membership_totals(cells) -> tuple[int, int, int]:
@@ -268,43 +288,66 @@ def membership_totals(cells) -> tuple[int, int, int]:
 
 class TestWildMixture:
     def test_reference_mixture_counts(self):
-        population = sample_wild_mixture(WILD_SPEC, seed=3)
-        assert population.cells[:2] == WILD_SPEC.cells[:2]
+        population = sample_wild_mixture(WILD_CELLS, *WILD_FRACTIONS, seed=3)
+        assert population.cells[:2] == WILD_CELLS.cells[:2]
         assert membership_totals(population.cells[2:]) == (50, 10, 40)
 
     def test_seeded_sequences_are_pinned(self):
-        # Recorded when the sampler switched to one multinomial draw per
-        # membership; any change to the order of its RNG calls changes them.
-        population = sample_wild_mixture(WILD_SPEC, seed=3)
+        # Recorded when the sampler switched to drawing from the config's own
+        # cells; any change to the order of its RNG calls changes them.
+        population = sample_wild_mixture(WILD_CELLS, *WILD_FRACTIONS, seed=3)
         assert [(c.class_label, c.domain_label, c.membership.value, c.count)
                 for c in population.cells] == [
             (0, 0, "labeled_id", 4), (1, 0, "labeled_id", 4),
-            (0, 0, "wild_id", 16), (1, 0, "wild_id", 24),
-            (0, 1, "wild_covariate", 22), (1, 1, "wild_covariate", 28),
+            (0, 0, "wild_id", 9), (1, 0, "wild_id", 31),
+            (0, 1, "wild_covariate", 14), (1, 1, "wild_covariate", 36),
             (2, 1, "wild_semantic", 10),
         ]
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_case_a_draws_stay_in_their_config_domains(self, seed):
+        population, _, fractions = load_population_config(CASE_A_MIXTURE_CONFIG)
+        sample = sample_wild_mixture(population, *fractions, seed)
+        domains = {kind: {c.domain_label for c in sample.cells if c.membership is kind}
+                   for kind in Membership}
+        assert domains[Membership.WILD_COVARIATE] == {1}
+        assert domains[Membership.WILD_SEMANTIC] == {2}
+        assert domains[Membership.WILD_ID] == {0}
+        assert membership_totals(sample.cells) == (5, 4, 9)
+
     def test_sampled_cells_keep_the_config_s_novel_classes(self):
-        spec = PopulationSpec(
+        population = Population(
             classes=(0, 1),
             domains=(0, 1, 2),
             cells=(
                 Cell(0, 0, Membership.LABELED_ID, 3),
+                Cell(0, 1, Membership.WILD_COVARIATE, 1),
                 Cell(5, 1, Membership.WILD_SEMANTIC, 20),
-                Cell(7, 2, Membership.WILD_SEMANTIC, 20),
+                Cell(7, 2, Membership.WILD_SEMANTIC, 19),
             ),
-            pi_c=0.2,
-            pi_s=0.6,
         )
-        population = sample_wild_mixture(spec, seed=0)
-        semantic = [c for c in population.cells if c.membership is Membership.WILD_SEMANTIC]
-        assert sorted({c.class_label for c in semantic}) == [5, 7]
+        sample = sample_wild_mixture(population, 0.2, 0.6, seed=0)
+        semantic = [c for c in sample.cells if c.membership is Membership.WILD_SEMANTIC]
+        assert sorted((c.class_label, c.domain_label) for c in semantic) == [(5, 1), (7, 2)]
         assert sum(c.count for c in semantic) == 24
-        # without semantic cells, the one novel class follows the known ones
-        plain = PopulationSpec(WILD_SPEC.classes, WILD_SPEC.domains, WILD_SPEC.cells, 0.0, 0.5)
-        novel = {c.class_label for c in sample_wild_mixture(plain, seed=0).cells
-                 if c.membership is Membership.WILD_SEMANTIC}
-        assert novel == {2}
+
+    @pytest.mark.parametrize(
+        "cells, pi_c, pi_s, kind",
+        [
+            ((Cell(0, 0, Membership.LABELED_ID, 2), Cell(0, 0, Membership.WILD_ID, 10)),
+             0.3, 0.0, "wild_covariate"),
+            ((Cell(0, 0, Membership.LABELED_ID, 2), Cell(0, 1, Membership.WILD_COVARIATE, 10)),
+             0.3, 0.2, "wild_semantic"),
+            ((Cell(0, 1, Membership.WILD_COVARIATE, 6), Cell(3, 1, Membership.WILD_SEMANTIC, 4)),
+             0.3, 0.2, "wild_id"),
+        ],
+        ids=["no-covariate-cell", "no-semantic-cell", "no-id-cell"],
+    )
+    def test_a_membership_without_cells_is_refused_by_name(self, cells, pi_c, pi_s, kind):
+        population = Population(classes=(0,), domains=(0, 1), cells=cells)
+        with pytest.raises(PopulationError, match=f"no {kind} cell"):
+            sample_wild_mixture(population, pi_c, pi_s, seed=0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -320,22 +363,24 @@ class TestWildMixture:
         cells = [Cell(0, 0, Membership.LABELED_ID, 2)] + [
             Cell(0, 0, Membership.WILD_ID, count) for count in wild
         ]
-        if n_domains > 1:
-            cells += [Cell(n_classes + j, 1, Membership.WILD_SEMANTIC, 1) for j in range(n_novel)]
+        shifted = domains[1:]
+        cells += [Cell(c, d, Membership.WILD_COVARIATE, 1) for c in classes for d in shifted]
+        cells += [Cell(n_classes + j, d, Membership.WILD_SEMANTIC, 1)
+                  for j in range(n_novel) for d in shifted]
         total = sum(c.count for c in cells[1:])
         m_c, m_s, m_id = mixture_counts(total, pi_c, pi_s)
-        assume(n_domains > 1 or m_c + m_s == 0)
-        spec = PopulationSpec(classes, domains, tuple(cells), pi_c, pi_s)
-        population = sample_wild_mixture(spec, seed)
+        assume(m_c == 0 or shifted)
+        assume(m_s == 0 or (shifted and n_novel))
+        population = sample_wild_mixture(Population(classes, domains, tuple(cells)), pi_c, pi_s, seed)
         assert population.cells[0] == cells[0]
         assert membership_totals(population.cells[1:]) == (m_c, m_s, m_id)
-        # one cell at most per (class, domain, membership) key
-        shifted = n_domains - 1
-        assert len(population.cells) <= 1 + n_classes + n_classes * shifted + max(n_novel, 1) * shifted
+        # one cell at most per merged config cell, and only where the config has one
+        keys = {(c.class_label, c.domain_label, c.membership) for c in cells}
+        assert {(c.class_label, c.domain_label, c.membership) for c in population.cells} <= keys
         assert len(population.groups().cells) == len(population.cells)
 
     def test_zero_fractions_give_all_wild_id(self):
-        spec = PopulationSpec(
+        population = Population(
             classes=(0,),
             domains=(0,),
             cells=(
@@ -343,25 +388,30 @@ class TestWildMixture:
                 Cell(0, 0, Membership.WILD_ID, 30),
             ),
         )
-        population = split(sample_wild_mixture(spec, seed=0))
+        population = split(sample_wild_mixture(population, 0.0, 0.0, seed=0))
         wild_id = [i for i, c in enumerate(population.cells) if c.membership is Membership.WILD_ID]
         assert wild_id == list(range(2, 32))
 
     def test_same_seed_reproduces_population(self):
-        assert sample_wild_mixture(WILD_SPEC, seed=11) == sample_wild_mixture(WILD_SPEC, seed=11)
+        draw = functools.partial(sample_wild_mixture, WILD_CELLS, *WILD_FRACTIONS)
+        assert draw(seed=11) == draw(seed=11)
 
     def test_different_seed_changes_population(self):
-        assert sample_wild_mixture(WILD_SPEC, seed=1) != sample_wild_mixture(WILD_SPEC, seed=2)
+        draw = functools.partial(sample_wild_mixture, WILD_CELLS, *WILD_FRACTIONS)
+        assert draw(seed=1) != draw(seed=2)
 
     def test_overflowing_fractions_rejected(self):
-        with pytest.raises(PopulationError):
-            PopulationSpec(
-                classes=(0,),
-                domains=(0, 1),
-                cells=(Cell(0, 0, Membership.WILD_ID, 10),),
-                pi_c=0.7,
-                pi_s=0.4,
-            )
+        # The sampler and the loader run one fraction check.
+        population = Population(classes=(0,), domains=(0, 1), cells=(Cell(0, 0, Membership.WILD_ID, 10),))
+        with pytest.raises(PopulationError, match="sum to"):
+            sample_wild_mixture(population, 0.7, 0.4, seed=0)
+        with pytest.raises(PopulationError, match="sum to"):
+            load_population_config(config_of(**vars(population), pi_c=0.7, pi_s=0.4))
+
+    @pytest.mark.parametrize("pi_c, pi_s", [(-0.1, 0.0), (0.0, 1.5), (float("nan"), 0.0)])
+    def test_fractions_outside_the_unit_interval_rejected(self, pi_c, pi_s):
+        with pytest.raises(PopulationError, match=r"must lie in \[0, 1\]"):
+            sample_wild_mixture(WILD_CELLS, pi_c, pi_s, seed=0)
 
     @pytest.mark.parametrize("m", [1, 3, 7, 10, 33, 101])
     def test_fractions_within_one_example(self, m):
@@ -376,19 +426,24 @@ class TestWildMixture:
         assert (m_c, m_s) == (2, 1)
 
 
-# Three shifted keys per known class, so that the class and domain laws both show.
-LAW_SPEC = PopulationSpec(
+# Unequal cells over three shifted domains, so that the class and domain
+# laws both show; no wild-ID cell, so wild-ID draws from the labeled cells.
+LAW_CELLS = Population(
     classes=(0, 1),
     domains=(0, 1, 2, 3),
-    cells=(Cell(0, 0, Membership.LABELED_ID, 2), Cell(0, 0, Membership.WILD_ID, 60)),
-    pi_c=0.5,
-    pi_s=0.2,
+    cells=(
+        Cell(0, 0, Membership.LABELED_ID, 2), Cell(1, 0, Membership.LABELED_ID, 6),
+        Cell(0, 1, Membership.WILD_COVARIATE, 16), Cell(1, 2, Membership.WILD_COVARIATE, 8),
+        Cell(0, 3, Membership.WILD_COVARIATE, 4), Cell(1, 1, Membership.WILD_COVARIATE, 12),
+        Cell(2, 3, Membership.WILD_SEMANTIC, 12), Cell(3, 2, Membership.WILD_SEMANTIC, 8),
+    ),
 )
+LAW_FRACTIONS = (0.5, 0.2)
 LAW_SEEDS = range(200)
-# Over 200 seeds of 60 wild examples the two samplers' merged key
-# frequencies lie 0.017 apart in total variation, against 0.014 expected
-# from two independent draws of 12 000 wild examples over 11 wild keys;
-# piling every covariate example on one key moves them 0.41 apart.
+# Over 200 seeds of 60 wild examples the two samplers' key frequencies lie
+# 0.010 apart in total variation, against 0.008 on average between two
+# independent runs of 200 seeds of one sampler; piling every covariate
+# example on one key moves them 0.27 apart.
 LAW_TV_BOUND = 0.03
 
 
@@ -397,7 +452,7 @@ def law_distance(sampler) -> float:
     def frequencies(draw):
         tally: Counter = Counter()
         for seed in LAW_SEEDS:
-            for c in draw(LAW_SPEC, seed).cells:
+            for c in draw(LAW_CELLS, *LAW_FRACTIONS, seed).cells:
                 tally[c.class_label, c.domain_label, c.membership] += c.count
         total = sum(tally.values())
         return {key: n / total for key, n in tally.items()}
@@ -406,13 +461,13 @@ def law_distance(sampler) -> float:
     return 0.5 * sum(abs(have.get(key, 0.0) - want.get(key, 0.0)) for key in have.keys() | want.keys())
 
 
-def one_covariate_key(spec, seed):
+def one_covariate_key(population, pi_c, pi_s, seed):
     """A wrong sampler: every covariate example on the first covariate key."""
-    cells = sample_wild_mixture(spec, seed).cells
+    cells = sample_wild_mixture(population, pi_c, pi_s, seed).cells
     covariate = [c for c in cells if c.membership is Membership.WILD_COVARIATE]
     others = tuple(c for c in cells if c.membership is not Membership.WILD_COVARIATE)
     piled = (replace(covariate[0], count=sum(c.count for c in covariate)),) if covariate else ()
-    return Population(spec.classes, spec.domains, others + piled)
+    return Population(population.classes, population.domains, others + piled)
 
 
 class TestMixtureLaw:
@@ -443,7 +498,7 @@ class TestGroups:
         assert groups.groups() == groups
 
     def test_sampled_mixture_cells_merge(self):
-        population = sample_wild_mixture(WILD_SPEC, seed=3)
+        population = sample_wild_mixture(WILD_CELLS, *WILD_FRACTIONS, seed=3)
         groups = population.groups()
         # two labeled cells, wild-ID of two classes, covariate of two classes, one semantic
         assert len(groups.cells) == 7
@@ -476,8 +531,8 @@ class TestConfigLoading:
     def test_round_trip_matches_toy(self, tmp_path):
         path = tmp_path / "pop.json"
         path.write_text(json.dumps(self.CONFIG))
-        spec, model = load_population_config(path)
-        population, explicit = build_parametric_population(spec, model)
+        population, model, _ = load_population_config(path)
+        population, explicit = build_parametric_population(population, model)
         toy, toy_model = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.3, 0.2, 0.1)
         np.testing.assert_array_equal(explicit.matrix, transformation_matrix(toy_model, toy))
 
@@ -485,7 +540,7 @@ class TestConfigLoading:
         config = dict(self.CONFIG)
         del config["augmentation"]
         config["augmentation_matrix"] = np.eye(5).tolist()
-        _, model = load_population_config(config)
+        _, model, _ = load_population_config(config)
         np.testing.assert_array_equal(model.matrix, np.eye(5))
 
     def test_missing_key_names_offender(self):
@@ -499,13 +554,20 @@ class TestConfigLoading:
         with pytest.raises(PopulationError):
             load_population_config(config)
 
+    def test_explicit_matrix_under_a_mixture_refused(self):
+        # A mixture redraws the wild cells, which a fixed matrix's rows cannot follow.
+        config = {k: v for k, v in self.CONFIG.items() if k != "augmentation"}
+        config.update(augmentation_matrix=np.eye(5).tolist(), pi_c=0.3)
+        with pytest.raises(PopulationError, match="need a parametric augmentation block"):
+            load_population_config(config)
+
     def test_explicit_matrix_must_match_population(self):
         config = dict(self.CONFIG)
         del config["augmentation"]
         config["augmentation_matrix"] = np.eye(4).tolist()
-        spec, model = load_population_config(config)
+        population, model, _ = load_population_config(config)
         with pytest.raises(PopulationError):
-            transformation_matrix(model, enumerate_population(spec))
+            transformation_matrix(model, population)
 
 
 # A module-level ``typing.Union[...]`` alias is memoised in typing's LRU

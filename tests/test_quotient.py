@@ -48,7 +48,6 @@ from wildgraph import (
     GraphWeights,
     build_graph,
     embed,
-    enumerate_population,
     load_population_config,
     lowrank_factorize,
     matrix_loss,
@@ -91,8 +90,8 @@ def layouts(draw):
 
 def _spectrum(config: dict, weights: GraphWeights = WEIGHTS) -> np.ndarray:
     """The descending spectrum of the config's quotient."""
-    spec, model = load_population_config(config)
-    bundle = build_graph(model, enumerate_population(spec), weights)
+    population, model, _ = load_population_config(config)
+    bundle = build_graph(model, population, weights)
     root = np.sqrt(bundle.counts)
     return np.linalg.eigvalsh(root[:, None] * bundle.A_tilde_g * root)[::-1]
 
@@ -133,8 +132,8 @@ def _assert_same(have: dict, want: dict, count_factor: int = 1, rel: float = REL
 
 def _expanded(config: dict) -> dict:
     """The same cells under their parametric matrix, written out per example."""
-    spec, model = load_population_config(config)
-    matrix = transformation_matrix(model, split(enumerate_population(spec)))
+    population, model, _ = load_population_config(config)
+    matrix = transformation_matrix(model, split(population))
     return dict({k: v for k, v in config.items() if k != "augmentation"},
                 augmentation_matrix=matrix.tolist())
 
@@ -176,10 +175,9 @@ def test_cell_order_leaves_every_metric(config, random):
 @given(layouts())
 def test_lifted_vectors_are_eigenvectors_of_the_expanded_graph(config):
     assume(_well_posed(config))
-    spec, model = load_population_config(config)
-    population = enumerate_population(spec)
+    population, model, _ = load_population_config(config)
     bundle = build_graph(model, population, WEIGHTS)
-    k = len(spec.classes) + 1
+    k = len(population.classes) + 1
     embedding = embed(bundle, k)
     v = embedding.V_k[bundle.vertex_rows()]
     a = bundle.A_tilde
@@ -249,8 +247,8 @@ def small_blow_ups(draw):
 
 def _expansion(config: dict):
     """The config's bundle, its vertices-by-rows indicator E and the lift E diag(n)^-1/2."""
-    spec, model = load_population_config(config)
-    bundle = build_graph(model, enumerate_population(spec), WEIGHTS)
+    population, model, _ = load_population_config(config)
+    bundle = build_graph(model, population, WEIGHTS)
     e = indicator(bundle)
     return bundle, e, e / np.sqrt(bundle.counts)
 

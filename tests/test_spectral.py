@@ -19,10 +19,9 @@ from wildgraph import (
     embed,
     GraphWeights,
     Membership,
-    PopulationSpec,
+    Population,
     build_graph,
     build_toy_population,
-    enumerate_population,
     lowrank_factorize,
     matrix_loss,
     reconstruction_gap,
@@ -369,7 +368,7 @@ class TestConjugateGradient:
             group = rng.permutation(np.arange(n) % 12)
             t = block[np.ix_(group, group)] * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=(n, n)))
             cells = (Cell(0, 0, Membership.WILD_ID, n - 1), Cell(2, 1, Membership.WILD_SEMANTIC, 1))
-            population = enumerate_population(PopulationSpec((0, 1), (0, 1), cells))
+            population = Population((0, 1), (0, 1), cells)
             bundle = build_graph(ExplicitAugmentation(t), population, GraphWeights(5.0, 1.0))
             state = lowrank_factorize(bundle.A_tilde, k, FactorizerOptions(max_iters=1000))
             gap = reconstruction_gap(state, eigendecompose(bundle.A_tilde, k))

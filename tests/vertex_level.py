@@ -19,8 +19,6 @@ from wildgraph import (
     Membership,
     ParametricAugmentation,
     Population,
-    PopulationSpec,
-    enumerate_population,
     self_supervised_adjacency,
     supervised_adjacency,
     surrogate_loss_from_parts,
@@ -36,10 +34,10 @@ def split(population: Population) -> Population:
 
 
 def build_parametric_population(
-    spec: PopulationSpec, params: ParametricAugmentation
+    population: Population, params: ParametricAugmentation
 ) -> tuple[Population, ExplicitAugmentation]:
-    """The spec's examples as count-1 cells, with the four-parameter rule expanded over them."""
-    population = split(enumerate_population(spec))
+    """The population's examples as count-1 cells, with the four-parameter rule expanded over them."""
+    population = split(population)
     return population, ExplicitAugmentation(transformation_matrix(params, population))
 
 
@@ -59,31 +57,29 @@ def indicator(bundle) -> np.ndarray:
     return np.eye(bundle.A_tilde_g.shape[-1])[bundle.vertex_rows()]
 
 
-def sample_per_example(spec: PopulationSpec, seed: int) -> Population:
+def sample_per_example(population: Population, pi_c: float, pi_s: float, seed: int) -> Population:
     """The wild mixture drawn one example at a time, as a count-1 cell each.
 
     The memberships fixed by ``mixture_counts`` are shuffled, and each
-    example then draws a uniform known class (the one novel class
-    ``max(classes) + 1`` if semantic) and, off the ID domain, a uniform
-    non-ID domain.
+    example then takes the class and domain of one of the population's
+    cells of its membership, drawn with probability proportional to the
+    cell's count; wild-ID examples draw from the labeled cells when there
+    is no wild-ID cell.
     """
     rng = np.random.default_rng(seed)
-    total_wild = sum(c.count for c in spec.cells if c.membership is not Membership.LABELED_ID)
-    m_c, m_s, m_id = mixture_counts(total_wild, spec.pi_c, spec.pi_s)
-    shifted = spec.domains[1:]
+    laws = {kind: [c for c in population.cells if c.membership is kind] for kind in Membership}
+    laws[Membership.WILD_ID] = laws[Membership.WILD_ID] or laws[Membership.LABELED_ID]
+    total_wild = sum(c.count for c in population.cells if c.membership is not Membership.LABELED_ID)
+    m_c, m_s, m_id = mixture_counts(total_wild, pi_c, pi_s)
     memberships = (
         [Membership.WILD_COVARIATE] * m_c
         + [Membership.WILD_SEMANTIC] * m_s
         + [Membership.WILD_ID] * m_id
     )
-    cells = [c for c in spec.cells if c.membership is Membership.LABELED_ID]
+    cells = list(laws[Membership.LABELED_ID])
     for pos in rng.permutation(total_wild):
         kind = memberships[pos]
-        if kind is Membership.WILD_ID:
-            cls, dom = int(rng.choice(spec.classes)), spec.domains[0]
-        elif kind is Membership.WILD_COVARIATE:
-            cls, dom = int(rng.choice(spec.classes)), int(rng.choice(shifted))
-        else:
-            cls, dom = max(spec.classes) + 1, int(rng.choice(shifted))
-        cells.append(Cell(cls, dom, kind, 1))
-    return Population(spec.classes, spec.domains, tuple(cells))
+        counts = np.array([c.count for c in laws[kind]])
+        law = laws[kind][rng.choice(counts.size, p=counts / counts.sum())]
+        cells.append(Cell(law.class_label, law.domain_label, kind, 1))
+    return Population(population.classes, population.domains, tuple(cells))
