@@ -23,7 +23,11 @@ up a hundred-thousandfold (1.8 million sampled wild examples), and on five
 broken variants of the explicit matrix, each of which they refuse: a zero
 view column (an isolated vertex), every entry 1e200 (the total weight
 overflows), a diagonal entry of 1e-155 alone in its row and column (a
-subnormal degree), one row short and one column short.
+subnormal degree), one row short and one column short.  ``detect`` runs
+on the README config blown up 2**37-fold, where a product of two counts
+passes int64's range, and all three refuse the README cells at counts
+whose total passes ``sys.maxsize`` (one cell of 2**63, five of 2**61,
+five of 2**62).
 Every tolerance flag is also set away from its default once: toy-verify's
 ``--tolerance-scale`` and factorize's ``--loss-gap-tol`` and ``--spread-tol``.
 Each command runs from inside OUT_DIR with relative paths, so two
@@ -48,8 +52,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from test_golden import (  # noqa: E402
-    CASE_A_MIXTURE_CONFIG, MIXTURE_CONFIG, README_CONFIG, THREE_CLASS_CONFIG, TOY_POINTS,
-    matrix_config,
+    CASE_A_MIXTURE_CONFIG, MIXTURE_CONFIG, OVERSIZED_CONFIGS, README_CONFIG, THREE_CLASS_CONFIG,
+    TOY_POINTS, matrix_config,
 )
 from wildgraph.cli import main as cli_main  # noqa: E402
 
@@ -97,11 +101,13 @@ CONFIGS = {
     "matrix.json": matrix_config(),
     "readme-x20.json": blown_up(README_CONFIG, 20),
     "readme-x100000.json": blown_up(README_CONFIG, 100_000),
+    "readme-x2p37.json": blown_up(README_CONFIG, 2**37),
     "mixture-x100000.json": blown_up(MIXTURE_CONFIG, 100_000),
     "three-class.json": THREE_CLASS_CONFIG,
     "case-a-mixture.json": CASE_A_MIXTURE_CONFIG,
     "three-class-mixture.json": dict(THREE_CLASS_CONFIG, pi_c=0.3, pi_s=0.2),
     **{f"{name}.json": config for name, config in BROKEN_MATRICES.items()},
+    **{f"{name}.json": config for name, config in OVERSIZED_CONFIGS.items()},
 }
 
 
@@ -166,7 +172,9 @@ def commands() -> list[list[str]]:
                     "--out", f"factorize-{name}-seed7"])
         out.append(["loss-check", "--config", f"{name}.json", "--k", "3", "--seed", "7",
                     "--out", f"loss-check-{name}.json"])
-    for name in BROKEN_MATRICES:
+    out.append(["detect", "--config", "readme-x2p37.json", "--k-neighbors", "3",
+                "--out", "detect-readme-x2p37.json"])
+    for name in (*BROKEN_MATRICES, *OVERSIZED_CONFIGS):
         out.append(["detect", "--config", f"{name}.json", "--out", f"detect-{name}.json"])
         out.append(["factorize", "--config", f"{name}.json", "--k", "3", "--out", f"factorize-{name}"])
         out.append(["loss-check", "--config", f"{name}.json", "--k", "3",

@@ -29,7 +29,6 @@ _LAZY = {
             "EquivalenceReport",
             "surrogate_loss_from_parts",
             "matrix_loss",
-            "random_factors",
             "equivalence_gap",
         ),
         "loss",

@@ -29,13 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .evaluation import (
-    MetricsReport,
-    detection_metrics,
-    evaluate,
-    fit_knn_detector,
-    knn_scores,
-)
+from .evaluation import metrics_report
 from .graph import GraphError, GraphWeights, build_graph
 from .population import (
     AugmentationModel,
@@ -292,24 +286,20 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def cmd_loss_check(args: argparse.Namespace) -> int:
-    from .loss import equivalence_gap, matrix_loss, random_factors, surrogate_loss_from_parts
+    from .loss import equivalence_gap
 
     bundle = _bundle_from_args(args)
     equivalence = equivalence_gap(args.trials, args.seed, bundle, args.k)
-    # one seeded draw: the first of equivalence_gap's trials
-    (H,), (f_rows,) = random_factors(bundle, args.k, args.seed, 1)
-    breakdown = surrogate_loss_from_parts(
-        f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights, bundle.counts
-    )
     constant_err = equivalence.max_constant_error / (1.0 + abs(equivalence.constant))
     passed = equivalence.relative_spread <= args.spread_tol and constant_err <= args.spread_tol
+    # the terms and the matrix loss of one seeded draw: the first trial
     payload = dict(
-        vars(breakdown),
+        vars(equivalence.breakdowns[0]),
         gap_spread=equivalence.spread,
         constant=equivalence.constant,
         relative_spread=equivalence.relative_spread,
         constant_relative_error=constant_err,
-        matrix_loss=matrix_loss(H, bundle.Q),
+        matrix_loss=equivalence.matrix_losses[0],
         passed=passed,
     )
     _write_json(args.out, payload, args)
@@ -331,33 +321,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
         )
     bundle = build_graph(model, population, GraphWeights(args.eta_u, args.eta_l))
     k = args.k if args.k else len(population.classes) + 1
-    n = bundle.counts
-    embedding = embed(bundle, min(k, len(n)))
+    embedding = embed(bundle, min(k, len(bundle.counts)))
     _require_rank(k, embedding.eigenvalues)
-    z = embedding.Z
-    ev = evaluate(bundle.groups, z)
-
-    labeled, wild_id, semantic = ev.labeled_rows, ev.wild_id_rows, ev.semantic_rows
-    detector = fit_knn_detector(z[labeled], args.k_neighbors, args.percentile, n[labeled])
-    # Wild-ID examples are the held-out ID side; without any, the
-    # self-excluded reference scores stand in.
-    if wild_id:
-        scores_id, n_id = knn_scores(detector, z[wild_id]), n[wild_id]
-    else:
-        scores_id, n_id = detector.reference_scores, detector.counts
-    scores_sem = knn_scores(detector, z[semantic])
-    detection = detection_metrics(scores_id, scores_sem, detector, n_id, n[semantic])
-
-    report = MetricsReport(
-        id_acc=ev.id_accuracy,
-        ood_acc=ev.covariate_accuracy,
-        probing_error_rate=ev.probing.rate,
-        probing_error_count=ev.probing.count,
-        separability=ev.separability,
-        fpr_at_threshold=detection.fpr_at_threshold,
-        fpr95=detection.fpr95,
-        auroc=detection.auroc,
-    )
+    report = metrics_report(bundle.groups, embedding.Z, args.k_neighbors, args.percentile)
     _write_json(args.out, vars(report), args)
     for key, value in vars(report).items():
         print(f"detect: {key}={value}")

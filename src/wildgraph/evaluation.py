@@ -25,11 +25,13 @@ distance zero.  The detector keeps one score per row, and weighs it by its
 count in the threshold, FPRs and AUROC.  Rows of one example each
 reproduce the per-example definitions exactly.
 
-:func:`evaluate` is the one place that maps population memberships to
-embedding rows: it fits the probe and computes probing error, separability
-and both accuracies for every caller.  The probe and everything
-:func:`evaluate` reports also take a stack of embeddings (leading batch
-axes before the rows) and return one value per embedding.
+:func:`evaluate` fits the probe and computes probing error, separability
+and both accuracies of an embedding of a population, for every caller;
+:func:`metrics_report` adds KNN detection to them, as ``detect``
+reports.  One private helper maps population memberships to embedding
+rows for both, and names the held-out ID side once.  The probe and
+everything :func:`evaluate` reports also take a stack of embeddings
+(leading batch axes before the rows) and return one value per embedding.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "EvaluationError",
     "Evaluation",
     "evaluate",
+    "metrics_report",
     "fit_linear_probe",
     "probe_scores",
     "predict",
@@ -237,22 +240,44 @@ def separability(
         raise EvaluationError("separability needs nonempty ID and semantic sets")
     if a.shape[-1] != b.shape[-1]:
         raise EvaluationError(f"embedding dimensions differ: {a.shape[-1]} vs {b.shape[-1]}")
-    n_a, n_b = _counts(counts_id, a.shape[-2]), _counts(counts_sem, b.shape[-2])
+    # as floats: the product of two large int64 counts would wrap around
+    n_a = _counts(counts_id, a.shape[-2]).astype(float)
+    n_b = _counts(counts_sem, b.shape[-2]).astype(float)
     pairs = _squared_distances(a, b) * (n_a[:, None] * n_b)
     return _unstacked(np.sum(pairs, axis=(-2, -1)) / (n_a.sum() * n_b.sum()))
 
 
+def _split_rows(
+    population: Population, z: np.ndarray
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """The rows of ``z``, one per cell, of each split of ``population``.
+
+    In order: the labeled, covariate and semantic rows; the ID side of
+    separability, labeled and wild-ID rows; and the held-out ID side, the
+    wild-ID rows, or the labeled rows when there are none.  Refuses an
+    embedding of the wrong shape and a population without labeled,
+    covariate or semantic cells.
+    """
+    if z.ndim < 2 or z.shape[-2] != len(population.cells):
+        raise EvaluationError(f"got an embedding of shape {z.shape} for {len(population.cells)} cells")
+    rows: dict[Membership, list[int]] = {kind: [] for kind in Membership}
+    for r, c in enumerate(population.cells):
+        rows[c.membership].append(r)
+    labeled, wild_id, covariate, semantic = (rows[kind] for kind in Membership)
+    missing = [
+        kind.value
+        for kind in (Membership.LABELED_ID, Membership.WILD_COVARIATE, Membership.WILD_SEMANTIC)
+        if not rows[kind]
+    ]
+    if missing:
+        raise EvaluationError(f"population lacks required membership kinds: {', '.join(missing)}")
+    return labeled, covariate, semantic, labeled + wild_id, wild_id or labeled
+
+
 @dataclass(frozen=True)
 class Evaluation:
-    """Shift diagnostics of one embedding, with the rows of each split.
+    """Shift diagnostics of one embedding."""
 
-    The ID and semantic row lists let a caller add metrics of its own, such
-    as KNN detection, without reading memberships itself.
-    """
-
-    labeled_rows: list[int]
-    wild_id_rows: list[int]
-    semantic_rows: list[int]
     probing: ProbingResult
     separability: float
     id_accuracy: float
@@ -270,30 +295,13 @@ def evaluate(population: Population, Z: np.ndarray) -> Evaluation:
     labeled rows when there are none.
     """
     z = np.asarray(Z, dtype=float)
-    if z.ndim < 2 or z.shape[-2] != len(population.cells):
-        raise EvaluationError(f"got an embedding of shape {z.shape} for {len(population.cells)} cells")
+    labeled, covariate, semantic, id_side, held_out = _split_rows(population, z)
     n = population.counts()
-    rows: dict[Membership, list[int]] = {kind: [] for kind in Membership}
-    for r, c in enumerate(population.cells):
-        rows[c.membership].append(r)
-    labeled, wild_id, covariate, semantic = (rows[kind] for kind in Membership)
-    missing = [
-        kind.value
-        for kind in (Membership.LABELED_ID, Membership.WILD_COVARIATE, Membership.WILD_SEMANTIC)
-        if not rows[kind]
-    ]
-    if missing:
-        raise EvaluationError(f"population lacks required membership kinds: {', '.join(missing)}")
     labels = np.array([c.class_label for c in population.cells])
     probe = fit_linear_probe(
         z[..., labeled, :], labels[labeled], classes=population.classes, counts=n[labeled]
     )
-    id_side = labeled + wild_id
-    id_eval_rows = wild_id if wild_id else labeled
     return Evaluation(
-        labeled_rows=labeled,
-        wild_id_rows=wild_id,
-        semantic_rows=semantic,
         probing=probing_error(
             z[..., covariate, :], labels[covariate], probe, counts=n[covariate]
         ),
@@ -301,7 +309,7 @@ def evaluate(population: Population, Z: np.ndarray) -> Evaluation:
             z[..., id_side, :], z[..., semantic, :], n[id_side], n[semantic]
         ),
         id_accuracy=classification_accuracy(
-            z[..., id_eval_rows, :], labels[id_eval_rows], probe, n[id_eval_rows]
+            z[..., held_out, :], labels[held_out], probe, n[held_out]
         ),
         covariate_accuracy=classification_accuracy(
             z[..., covariate, :], labels[covariate], probe, n[covariate]
@@ -477,5 +485,38 @@ class MetricsReport:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise EvaluationError(f"{name} must lie in [0, 1], got {value}")
-        if self.separability < 0:
+        if not self.separability >= 0:  # NaN fails this too
             raise EvaluationError(f"separability must be nonnegative, got {self.separability}")
+
+
+def metrics_report(
+    population: Population, Z: np.ndarray, k_neighbors: int, percentile: float
+) -> MetricsReport:
+    """:func:`evaluate`'s metrics of an embedding, and KNN detection of its semantic rows.
+
+    ``Z`` has one row per cell of ``population``.  The detector is fit on
+    the labeled rows and scores the semantic rows against the held-out ID
+    side of :func:`evaluate`: the wild ID rows, or, when there are none,
+    the labeled rows' own reference scores, which exclude themselves.
+    """
+    z = np.asarray(Z, dtype=float)
+    ev = evaluate(population, z)
+    labeled, _, semantic, _, held_out = _split_rows(population, z)
+    n = population.counts()
+    detector = fit_knn_detector(z[labeled], k_neighbors, percentile, n[labeled])
+    if held_out is labeled:  # no wild ID rows
+        scores_id, n_id = detector.reference_scores, detector.counts
+    else:
+        scores_id, n_id = knn_scores(detector, z[held_out]), n[held_out]
+    scores_sem = knn_scores(detector, z[semantic])
+    detection = detection_metrics(scores_id, scores_sem, detector, n_id, n[semantic])
+    return MetricsReport(
+        id_acc=ev.id_accuracy,
+        ood_acc=ev.covariate_accuracy,
+        probing_error_rate=ev.probing.rate,
+        probing_error_count=ev.probing.count,
+        separability=ev.separability,
+        fpr_at_threshold=detection.fpr_at_threshold,
+        fpr95=detection.fpr95,
+        auroc=detection.auroc,
+    )

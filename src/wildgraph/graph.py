@@ -210,23 +210,34 @@ def supervised_adjacency(
     return out
 
 
+def build_graph(
+    model: AugmentationModel, population: Population, weights: GraphWeights
+) -> GraphBundle:
+    """Full assembly from an augmentation model and a population."""
+    return _build_graph(model, population, weights)
+
+
 # Overflow is refused by name, so numpy's floating-point warnings are silenced.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _normalize(
-    A_u: np.ndarray,
-    A_l: np.ndarray,
-    weights: GraphWeights,
-    population: Population,
-    groups: Population,
+def _build_graph(
+    model: AugmentationModel, population: Population, weights: GraphWeights
 ) -> GraphBundle:
-    """Combine the two adjacencies, normalize globally, and derive degrees.
+    """:func:`build_graph` for a model or a stack of models.
 
-    The adjacencies hold one row per cell of ``groups``, with any leading
-    batch axes.  A row stands for its cell's count of vertices, so every
-    sum over vertices weighs it by that count.  Raises
-    :class:`IsolatedVertexError` if any vertex ends up with zero degree,
-    and :class:`GraphError` for weights that overflow float64.
+    Under a parametric model the population's merged cells
+    (:meth:`Population.groups`) are interchangeable, and T is expanded
+    once, over one example per merged cell, so no array grows with the
+    number of examples.  An explicit matrix's rows are arbitrary: it is
+    solved on :meth:`Population.examples`, one count-1 cell per example.
+    The two adjacencies are combined and normalized globally, and the
+    degrees derived, with every sum over vertices weighing a row by its
+    cell's count.  Raises :class:`IsolatedVertexError` if any vertex ends
+    up with zero degree, and :class:`GraphError` for weights that overflow
+    float64.
     """
+    groups = population.groups() if isinstance(model, ParametricAugmentation) else population.examples()
+    t = transformation_matrix(model, groups)
+    A_u, A_l = self_supervised_adjacency(t, groups), supervised_adjacency(t, groups)
     n = groups.counts().astype(float)
     raw = weights.eta_u * A_u + weights.eta_l * A_l
     C = (raw * np.outer(n, n)).sum(axis=(-2, -1))
@@ -249,34 +260,3 @@ def _normalize(
     if not np.isfinite(A_tilde).all():
         raise GraphError("the normalized adjacency has non-finite entries: the weights leave float64's range")
     return bundle
-
-
-def build_graph(
-    model: AugmentationModel, population: Population, weights: GraphWeights
-) -> GraphBundle:
-    """Full assembly from an augmentation model and a population."""
-    return _build_graph(model, population, weights)
-
-
-# An overflow in T's products is refused by _normalize, by name.
-@np.errstate(over="ignore", invalid="ignore")
-def _build_graph(
-    model: AugmentationModel, population: Population, weights: GraphWeights
-) -> GraphBundle:
-    """:func:`build_graph` for a model or a stack of models.
-
-    Under a parametric model the population's merged cells
-    (:meth:`Population.groups`) are interchangeable, and T is expanded
-    once, over one example per merged cell, so no array grows with the
-    number of examples.  An explicit matrix's rows are arbitrary: it is
-    solved on :meth:`Population.examples`, one count-1 cell per example.
-    """
-    groups = population.groups() if isinstance(model, ParametricAugmentation) else population.examples()
-    t = transformation_matrix(model, groups)
-    return _normalize(
-        self_supervised_adjacency(t, groups),
-        supervised_adjacency(t, groups),
-        weights,
-        population,
-        groups,
-    )

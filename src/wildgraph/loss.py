@@ -37,7 +37,6 @@ __all__ = [
     "EquivalenceReport",
     "surrogate_loss_from_parts",
     "matrix_loss",
-    "random_factors",
     "equivalence_gap",
 ]
 
@@ -112,14 +111,24 @@ def matrix_loss(F: np.ndarray, A_tilde: np.ndarray) -> float:
 class EquivalenceReport:
     """Offsets between the two objectives over random factor matrices.
 
+    ``breakdowns[t]`` holds the surrogate terms of trial t's feature rows
+    f_t and ``matrix_losses[t]`` the matrix loss of its factor F_t.
     ``gaps[t]`` is matrix_loss(F_t) - surrogate total(f_t); a zero spread
     certifies the constant offset, and the offset itself must equal
     ``constant`` (the squared entry sum of the normalized adjacency).
     """
 
-    gaps: tuple[float, ...]
-    spread: float
+    breakdowns: tuple[LossBreakdown, ...]
+    matrix_losses: tuple[float, ...]
     constant: float
+
+    @property
+    def gaps(self) -> tuple[float, ...]:
+        return tuple(m - b.total for m, b in zip(self.matrix_losses, self.breakdowns))
+
+    @property
+    def spread(self) -> float:
+        return max(self.gaps) - min(self.gaps)
 
     @property
     def relative_spread(self) -> float:
@@ -130,37 +139,29 @@ class EquivalenceReport:
         return max(abs(g - self.constant) for g in self.gaps)
 
 
-def random_factors(
-    bundle: GraphBundle, k: int, seed: int, trials: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``trials`` seeded g x k factor matrices H over the bundle's rows, and their feature rows.
-
-    H lifts to the vertices (:attr:`GraphBundle.Q`) with the matrix loss
-    ||Q - H H^t||_F^2, and its feature rows are H[a] / sqrt(n[a] D_g[a])
-    on row a.  Both arrays are stacked (trials, g, k).
-    """
-    g = bundle.Q.shape[0]
-    h = np.random.default_rng(seed).standard_normal((trials, g, k)) / np.sqrt(g * k)
-    return h, h / np.sqrt(bundle.counts * bundle.D_g)[:, None]
-
-
 def equivalence_gap(
     trials: int, seed: int, bundle: GraphBundle, k: int
 ) -> EquivalenceReport:
     """Check the constant-offset identity on ``trials`` random factor matrices.
 
-    The factors are :func:`random_factors`.  One stacked evaluation gives
-    every trial's surrogate side; the matrix side is taken one trial at a
-    time, holding one g x g residual.
+    Trial t draws a seeded g x k factor H_t over the bundle's rows, the
+    t-th of one (trials, g, k) draw.  H_t lifts to the vertices
+    (:attr:`GraphBundle.Q`) with the matrix loss ||Q - H_t H_t^t||_F^2, and
+    its feature rows are H_t[a] / sqrt(n[a] D_g[a]) on row a.  One stacked
+    evaluation gives every trial's surrogate side; the matrix side is taken
+    one trial at a time, holding one g x g residual.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    h, f_rows = random_factors(bundle, k, seed, trials)
-    totals = surrogate_loss_from_parts(
+    g = bundle.Q.shape[0]
+    h = np.random.default_rng(seed).standard_normal((trials, g, k)) / np.sqrt(g * k)
+    f_rows = h / np.sqrt(bundle.counts * bundle.D_g)[:, None]
+    stacked = surrogate_loss_from_parts(
         f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights, bundle.counts
-    ).total
-    gaps = [matrix_loss(factor, bundle.Q) - total for factor, total in zip(h, totals.tolist())]
-    constant = float(np.sum(bundle.Q**2))
+    )
+    breakdowns = zip(*(terms.tolist() for terms in vars(stacked).values()))
     return EquivalenceReport(
-        gaps=tuple(gaps), spread=max(gaps) - min(gaps), constant=constant
+        breakdowns=tuple(LossBreakdown(*terms) for terms in breakdowns),
+        matrix_losses=tuple(matrix_loss(factor, bundle.Q) for factor in h),
+        constant=float(np.sum(bundle.Q**2)),
     )

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -123,6 +124,12 @@ def _check_cells(
                 f"cell {i}: {cell.membership.value} examples must live in the "
                 f"ID domain {domains[0]}, got domain {cell.domain_label}"
             )
+    total = sum(cell.count for cell in cells)
+    if total > sys.maxsize:
+        raise PopulationError(
+            f"population has {total} examples, more than the {sys.maxsize} "
+            f"(sys.maxsize) that an int64 count can hold"
+        )
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ bytes; across BLAS/LAPACK builds the low-order digits may differ.
 
 :func:`embed` solves a graph on its quotient over groups of
 interchangeable vertices: a g x g eigenproblem whatever the number of
-vertices, whose eigenvectors lift back to the vertex-level ones.  A graph
-given by an explicit matrix has groups of one, where the quotient is the
-normalized adjacency itself, so one path serves every graph.
+vertices, whose eigenvectors lift back to the vertex-level ones.  It
+returns them with the degree-scaled feature rows
+Z = D^-1/2 V_k sqrt(Sigma_k), one per group.  A graph given by an
+explicit matrix has groups of one, where the quotient is the normalized
+adjacency itself, so one path serves every graph.
 
 The factorizer minimizes the squared Frobenius residual between the
 normalized adjacency and F F^t by nonlinear conjugate gradient, with each
@@ -45,7 +47,6 @@ __all__ = [
     "EigensolverError",
     "FactorizationError",
     "eigendecompose",
-    "closed_form_embedding",
     "embed",
     "lowrank_factorize",
     "reconstruction_gap",
@@ -78,11 +79,11 @@ class SpectralEmbedding:
 
     ``eigenvalues`` holds the full descending spectrum, ``V_k`` the leading
     orthonormal eigenvectors, and ``Sigma_k`` the leading eigenvalues
-    clamped at zero so their square roots exist.  ``Z`` stays ``None`` until
-    :func:`closed_form_embedding` supplies the degrees.  From :func:`embed`
-    the rows are the bundle's groups, each shared by every vertex of its
-    group, so ``V_k``'s columns are orthonormal once each row is counted
-    as often as its group has vertices.  An embedding of a stack of graphs
+    clamped at zero so their square roots exist.  ``Z``, the feature rows,
+    needs the degrees, so only :func:`embed` fills it in.  From
+    :func:`embed` the rows are the bundle's groups, each shared by every
+    vertex of its group, so ``V_k``'s columns are orthonormal once each row
+    is counted as often as its group has vertices.  An embedding of a stack of graphs
     carries the stack's leading axes on every array.
     """
 
@@ -158,28 +159,6 @@ def _fix_signs(v: np.ndarray) -> np.ndarray:
     return np.where(np.take_along_axis(v, pivot[..., None, :], axis=-2) < 0, -v, v)
 
 
-def closed_form_embedding(bundle: GraphBundle, embedding: SpectralEmbedding) -> np.ndarray:
-    """Feature rows Z with Z[a, :] = V_k[a, :] * sqrt(Sigma_k) / sqrt(D_g[a]), one per group.
-
-    Negative leading eigenvalues were already clamped in ``Sigma_k``; a
-    warning flags when clamping actually discarded signal.
-    """
-    if bundle.D_g.shape[-1] != embedding.V_k.shape[-2]:
-        raise SpectralError(
-            f"bundle has {bundle.D_g.shape[-1]} groups but embedding has "
-            f"{embedding.V_k.shape[-2]} rows"
-        )
-    clipped = embedding.eigenvalues[..., : embedding.k]
-    if np.any(clipped < 0):
-        warnings.warn(
-            "negative leading eigenvalues clamped to zero before the square root",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    scale = np.sqrt(embedding.Sigma_k)[..., None, :]
-    return embedding.V_k * scale / np.sqrt(bundle.D_g)[..., :, None]
-
-
 def embed(bundle: GraphBundle, k: int) -> SpectralEmbedding:
     """Spectral embedding of the bundle's graph, solved on its quotient.
 
@@ -192,6 +171,10 @@ def embed(bundle: GraphBundle, k: int) -> SpectralEmbedding:
     Q's spectrum, so k may not exceed the number of rows.  A bundle of
     one graph goes through :func:`eigendecompose`; a stack of graphs
     through the same code with its batch axes.
+
+    The feature rows are Z[a, :] = V_k[a, :] * sqrt(Sigma_k) / sqrt(D_g[a]).
+    Negative leading eigenvalues were already clamped in ``Sigma_k``; a
+    warning flags when clamping actually discarded signal.
     """
     # With rows of one vertex each (every explicit matrix), Q is A_tilde_g
     # and the lift is the identity, which is skipped.
@@ -200,7 +183,14 @@ def embed(bundle: GraphBundle, k: int) -> SpectralEmbedding:
     if bundle.Q is not bundle.A_tilde_g:
         lifted = embedding.V_k / np.sqrt(bundle.counts)[:, None]
         embedding = replace(embedding, V_k=_fix_signs(lifted))
-    return replace(embedding, Z=closed_form_embedding(bundle, embedding))
+    if np.any(embedding.eigenvalues[..., :k] < 0):
+        warnings.warn(
+            "negative leading eigenvalues clamped to zero before the square root",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    scale = np.sqrt(embedding.Sigma_k)[..., None, :]
+    return replace(embedding, Z=embedding.V_k * scale / np.sqrt(bundle.D_g)[..., :, None])
 
 
 @dataclass(frozen=True)

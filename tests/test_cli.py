@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_golden import MIXTURE_CONFIG, README_CONFIG, matrix_config
+from test_golden import (
+    MIXTURE_CONFIG, OVERSIZED_CONFIGS, README_CONFIG, THREE_CLASS_CONFIG, matrix_config,
+)
 from wildgraph import cli, spectral
 from wildgraph.cli import main
 from wildgraph.theory import ReducedParams, verify_against_pipeline
@@ -789,6 +791,38 @@ def test_readme_cells_a_hundred_thousandfold(tmp_path, command):
             assert large[key] == factor * small[key]
         else:
             assert large[key] == pytest.approx(small[key], rel=1e-9, abs=1e-300), key
+
+
+@pytest.mark.parametrize("base", ["readme", "three-class"])
+def test_separability_of_cells_blown_up_past_int64_products(tmp_path, base):
+    # At 2**37 times, a product of two counts passes 2**63; the pairs'
+    # weights are floats, so the mean distance stays the unscaled one.
+    config = {"readme": README_CONFIG, "three-class": THREE_CLASS_CONFIG}[base]
+    reports = []
+    for factor in (1, 2**37):
+        cells = [dict(c, count=factor * c["count"]) for c in config["cells"]]
+        path = write_config(tmp_path, dict(config, cells=cells), name=f"x{factor}.json")
+        out = tmp_path / f"x{factor}-metrics.json"
+        assert main(["detect", "--config", path, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    small, large = reports
+    assert math.isfinite(large["separability"])
+    assert large["separability"] == pytest.approx(small["separability"], rel=1e-12)
+    assert large["probing_error_count"] == 2**37 * small["probing_error_count"]
+
+
+@pytest.mark.parametrize("command", ["detect", "factorize", "loss-check"])
+@pytest.mark.parametrize("name", OVERSIZED_CONFIGS)
+def test_population_past_sys_maxsize_is_config_error(tmp_path, capsys, command, name):
+    config = write_config(tmp_path, OVERSIZED_CONFIGS[name])
+    total = sum(c["count"] for c in OVERSIZED_CONFIGS[name]["cells"])
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: population has {total} examples, more than the {sys.maxsize} "
+        f"(sys.maxsize) that an int64 count can hold\n"
+    )
+    assert not out.exists()
 
 
 class TestIoErrors:

@@ -11,6 +11,7 @@ from wildgraph import (
     Cell,
     EvaluationError,
     Membership,
+    MetricsReport,
     Population,
     ReducedParams,
     TheoryVariant,
@@ -21,6 +22,7 @@ from wildgraph import (
     fit_knn_detector,
     fit_linear_probe,
     knn_scores,
+    metrics_report,
     predict,
     probing_error,
     run_toy_pipeline,
@@ -421,6 +423,64 @@ class TestCounts:
         detector = fit_knn_detector(np.eye(3), 1)
         with pytest.raises(EvaluationError, match="nonnegative"):
             detection_metrics(np.ones(2), np.ones(2), detector, [1, 1], [2, -1])
+
+
+class TestMetricsReport:
+    VALID = dict(id_acc=1.0, ood_acc=0.5, probing_error_rate=0.5, probing_error_count=3,
+                 separability=2.0, fpr95=0.0, auroc=1.0, fpr_at_threshold=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        *((name, math.nan) for name in ("id_acc", "ood_acc", "probing_error_rate", "separability",
+                                        "fpr95", "auroc", "fpr_at_threshold")),
+        ("separability", -1e-300), ("auroc", 1.5),
+    ])
+    def test_nan_or_out_of_range_value_refused(self, name, value):
+        # NaN compares false both ways, so it must fail the range checks too
+        with pytest.raises(EvaluationError, match=f"{name} must"):
+            MetricsReport(**dict(self.VALID, **{name: value}))
+        MetricsReport(**self.VALID)
+
+    @pytest.mark.parametrize("wild_id", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_metrics_composed_by_hand(self, wild_id, seed):
+        # The held-out ID side is the wild-ID rows, or else the labeled
+        # rows' self-excluded reference scores.
+        cells = [Cell(0, 0, Membership.LABELED_ID, 4), Cell(1, 0, Membership.LABELED_ID, 3),
+                 Cell(0, 1, Membership.WILD_COVARIATE, 2), Cell(1, 1, Membership.WILD_COVARIATE, 5),
+                 Cell(2, 1, Membership.WILD_SEMANTIC, 3)]
+        if wild_id:
+            cells.insert(2, Cell(1, 0, Membership.WILD_ID, 6))
+        population = Population(classes=(0, 1), domains=(0, 1), cells=tuple(cells))
+        z = np.random.default_rng(seed).standard_normal((len(cells), 3))
+        report = metrics_report(population, z, 2, 0.9)
+
+        n = population.counts()
+        labeled, semantic = [0, 1], [len(cells) - 1]
+        ev = evaluate(population, z)
+        detector = fit_knn_detector(z[labeled], 2, 0.9, n[labeled])
+        if wild_id:
+            scores_id, n_id = knn_scores(detector, z[[2]]), n[[2]]
+        else:
+            scores_id, n_id = detector.reference_scores, detector.counts
+        detection = detection_metrics(scores_id, knn_scores(detector, z[semantic]), detector,
+                                      n_id, n[semantic])
+        assert vars(report) == dict(
+            id_acc=ev.id_accuracy, ood_acc=ev.covariate_accuracy,
+            probing_error_rate=ev.probing.rate, probing_error_count=ev.probing.count,
+            separability=ev.separability, fpr95=detection.fpr95, auroc=detection.auroc,
+            fpr_at_threshold=detection.fpr_at_threshold,
+        )
+
+    def test_needs_one_row_per_cell_and_every_split(self):
+        population = Population(classes=(0,), domains=(0, 1), cells=(
+            Cell(0, 0, Membership.LABELED_ID, 2), Cell(0, 1, Membership.WILD_COVARIATE, 3),
+            Cell(1, 1, Membership.WILD_SEMANTIC, 1),
+        ))
+        with pytest.raises(EvaluationError, match="for 3 cells"):
+            metrics_report(population, np.zeros((6, 2)), 1, 0.95)
+        no_semantic = Population(classes=(0,), domains=(0, 1), cells=population.cells[:2])
+        with pytest.raises(EvaluationError, match="lacks required membership kinds: wild_semantic"):
+            metrics_report(no_semantic, np.zeros((2, 2)), 1, 0.95)
 
 
 def _repeated_auroc(s_id: np.ndarray, s_ood: np.ndarray) -> float:

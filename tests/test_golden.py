@@ -94,6 +94,17 @@ CASE_A_MIXTURE_CONFIG = dict(
     cells=README_CONFIG["cells"][:4] + [dict(README_CONFIG["cells"][4], domain=2)],
 )
 
+# The README's cells at counts that total more than sys.maxsize, which
+# every command refuses.
+OVERSIZED_CONFIGS = {
+    name: dict(README_CONFIG, cells=[dict(c, count=n) for c, n in zip(README_CONFIG["cells"], counts)])
+    for name, counts in (
+        ("oversized-one-2p63", [2**63, 8, 6, 6, 6]),
+        ("oversized-five-2p61", [2**61] * 5),
+        ("oversized-five-2p62", [2**62] * 5),
+    )
+}
+
 
 def matrix_config() -> dict:
     """The README's cells under an explicit, slightly asymmetric matrix."""

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from wildgraph import (
     Cell,
+    GraphWeights,
     Membership,
     ParametricAugmentation,
     Population,
@@ -182,6 +183,39 @@ class TestEquivalenceGap:
             ).total
             assert gap == matrix_loss(H, bundle.Q) - total
         assert report.constant == pytest.approx(float(np.sum(bundle.A_tilde**2)), rel=1e-14)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 40), min_size=5, max_size=5),
+        rates=st.tuples(*[st.floats(1e-4, 0.5)] * 3),
+        eta_l=st.sampled_from([0.0, 1.0, 2.5]),
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        trials=st.integers(2, 12),
+    )
+    def test_first_trial_is_a_one_draw_evaluation_bit_for_bit(
+        self, counts, rates, eta_l, k, seed, trials
+    ):
+        # loss-check reports trial 0's terms and matrix loss; they must be
+        # what one seeded g x k draw gives on its own, not a stacked rounding
+        cells = (
+            Cell(0, 0, Membership.LABELED_ID, counts[0]), Cell(1, 0, Membership.LABELED_ID, counts[1]),
+            Cell(0, 1, Membership.WILD_COVARIATE, counts[2]),
+            Cell(1, 1, Membership.WILD_COVARIATE, counts[3]),
+            Cell(2, 1, Membership.WILD_SEMANTIC, counts[4]),
+        )
+        population = Population(classes=(0, 1), domains=(0, 1), cells=cells)
+        bundle = build_graph(ParametricAugmentation(1.0, *rates), population,
+                             GraphWeights(5.0, eta_l))
+        report = equivalence_gap(trials, seed, bundle, k)
+
+        H = np.random.default_rng(seed).standard_normal((5, k)) / np.sqrt(5 * k)
+        f_rows = H / np.sqrt(bundle.counts * bundle.D_g)[:, None]
+        one = surrogate_loss_from_parts(f_rows, bundle.A_u_g, bundle.A_l_g, bundle.weights,
+                                        bundle.counts)
+        assert report.breakdowns[0] == one
+        assert report.matrix_losses[0] == matrix_loss(H, bundle.Q)
+        assert len(report.breakdowns) == len(report.matrix_losses) == trials
 
     def test_minimum_trials_enforced(self, case_a_bundle):
         bundle, _ = case_a_bundle

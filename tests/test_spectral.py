@@ -14,7 +14,6 @@ from wildgraph import (
     FactorizerOptions,
     SpectralError,
     TheoryVariant,
-    closed_form_embedding,
     eigendecompose,
     embed,
     GraphWeights,
@@ -213,14 +212,22 @@ class TestEigendecompose:
         np.testing.assert_allclose(emb.Sigma_k, [2.0, 0.0])
 
 
+def rank_two_bundle():
+    """The toy layout under the rank-2 explicit matrix U^t U: three null directions."""
+    u = np.vstack([np.ones(5), np.arange(1.0, 6.0)])
+    population, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.1, 0.1, 0.1)
+    return build_graph(ExplicitAugmentation(u.T @ u), population, GraphWeights(1.0, 1.0))
+
+
 class TestClosedFormEmbedding:
+    """``embed``'s feature rows Z = D^-1/2 V_k sqrt(Sigma_k)."""
+
     def test_elementwise_definition(self, case_a_bundle):
         bundle, _ = case_a_bundle
-        emb = eigendecompose(bundle.A_tilde, 3)
-        z = closed_form_embedding(bundle, emb)
+        emb = embed(bundle, 3)
         for x in range(5):
             expected = emb.V_k[x] * np.sqrt(emb.Sigma_k) / np.sqrt(bundle.D_g[x])
-            np.testing.assert_allclose(z[x], expected, atol=1e-15)
+            np.testing.assert_array_equal(emb.Z[x], expected)
 
     def test_full_rank_reconstruction(self, case_a_bundle):
         bundle, _ = case_a_bundle
@@ -243,22 +250,20 @@ class TestClosedFormEmbedding:
     def test_k_past_the_rank_is_embedded(self):
         # The toy chain embeds at k = 3 whatever the rank; refusing such a k
         # is detect's choice, not embed's.
-        u = np.vstack([np.ones(5), np.arange(1.0, 6.0)])
-        population, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.1, 0.1, 0.1)
-        bundle = build_graph(ExplicitAugmentation(u.T @ u), population, GraphWeights(1.0, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            emb = embed(bundle, 4)
+            emb = embed(rank_two_bundle(), 4)
         assert np.sum(emb.eigenvalues > 1e-10) == 2
         assert emb.Z.shape == (5, 4)
         assert np.all(np.isfinite(emb.Z))
 
-    def test_clamp_warns_on_indefinite_matrix(self, case_a_bundle):
-        bundle, _ = case_a_bundle
-        indefinite = np.diag([1.0, 0.5, -0.4, -0.6, -0.9])
-        emb = eigendecompose(indefinite, 4)
+    def test_clamp_warns_on_indefinite_matrix(self):
+        # Past the rank, the leading k hold null directions that rounding
+        # leaves below zero; their clamped columns of Z are zero.
         with pytest.warns(RuntimeWarning, match="clamped"):
-            closed_form_embedding(bundle, emb)
+            emb = embed(rank_two_bundle(), 4)
+        assert np.any(emb.eigenvalues[:4] < 0)
+        np.testing.assert_array_equal(emb.Z[:, emb.Sigma_k == 0], 0.0)
 
 
 class TestLowRankFactorize:
