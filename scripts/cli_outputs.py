@@ -12,7 +12,7 @@ more than one block, and
 ``detect`` and ``factorize`` on population configs: the README's
 enumerated config (also at ranks 5 and 6, the second past the graph's
 rank), the same cells resampled as a wild mixture at two seeds, under an
-explicit matrix, and blown up twentyfold and a hundred-thousandfold
+explicit matrix (also at rank 40, past its 34 examples), and blown up twentyfold and a hundred-thousandfold
 (3.4 million examples), and a three-class layout with unequal counts; a
 sampled mixture of two configs whose wild cells differ in domain or count
 (the paper's case a, with the novel class in a domain of its own, and the
@@ -27,7 +27,10 @@ subnormal degree), one row short and one column short.  ``detect`` runs
 on the README config blown up 2**37-fold, where a product of two counts
 passes int64's range, and all three refuse the README cells at counts
 whose total passes ``sys.maxsize`` (one cell of 2**63, five of 2**61,
-five of 2**62).
+five of 2**62).  ``detect --seed 1`` also runs on the README mixture at
+2**50 examples per cell, whose AUROC is exactly 1, and on a wild pool of
+700 510 split by fractions 0.45 and 0.55, which round to one example more
+than the pool.
 Every tolerance flag is also set away from its default once: toy-verify's
 ``--tolerance-scale`` and factorize's ``--loss-gap-tol`` and ``--spread-tol``.
 Each command runs from inside OUT_DIR with relative paths, so two
@@ -52,8 +55,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from test_golden import (  # noqa: E402
-    CASE_A_MIXTURE_CONFIG, MIXTURE_CONFIG, OVERSIZED_CONFIGS, README_CONFIG, THREE_CLASS_CONFIG,
-    TOY_POINTS, matrix_config,
+    CASE_A_MIXTURE_CONFIG, MIXTURE_2P50_CONFIG, MIXTURE_CONFIG, OVERSIZED_CONFIGS, README_CONFIG,
+    THREE_CLASS_CONFIG, TOY_POINTS, WHOLE_POOL_CONFIG, matrix_config,
 )
 from wildgraph.cli import main as cli_main  # noqa: E402
 
@@ -106,6 +109,8 @@ CONFIGS = {
     "three-class.json": THREE_CLASS_CONFIG,
     "case-a-mixture.json": CASE_A_MIXTURE_CONFIG,
     "three-class-mixture.json": dict(THREE_CLASS_CONFIG, pi_c=0.3, pi_s=0.2),
+    "mixture-x2p50.json": MIXTURE_2P50_CONFIG,
+    "whole-pool.json": WHOLE_POOL_CONFIG,
     **{f"{name}.json": config for name, config in BROKEN_MATRICES.items()},
     **{f"{name}.json": config for name, config in OVERSIZED_CONFIGS.items()},
 }
@@ -166,6 +171,8 @@ def commands() -> list[list[str]]:
     for k in (5, 6):  # the README graph has rank 5
         out.append(["detect", "--config", "readme.json", "--k", str(k), "--k-neighbors", "3",
                     "--out", f"detect-readme-rank-k{k}.json"])
+    out.append(["detect", "--config", "matrix.json", "--k", "40", "--k-neighbors", "3",
+                "--out", "detect-matrix-rank-k40.json"])
     for name in ("readme", "readme-x20", "readme-x100000", "mixture-x100000", "three-class",
                  "matrix"):
         out.append(["factorize", "--config", f"{name}.json", "--k", "3", "--seed", "7",
@@ -174,6 +181,9 @@ def commands() -> list[list[str]]:
                     "--out", f"loss-check-{name}.json"])
     out.append(["detect", "--config", "readme-x2p37.json", "--k-neighbors", "3",
                 "--out", "detect-readme-x2p37.json"])
+    for name in ("mixture-x2p50", "whole-pool"):
+        out.append(["detect", "--config", f"{name}.json", "--seed", "1",
+                    "--out", f"detect-{name}-seed1.json"])
     for name in (*BROKEN_MATRICES, *OVERSIZED_CONFIGS):
         out.append(["detect", "--config", f"{name}.json", "--out", f"detect-{name}.json"])
         out.append(["factorize", "--config", f"{name}.json", "--k", "3", "--out", f"factorize-{name}"])

@@ -44,6 +44,7 @@ from .spectral import (
     EigensolverError,
     FactorizationError,
     FactorizerOptions,
+    _require_rank,
     embed,
     eigendecompose,
     lowrank_factorize,
@@ -63,10 +64,6 @@ EXIT_IO = 4
 # The five-example case's parameters; see add_toy_params.
 TOY_DEFAULTS = {"variant": "a", "rho": 1.0, "alpha_prime": 0.03, "beta_prime": 0.01,
                 "gamma_ratio": 1e-6}
-
-# detect's and factorize's k may not pass the count of eigenvalues above this
-# fraction of the largest; null directions of a 34-vertex graph come near 1e-16.
-RANK_TOLERANCE = 1e-10
 
 # Grid points evaluated as one batch: at the largest grid (200 x 200) this
 # keeps the stacked arrays to a few megabytes.
@@ -226,16 +223,6 @@ def _bundle_from_args(args: argparse.Namespace):
     return build_graph(model, population, weights)
 
 
-def _require_rank(k: int, eigenvalues: np.ndarray) -> None:
-    """Refuse a k past the graph's numerical rank, whose extra columns are null directions."""
-    rank = int(np.sum(eigenvalues > RANK_TOLERANCE * eigenvalues[0]))
-    if k > rank:
-        raise ConfigError(
-            f"k={k} exceeds the graph's rank {rank}: only {rank} eigenvalues exceed "
-            f"{RANK_TOLERANCE:g} times the largest"
-        )
-
-
 def cmd_factorize(args: argparse.Namespace) -> int:
     from .loss import equivalence_gap
 
@@ -321,8 +308,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         )
     bundle = build_graph(model, population, GraphWeights(args.eta_u, args.eta_l))
     k = args.k if args.k else len(population.classes) + 1
-    embedding = embed(bundle, min(k, len(bundle.counts)))
-    _require_rank(k, embedding.eigenvalues)
+    embedding = embed(bundle, k)
     report = metrics_report(bundle.groups, embedding.Z, args.k_neighbors, args.percentile)
     _write_json(args.out, vars(report), args)
     for key, value in vars(report).items():

@@ -7,9 +7,9 @@ only counts as correct when its true class wins the score argmax by a clear
 margin.  When embeddings collapse (all class scores tie), every
 example is counted as misclassified, because no linear boundary separates
 the classes; plain argmax with any tie-break would arbitrarily get a
-fraction of a degenerate split right.  Reported predictions still use
-argmax with ties broken toward the lowest class index, and the accuracy
-helpers below score those plain predictions.
+fraction of a degenerate split right.  :func:`predict` still uses argmax
+with ties broken toward the lowest class index, and the accuracy helpers
+below score those plain predictions.
 
 The detector scores a query by its Euclidean distance to the k-th nearest
 reference embedding (reference points exclude themselves) and flags OUT
@@ -173,7 +173,6 @@ def classification_accuracy(
 class ProbingResult:
     rate: float
     count: int
-    predictions: tuple[int, ...]
 
 
 def probing_error(
@@ -188,15 +187,13 @@ def probing_error(
     every other class score by more than ``TIE_TOLERANCE`` times the
     example's score scale.  Degenerate decisions (collapsed embeddings)
     therefore count as errors for every example.  A row stands for
-    ``counts`` examples (one each by default).  ``predictions`` carry the
-    plain tie-broken argmax of each row for inspection.
+    ``counts`` examples (one each by default).
     """
     labels = np.asarray(labels, dtype=int)
     scores = probe_scores(probe, Z_cov)
     if labels.shape[0] != scores.shape[-2]:
         raise EvaluationError(f"got {scores.shape[-2]} rows for {labels.shape[0]} labels")
     class_arr = np.array(probe.classes)
-    preds = class_arr[np.argmax(scores, axis=-1)]
     match = labels[:, None] == class_arr[None, :]
     own_col = np.argmax(match, axis=-1)
     own_mask = np.arange(class_arr.size) == own_col[:, None]
@@ -207,11 +204,7 @@ def probing_error(
     strict_win = (class_arr.size == 1) | (own > others + TIE_TOLERANCE * scale)
     n = _counts(counts, labels.shape[0])
     errors = np.sum(~(match.any(axis=-1) & strict_win) * n, axis=-1)
-    return ProbingResult(
-        rate=_unstacked(errors / n.sum()),
-        count=_unstacked(errors, int),
-        predictions=tuple(int(p) for p in preds) if preds.ndim == 1 else preds,
-    )
+    return ProbingResult(rate=_unstacked(errors / n.sum()), count=_unstacked(errors, int))
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -328,7 +321,6 @@ class KnnDetector:
     reference: np.ndarray
     counts: np.ndarray
     k_neighbors: int
-    percentile: float
     threshold: float
     reference_scores: np.ndarray
 
@@ -393,7 +385,6 @@ def fit_knn_detector(
         reference=ref.copy(),
         counts=n,
         k_neighbors=k_neighbors,
-        percentile=percentile,
         threshold=_quantile(scores, n, percentile),
         reference_scores=scores,
     )
@@ -420,22 +411,28 @@ def auroc_midrank(
 ) -> float:
     """Probability that a random OOD score exceeds a random ID score.
 
-    The Mann-Whitney statistic with midranks for ties, so identical score
-    lists give exactly one half.  A score stands for its count of examples
-    (one each by default).
+    The Mann-Whitney statistic with ties counted one half, so identical
+    score lists give exactly one half.  A score stands for its count of
+    examples (one each by default).  Twice the statistic,
+    2U = sum over OOD examples of 2 (ID examples below) + (ID examples tied),
+    is summed in integers over the distinct scores and divided once, so
+    the result is correctly rounded and never leaves [0, 1].
     """
     s_id = np.asarray(scores_id, dtype=float)
     s_ood = np.asarray(scores_ood, dtype=float)
     n_id, n_ood = _counts(counts_id, s_id.shape[0]), _counts(counts_ood, s_ood.shape[0])
-    _, inverse = np.unique(np.concatenate([s_id, s_ood]), return_inverse=True)
-    tied = np.bincount(inverse, weights=np.concatenate([n_id, n_ood]))
-    # A run of c tied examples ending at 1-based rank r shares the midrank
-    # r - (c - 1) / 2.  Every sum is of half-integers, so exact.
-    ranks = np.cumsum(tied) - (tied - 1) / 2.0
-    rank_sum_ood = float(np.sum(ranks[inverse[s_id.shape[0] :]] * n_ood))
-    n_i, n_o = int(n_id.sum()), int(n_ood.sum())
-    u = rank_sum_ood - n_o * (n_o + 1) / 2.0
-    return u / (n_i * n_o)
+    distinct, inverse = np.unique(np.concatenate([s_id, s_ood]), return_inverse=True)
+    # the ID and the OOD examples at each distinct score, as Python ints
+    at_id, at_ood = [0] * distinct.size, [0] * distinct.size
+    split = s_id.shape[0]
+    for at, rows, counts in ((at_id, inverse[:split], n_id), (at_ood, inverse[split:], n_ood)):
+        for row, count in zip(rows.tolist(), counts.tolist()):
+            at[row] += count
+    u2 = below = 0
+    for ids, oods in zip(at_id, at_ood):
+        u2 += oods * (2 * below + ids)
+        below += ids
+    return u2 / (2 * below * sum(at_ood))
 
 
 def detection_metrics(

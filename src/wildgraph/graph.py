@@ -84,20 +84,17 @@ class GraphBundle:
     examples, one count-1 cell each (:meth:`Population.examples`).
     Every array ending in ``_g`` has one row (and column) per cell: the
     weight between two single vertices of those cells, or a vertex's
-    degree.  ``A_g`` is globally normalized, so that the entries of its
-    vertex expansion sum to one, with ``C`` the raw total that was divided
-    out.  ``D_g`` holds the degrees and ``A_tilde_g`` the degree-normalized
-    adjacency, which is invariant to both ``C`` and any common rescaling of
-    the two edge weights.  ``Q`` is the quotient the graph is solved and
-    factorized on.  ``A_tilde`` is the one vertex-level view, built on
-    first use.  A bundle built from a stack of models carries the same
-    leading axes on every array, ``C`` included.
+    degree.  ``D_g`` holds the degrees, scaled to sum to one over the
+    vertices, and ``A_tilde_g`` the degree-normalized adjacency, which is
+    invariant to that scale and to any common rescaling of the two edge
+    weights.  ``Q`` is the quotient the graph is solved and factorized on.
+    ``A_tilde`` is the one vertex-level view, built on first use.  A bundle
+    built from a stack of models carries the same leading axes on every
+    array.
     """
 
     A_u_g: np.ndarray
     A_l_g: np.ndarray
-    A_g: np.ndarray
-    C: float | np.ndarray
     D_g: np.ndarray
     A_tilde_g: np.ndarray
     weights: GraphWeights
@@ -105,7 +102,7 @@ class GraphBundle:
     groups: Population
 
     def __post_init__(self) -> None:
-        for name in ("A_u_g", "A_l_g", "A_g", "D_g", "A_tilde_g"):
+        for name in ("A_u_g", "A_l_g", "D_g", "A_tilde_g"):
             getattr(self, name).setflags(write=False)
 
     @cached_property
@@ -250,8 +247,8 @@ def _build_graph(
     D = (A * n).sum(axis=-1)
     A_tilde = A / np.sqrt(D[..., :, None] * D[..., None, :])
     bundle = GraphBundle(
-        A_u_g=A_u, A_l_g=A_l, A_g=A, C=C, D_g=D, A_tilde_g=A_tilde, weights=weights,
-        population=population, groups=groups,
+        A_u_g=A_u, A_l_g=A_l, D_g=D, A_tilde_g=A_tilde, weights=weights, population=population,
+        groups=groups,
     )
     zero = np.argwhere(D <= 0)
     if zero.size:

@@ -309,16 +309,13 @@ def mixture_counts(total_wild: int, pi_c: float, pi_s: float) -> tuple[int, int,
 
     Counts round pi*m to the nearest integer; exact halves go to covariate
     (half-up) and away from semantic (half-down), so a contested example
-    lands on the covariate side.
+    lands on the covariate side.  Rounding, and the float product at large
+    m, can overshoot the pool when the fractions sum to one: covariate is
+    capped at the pool, and semantic at what covariate leaves.
     """
-    m_c = _round_half_up(pi_c * total_wild)
-    m_s = _round_half_down(pi_s * total_wild)
-    m_id = total_wild - m_c - m_s
-    if m_id < 0:
-        raise PopulationError(
-            f"mixture fractions pi_c={pi_c}, pi_s={pi_s} overflow {total_wild} wild examples"
-        )
-    return m_c, m_s, m_id
+    m_c = min(_round_half_up(pi_c * total_wild), total_wild)
+    m_s = min(_round_half_down(pi_s * total_wild), total_wild - m_c)
+    return m_c, m_s, total_wild - m_c - m_s
 
 
 def _check_fractions(pi_c: float, pi_s: float) -> None:

@@ -11,9 +11,10 @@ bytes; across BLAS/LAPACK builds the low-order digits may differ.
 interchangeable vertices: a g x g eigenproblem whatever the number of
 vertices, whose eigenvectors lift back to the vertex-level ones.  It
 returns them with the degree-scaled feature rows
-Z = D^-1/2 V_k sqrt(Sigma_k), one per group.  A graph given by an
-explicit matrix has groups of one, where the quotient is the normalized
-adjacency itself, so one path serves every graph.
+Z = D^-1/2 V_k Lambda_k^1/2, one per group, and refuses a k past the
+graph's numerical rank, so every kept eigenvalue is positive.  A graph
+given by an explicit matrix has groups of one, where the quotient is the
+normalized adjacency itself, so one path serves every graph.
 
 The factorizer minimizes the squared Frobenius residual between the
 normalized adjacency and F F^t by nonlinear conjugate gradient, with each
@@ -28,7 +29,6 @@ through :func:`reconstruction_gap`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -55,6 +55,9 @@ __all__ = [
 
 ASYMMETRY_TOLERANCE = 1e-10
 DEGENERACY_TOLERANCE = 1e-8  # reconstruction_gap: lambda_k and lambda_{k+1} this close tie
+# embed's k may not pass the count of eigenvalues above this fraction of the
+# largest; null directions of a 34-vertex graph come near 1e-16.
+RANK_TOLERANCE = 1e-10
 
 
 class SpectralError(ValueError):
@@ -77,10 +80,9 @@ class FactorizationError(RuntimeError):
 class SpectralEmbedding:
     """Top-k eigenpairs plus the degree-scaled feature rows.
 
-    ``eigenvalues`` holds the full descending spectrum, ``V_k`` the leading
-    orthonormal eigenvectors, and ``Sigma_k`` the leading eigenvalues
-    clamped at zero so their square roots exist.  ``Z``, the feature rows,
-    needs the degrees, so only :func:`embed` fills it in.  From
+    ``eigenvalues`` holds the full descending spectrum and ``V_k`` the
+    leading orthonormal eigenvectors.  ``Z``, the feature rows, needs the
+    degrees, so only :func:`embed` fills it in.  From
     :func:`embed` the rows are the bundle's groups, each shared by every
     vertex of its group, so ``V_k``'s columns are orthonormal once each row
     is counted as often as its group has vertices.  An embedding of a stack of graphs
@@ -89,12 +91,11 @@ class SpectralEmbedding:
 
     eigenvalues: np.ndarray
     V_k: np.ndarray
-    Sigma_k: np.ndarray
     k: int
     Z: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        for name in ("eigenvalues", "V_k", "Sigma_k", "Z"):
+        for name in ("eigenvalues", "V_k", "Z"):
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
@@ -145,18 +146,28 @@ def _decompose(m: np.ndarray, k: int) -> SpectralEmbedding:
         # compared entry by entry (lexsort's last key is the primary one)
         order = np.lexsort(np.vstack([v[i][::-1], -lam[i]]))
         lam[i], v[i] = lam[i][order], v[i][:, order]
-    return SpectralEmbedding(
-        eigenvalues=lam,
-        V_k=np.ascontiguousarray(v[..., :k]),
-        Sigma_k=np.clip(lam[..., :k], 0.0, None),
-        k=k,
-    )
+    return SpectralEmbedding(eigenvalues=lam, V_k=np.ascontiguousarray(v[..., :k]), k=k)
 
 
 def _fix_signs(v: np.ndarray) -> np.ndarray:
     """Columns flipped so that each one's first largest-magnitude entry is positive."""
     pivot = np.argmax(np.abs(v), axis=-2)
     return np.where(np.take_along_axis(v, pivot[..., None, :], axis=-2) < 0, -v, v)
+
+
+def _require_rank(k: int, eigenvalues: np.ndarray) -> None:
+    """Refuse a k past the graph's numerical rank, whose extra columns are null directions.
+
+    The rank counts the eigenvalues above ``RANK_TOLERANCE`` times the
+    largest; over a stack of spectra it is the smallest such count.
+    """
+    above = eigenvalues > RANK_TOLERANCE * eigenvalues[..., :1]
+    rank = int(np.min(np.sum(above, axis=-1)))
+    if k > rank:
+        raise SpectralError(
+            f"k={k} exceeds the graph's rank {rank}: only {rank} eigenvalues exceed "
+            f"{RANK_TOLERANCE:g} times the largest"
+        )
 
 
 def embed(bundle: GraphBundle, k: int) -> SpectralEmbedding:
@@ -168,28 +179,25 @@ def embed(bundle: GraphBundle, k: int) -> SpectralEmbedding:
     u[a] / sqrt(n[a]) on the vertices of row a (Godsil & Royle, *Algebraic
     Graph Theory*, ch. 9).  ``V_k`` and ``Z`` hold one row per bundle row,
     the lifted signs follow the module's convention, and ``eigenvalues`` is
-    Q's spectrum, so k may not exceed the number of rows.  A bundle of
-    one graph goes through :func:`eigendecompose`; a stack of graphs
-    through the same code with its batch axes.
+    Q's spectrum.  A bundle of one graph goes through
+    :func:`eigendecompose`; a stack of graphs through the same code with
+    its batch axes.
 
-    The feature rows are Z[a, :] = V_k[a, :] * sqrt(Sigma_k) / sqrt(D_g[a]).
-    Negative leading eigenvalues were already clamped in ``Sigma_k``; a
-    warning flags when clamping actually discarded signal.
+    A k past the graph's numerical rank (``RANK_TOLERANCE``), and so past
+    its number of rows, raises :class:`SpectralError`: its extra columns
+    would be an arbitrary basis of null directions.  Every kept eigenvalue
+    is then positive, and the feature rows are
+    Z[a, :] = V_k[a, :] * sqrt(eigenvalues[:k]) / sqrt(D_g[a]).
     """
     # With rows of one vertex each (every explicit matrix), Q is A_tilde_g
     # and the lift is the identity, which is skipped.
     decompose = eigendecompose if bundle.Q.ndim == 2 else _decompose
-    embedding = decompose(bundle.Q, k)
+    embedding = decompose(bundle.Q, min(k, bundle.Q.shape[-1]))
+    _require_rank(k, embedding.eigenvalues)
     if bundle.Q is not bundle.A_tilde_g:
         lifted = embedding.V_k / np.sqrt(bundle.counts)[:, None]
         embedding = replace(embedding, V_k=_fix_signs(lifted))
-    if np.any(embedding.eigenvalues[..., :k] < 0):
-        warnings.warn(
-            "negative leading eigenvalues clamped to zero before the square root",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    scale = np.sqrt(embedding.Sigma_k)[..., None, :]
+    scale = np.sqrt(embedding.eigenvalues[..., None, :k])
     return replace(embedding, Z=embedding.V_k * scale / np.sqrt(bundle.D_g)[..., :, None])
 
 

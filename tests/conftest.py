@@ -27,6 +27,12 @@ def toy_bundle(variant=TheoryVariant.CASE_A, rho=1.0, alpha=0.03, beta=0.01, gam
     return build_graph(model, population, weights), population
 
 
+def combined_adjacency(bundle):
+    """The globally normalized combined adjacency over the rows, A_tilde_g sqrt(D_g D_g^t)."""
+    d = bundle.D_g
+    return bundle.A_tilde_g * np.sqrt(d[..., :, None] * d[..., None, :])
+
+
 @pytest.fixture(scope="session")
 def case_a_bundle():
     return toy_bundle(TheoryVariant.CASE_A)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from test_golden import (
-    MIXTURE_CONFIG, OVERSIZED_CONFIGS, README_CONFIG, THREE_CLASS_CONFIG, matrix_config,
+    MIXTURE_2P50_CONFIG, MIXTURE_CONFIG, OVERSIZED_CONFIGS, README_CONFIG, THREE_CLASS_CONFIG,
+    WHOLE_POOL_CONFIG, matrix_config,
 )
 from wildgraph import cli, spectral
 from wildgraph.cli import main
@@ -541,6 +542,18 @@ class TestDetect:
         assert not out.exists()
         assert main(["detect", "--config", config, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["seed"] is None
+
+    def test_separated_scores_at_huge_counts_give_auroc_one(self, tmp_path):
+        # 2U is summed in integers and divided once, so no rounding lifts it past 1
+        out = tmp_path / "metrics.json"
+        config = write_config(tmp_path, MIXTURE_2P50_CONFIG)
+        assert main(["detect", "--config", config, "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["auroc"] == 1.0
+
+    def test_fractions_summing_to_one_split_the_whole_pool(self, tmp_path):
+        out = tmp_path / "metrics.json"
+        config = write_config(tmp_path, WHOLE_POOL_CONFIG)
+        assert main(["detect", "--config", config, "--seed", "1", "--out", str(out)]) == 0
 
     def test_sampled_mixture_records_its_seed(self, tmp_path):
         config = write_config(tmp_path, dict(SEPARATED_CONFIG, pi_c=0.3, pi_s=0.2))

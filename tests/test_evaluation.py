@@ -16,6 +16,7 @@ from wildgraph import (
     ReducedParams,
     TheoryVariant,
     auroc_midrank,
+    build_toy_population,
     classification_accuracy,
     detection_metrics,
     evaluate,
@@ -165,18 +166,19 @@ class TestProbingError:
         z = np.ones((4, 3))
         probe = fit_linear_probe(np.ones((2, 3)), [0, 1])
         result = probing_error(z, [0, 1, 0, 1], probe)
-        # ties resolve to the lowest class id for the reported predictions,
+        # ties resolve to the lowest class id for the plain predictions,
         # but a tied decision is never a strict win, so all four count
-        assert result.predictions == (0, 0, 0, 0)
+        assert predict(probe, z).tolist() == [0, 0, 0, 0]
         assert result.count == 4
         assert result.rate == 1.0
 
     def test_clear_margins_count_only_true_mistakes(self):
         z_id = np.array([[1.0, 0.0], [0.0, 1.0]])
         probe = fit_linear_probe(z_id, [0, 1])
-        result = probing_error(np.array([[1.0, 0.0], [1.0, 0.0]]), [0, 1], probe)
+        z = np.array([[1.0, 0.0], [1.0, 0.0]])
+        result = probing_error(z, [0, 1], probe)
         assert result.count == 1
-        assert result.predictions == (0, 0)
+        assert predict(probe, z).tolist() == [0, 0]
 
     def test_stack_scores_each_embedding_on_its_own_scale(self):
         # The first embedding's row 0 wins by 2e-8 of its own score scale,
@@ -188,7 +190,7 @@ class TestProbingError:
         for i, z in enumerate(stack):
             one = probing_error(z, [0, 1], probe)
             assert (stacked.count[i], stacked.rate[i]) == (one.count, one.rate)
-            assert tuple(stacked.predictions[i]) == one.predictions
+            np.testing.assert_array_equal(predict(probe, stack)[i], predict(probe, z))
         assert stacked.count.tolist() == [0, 0]
 
 
@@ -199,9 +201,11 @@ class TestClassificationAccuracy:
         assert classification_accuracy(z, [0, 1, 2], probe) == 1.0
 
     def test_toy_generalizing_regime_is_perfect(self):
+        population, _ = build_toy_population(TheoryVariant.CASE_A, 1.0, 0.04, 0.02, 1e-6)
         result = run_toy_pipeline(TheoryVariant.CASE_A, ReducedParams(0.04, 0.02, 1e-6))
-        assert result.id_accuracy == 1.0
-        assert result.covariate_accuracy == 1.0
+        ev = evaluate(population, result.embedding.Z)
+        assert ev.id_accuracy == 1.0
+        assert ev.covariate_accuracy == 1.0
 
     def test_random_labels_near_chance(self):
         rng = np.random.default_rng(99)
@@ -327,6 +331,21 @@ class TestDetectionMetrics:
     def test_empty_scores_rejected(self):
         with pytest.raises(EvaluationError):
             detection_metrics(np.array([]), np.array([1.0]), self._detector())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_auroc_is_the_pair_count_correctly_rounded(self, data):
+        # Every weighted ID x OOD pair counted in integers, a tie one half,
+        # and divided once: at counts up to 2**62 the result stays in [0, 1].
+        scores = st.lists(st.tuples(st.integers(0, 5), st.integers(1, 2**62)), min_size=1,
+                          max_size=6)
+        ids, oods = data.draw(scores), data.draw(scores)
+        pairs = sum(ci * co * (2 * (so > si) + (so == si)) for si, ci in ids for so, co in oods)
+        total = 2 * sum(c for _, c in ids) * sum(c for _, c in oods)
+        (s_id, c_id), (s_ood, c_ood) = (map(np.array, zip(*side)) for side in (ids, oods))
+        auroc = auroc_midrank(s_id / 4.0, s_ood / 4.0, c_id, c_ood)
+        assert auroc == pairs / total
+        assert 0.0 <= auroc <= 1.0
 
 
 class TestOrthogonalInvariance:

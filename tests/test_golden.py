@@ -94,6 +94,21 @@ CASE_A_MIXTURE_CONFIG = dict(
     cells=README_CONFIG["cells"][:4] + [dict(README_CONFIG["cells"][4], domain=2)],
 )
 
+# The README mixture at 2**50 examples per cell, whose perfectly separated
+# detection scores must give an AUROC of exactly 1.
+MIXTURE_2P50_CONFIG = dict(
+    MIXTURE_CONFIG, cells=[dict(c, count=2**50) for c in MIXTURE_CONFIG["cells"]]
+)
+
+# The README's cells with a wild pool of 700 510 split by fractions summing
+# to 1, where pi_c m and pi_s m, each rounded, overshoot the pool by one.
+WHOLE_POOL_CONFIG = dict(
+    README_CONFIG,
+    pi_c=0.45,
+    pi_s=0.55,
+    cells=[dict(c, count=n) for c, n in zip(README_CONFIG["cells"], [8, 8, 350_000, 350_000, 510])],
+)
+
 # The README's cells at counts that total more than sys.maxsize, which
 # every command refuses.
 OVERSIZED_CONFIGS = {

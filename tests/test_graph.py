@@ -24,7 +24,7 @@ from wildgraph import (
     supervised_adjacency,
     transformation_matrix,
 )
-from conftest import STANDARD_WEIGHTS, parametric_50_node, toy_bundle
+from conftest import STANDARD_WEIGHTS, combined_adjacency, parametric_50_node, toy_bundle
 from test_golden import matrix_config
 from vertex_level import build_parametric_population, indicator, split
 
@@ -196,11 +196,13 @@ class TestCombineAndNormalize:
         bundle, _ = toy_bundle(TheoryVariant.CASE_A, 1.0, ap, bp, 1e-9)
         c_hat = 7 + 12 * bp + 12 * ap
         first_row = np.array([2.0, 4 * bp, 3 * ap, 0.0, 0.0])
-        np.testing.assert_allclose(c_hat * bundle.A_g[0], first_row, atol=5e-6)
+        np.testing.assert_allclose(c_hat * combined_adjacency(bundle)[0], first_row, atol=5e-6)
 
     def test_entry_sum_is_one(self, case_a_bundle):
+        # the vertex expansion's entries sum to one, and so do its degrees
         bundle, _ = case_a_bundle
-        assert abs(bundle.A_g.sum() - 1.0) <= 1e-12
+        assert abs(combined_adjacency(bundle).sum() - 1.0) <= 1e-12
+        assert abs(np.sum(bundle.counts * bundle.D_g) - 1.0) <= 1e-12
 
     def test_zero_supervised_part_leaves_direction(self):
         # Without labeled examples A_l is zero, whatever its weight.
@@ -211,14 +213,14 @@ class TestCombineAndNormalize:
         model = ExplicitAugmentation(np.random.default_rng(3).uniform(0.0, 1.0, size=(6, 6)))
         a_u = self_supervised_adjacency(model, population.examples())
         bundle = build_graph(model, population, GraphWeights(2.0, 3.0))
-        np.testing.assert_allclose(bundle.A_g, a_u / a_u.sum(), atol=1e-15)
+        np.testing.assert_allclose(combined_adjacency(bundle), a_u / a_u.sum(), atol=1e-15)
 
     def test_random_symmetric_normalization_oracle(self):
         population, _ = readme_matrix()
         t = np.random.default_rng(5).uniform(0.01, 1.0, size=(len(population),) * 2)
         bundle = build_graph(ExplicitAugmentation(t), population, GraphWeights(1.0, 0.0))
-        np.testing.assert_allclose(bundle.A_g.sum(), 1.0, atol=1e-12)
-        np.testing.assert_allclose(bundle.D_g, bundle.A_g.sum(axis=1), atol=1e-15)
+        np.testing.assert_allclose(np.sum(bundle.counts * bundle.D_g), 1.0, atol=1e-12)
+        np.testing.assert_allclose(bundle.D_g, combined_adjacency(bundle).sum(axis=1), atol=1e-15)
         lam = np.linalg.eigvalsh(bundle.A_tilde)
         assert lam.min() >= -1.0 - 1e-10
         assert lam.max() <= 1.0 + 1e-10
@@ -228,18 +230,18 @@ class TestCombineAndNormalize:
         explicit = ExplicitAugmentation(transformation_matrix(model, population))
         base = build_graph(explicit, population, GraphWeights(5.0, 1.0))
         scaled = build_graph(explicit, population, GraphWeights(35.0, 7.0))
-        np.testing.assert_allclose(scaled.A_g, base.A_g, atol=1e-14)
+        np.testing.assert_allclose(combined_adjacency(scaled), combined_adjacency(base), atol=1e-14)
         np.testing.assert_allclose(scaled.D_g, base.D_g, atol=1e-14)
         np.testing.assert_allclose(scaled.A_tilde, base.A_tilde, atol=1e-14)
 
     def test_normalized_adjacency_ignores_global_scale(self, toy_a):
-        # T scaled by sqrt(13) scales both adjacencies, and C, by 13.
+        # T scaled by sqrt(13) scales both adjacencies by 13.
         population, model = toy_a
         t = transformation_matrix(model, population)
         weights = GraphWeights(5.0, 1.0)
         base = build_graph(ExplicitAugmentation(t), population, weights)
         rescaled = build_graph(ExplicitAugmentation(math.sqrt(13.0) * t), population, weights)
-        assert rescaled.C == pytest.approx(13.0 * base.C, rel=1e-14)
+        np.testing.assert_allclose(rescaled.A_u_g, 13.0 * base.A_u_g, rtol=1e-14)
         np.testing.assert_allclose(rescaled.A_tilde, base.A_tilde, atol=1e-13)
 
     def test_unit_eigenvalue_on_connected_graph(self, case_a_bundle):
@@ -333,12 +335,12 @@ class TestBuildGraph:
         alphas, betas = np.array([0.05, 0.2, 0.1]), np.array([0.1, 0.1, 0.02])
         weights = GraphWeights(5.0, 1.0)
         stack = build_graph(ParametricAugmentation(RHO, alphas, betas, GAMMA), population, weights)
-        assert stack.A_tilde.shape == (3, 5, 5) and stack.C.shape == (3,)
+        assert stack.A_tilde.shape == (3, 5, 5)
         for i, (a, b) in enumerate(zip(alphas, betas)):
             one = build_graph(ParametricAugmentation(RHO, a, b, GAMMA), population, weights)
-            for name in ("A_u_g", "A_l_g", "A_g", "D_g", "A_tilde_g", "A_tilde"):
+            for name in ("A_u_g", "A_l_g", "D_g", "A_tilde_g", "A_tilde"):
                 np.testing.assert_array_equal(getattr(stack, name)[i], getattr(one, name))
-            assert stack.C[i] == one.C
+            np.testing.assert_array_equal(combined_adjacency(stack)[i], combined_adjacency(one))
 
 
 KEYS = (
@@ -375,8 +377,9 @@ class TestExactSymmetry:
         # and (j, i) by one product.
         population, model = inputs
         bundle = build_graph(model, population, STANDARD_WEIGHTS)
-        for name in ("A_u_g", "A_l_g", "A_g", "A_tilde_g"):
-            a = getattr(bundle, name)
+        arrays = {name: getattr(bundle, name) for name in ("A_u_g", "A_l_g", "A_tilde_g")}
+        arrays["combined"] = combined_adjacency(bundle)
+        for name, a in arrays.items():
             assert a.tobytes() == np.swapaxes(a, -1, -2).tobytes(), name
 
 

@@ -17,7 +17,7 @@ from wildgraph import (
     matrix_loss,
     surrogate_loss_from_parts,
 )
-from conftest import STANDARD_WEIGHTS, toy_bundle
+from conftest import STANDARD_WEIGHTS, combined_adjacency, toy_bundle
 from vertex_level import surrogate_loss
 
 
@@ -76,7 +76,7 @@ class TestSurrogateLoss:
         rng = np.random.default_rng(7)
         f = rng.standard_normal((5, 2))
         breakdown = surrogate_loss(f, model, population, bundle.weights)
-        w_pair = bundle.A_g
+        w_pair = combined_adjacency(bundle)
         w_deg = bundle.D_g
         total = 0.0
         for x in range(5):

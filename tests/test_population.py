@@ -420,6 +420,24 @@ class TestWildMixture:
         assert abs(m_s - 0.1 * m) <= 0.5
         assert m_c + m_s + m_id == m
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**62), st.integers(0, 100))
+    def test_fractions_summing_to_one_never_refuse(self, m, hundredths):
+        # pi_c m and pi_s m, each rounded, may overshoot m: 0.45 and 0.55 of
+        # 700 510 do by one, 0.1 and 0.9 of 2**62 by 128.
+        pi_c, pi_s = hundredths / 100, (100 - hundredths) / 100
+        m_c, m_s, m_id = mixture_counts(m, pi_c, pi_s)
+        assert min(m_c, m_s, m_id) >= 0
+        assert m_c + m_s + m_id == m
+
+    @pytest.mark.parametrize("m, pi_c, pi_s, m_c", [
+        (700_510, 0.45, 0.55, 315_230),  # 0.45 m is 315 229.5, rounded up
+        (2**62, 0.1, 0.9, 461_168_601_842_738_816),  # 0.1 as a float, times m
+    ])
+    def test_overshooting_fractions_cap_semantic(self, m, pi_c, pi_s, m_c):
+        # covariate keeps its rounded count, and semantic takes the rest
+        assert mixture_counts(m, pi_c, pi_s) == (m_c, m - m_c, 0)
+
     def test_half_tie_goes_to_covariate(self):
         # 0.5 * 3 = 1.5 rounds up for covariate, 0.5 * 3 = 1.5 rounds down for semantic
         m_c, m_s, _ = mixture_counts(3, 0.5, 0.5)

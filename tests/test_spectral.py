@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +25,7 @@ from wildgraph import (
     reconstruction_gap,
 )
 from wildgraph.spectral import (
+    RANK_TOLERANCE,
     EigensolverError,
     FactorizationError,
     _decompose,
@@ -33,7 +33,8 @@ from wildgraph.spectral import (
     _quartic_argmin,
     write_trace_csv,
 )
-from conftest import random_symmetric, toy_bundle
+from conftest import STANDARD_WEIGHTS, random_symmetric, toy_bundle
+from test_graph import graph_inputs
 
 
 def symmetric_matrices(max_n=8):
@@ -116,7 +117,6 @@ class TestEigendecompose:
             one = eigendecompose(m, 4)
             assert np.array_equal(emb.eigenvalues[i], one.eigenvalues)
             assert np.array_equal(emb.V_k[i], one.V_k)
-            assert np.array_equal(emb.Sigma_k[i], one.Sigma_k)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -146,7 +146,7 @@ class TestEigendecompose:
     def test_identity_spectrum(self):
         emb = eigendecompose(np.eye(5), 3)
         np.testing.assert_allclose(emb.eigenvalues, np.ones(5))
-        np.testing.assert_allclose(emb.Sigma_k, np.ones(3))
+        np.testing.assert_allclose(emb.eigenvalues[:emb.k], np.ones(3))
 
     def test_toy_eigenvalues_track_first_order_values(self):
         ap, bp, g = 0.03, 0.01, 1e-6
@@ -205,12 +205,6 @@ class TestEigendecompose:
         with pytest.raises(SpectralError):
             eigendecompose(np.eye(3), 4)
 
-    def test_sigma_clamped_nonnegative(self):
-        m = np.diag([2.0, -1.0])
-        emb = eigendecompose(m, 2)
-        assert np.all(emb.Sigma_k >= 0)
-        np.testing.assert_allclose(emb.Sigma_k, [2.0, 0.0])
-
 
 def rank_two_bundle():
     """The toy layout under the rank-2 explicit matrix U^t U: three null directions."""
@@ -220,13 +214,13 @@ def rank_two_bundle():
 
 
 class TestClosedFormEmbedding:
-    """``embed``'s feature rows Z = D^-1/2 V_k sqrt(Sigma_k)."""
+    """``embed``'s feature rows Z = D^-1/2 V_k Lambda_k^1/2."""
 
     def test_elementwise_definition(self, case_a_bundle):
         bundle, _ = case_a_bundle
         emb = embed(bundle, 3)
         for x in range(5):
-            expected = emb.V_k[x] * np.sqrt(emb.Sigma_k) / np.sqrt(bundle.D_g[x])
+            expected = emb.V_k[x] * np.sqrt(emb.eigenvalues[:3]) / np.sqrt(bundle.D_g[x])
             np.testing.assert_array_equal(emb.Z[x], expected)
 
     def test_full_rank_reconstruction(self, case_a_bundle):
@@ -247,23 +241,42 @@ class TestClosedFormEmbedding:
             flipped = np.max(np.abs(emb.Z[:, j] + ref[:, j]))
             assert min(direct, flipped) <= 1e-8
 
-    def test_k_past_the_rank_is_embedded(self):
-        # The toy chain embeds at k = 3 whatever the rank; refusing such a k
-        # is detect's choice, not embed's.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            emb = embed(rank_two_bundle(), 4)
-        assert np.sum(emb.eigenvalues > 1e-10) == 2
-        assert emb.Z.shape == (5, 4)
-        assert np.all(np.isfinite(emb.Z))
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_k_past_the_rank_is_refused(self, k):
+        # Past the rank the leading k would hold an arbitrary basis of null
+        # directions; past the rows, too, the message names the rank.
+        message = (f"^k={k} exceeds the graph's rank 2: only 2 eigenvalues exceed "
+                   "1e-10 times the largest$")
+        with pytest.raises(SpectralError, match=message):
+            embed(rank_two_bundle(), k)
+        assert embed(rank_two_bundle(), 2).Z.shape == (5, 2)
 
-    def test_clamp_warns_on_indefinite_matrix(self):
-        # Past the rank, the leading k hold null directions that rounding
-        # leaves below zero; their clamped columns of Z are zero.
-        with pytest.warns(RuntimeWarning, match="clamped"):
-            emb = embed(rank_two_bundle(), 4)
-        assert np.any(emb.eigenvalues[:4] < 0)
-        np.testing.assert_array_equal(emb.Z[:, emb.Sigma_k == 0], 0.0)
+    def test_stack_past_its_smallest_rank_is_refused(self):
+        # rho = alpha = beta = gamma makes every row of T equal: rank 1,
+        # next to a full-rank graph in the same stack.
+        population, model = build_toy_population(
+            TheoryVariant.CASE_A, np.array([1.0, 0.1]), 0.1, 0.1, 0.1
+        )
+        stack = build_graph(model, population, STANDARD_WEIGHTS)
+        message = ("^k=2 exceeds the graph's rank 1: only 1 eigenvalues exceed "
+                   "1e-10 times the largest$")
+        with pytest.raises(SpectralError, match=message):
+            embed(stack, 2)
+        assert embed(stack, 1).Z.shape == (2, 5, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph_inputs(), st.integers(1, 12))
+    def test_z_is_the_clamped_formula_bit_for_bit(self, inputs, k):
+        # Within the rank every kept eigenvalue is positive, so Z is the
+        # formula with the eigenvalues clamped at zero, bit for bit.
+        population, model = inputs
+        bundle = build_graph(model, population, STANDARD_WEIGHTS)
+        lam = _decompose(bundle.Q, 1).eigenvalues
+        rank = int(np.min(np.sum(lam > RANK_TOLERANCE * lam[..., :1], axis=-1)))
+        emb = embed(bundle, min(k, rank))
+        kept = np.clip(emb.eigenvalues[..., : emb.k], 0.0, None)
+        expected = emb.V_k * np.sqrt(kept)[..., None, :] / np.sqrt(bundle.D_g)[..., :, None]
+        assert emb.Z.tobytes() == expected.tobytes()
 
 
 class TestLowRankFactorize:
@@ -542,7 +555,7 @@ class TestReconstructionGap:
     def test_exact_factor_has_zero_gaps(self, case_a_bundle):
         bundle, _ = case_a_bundle
         emb = eigendecompose(bundle.A_tilde, 3)
-        exact = emb.V_k * np.sqrt(emb.Sigma_k)
+        exact = emb.V_k * np.sqrt(emb.eigenvalues[:3])
         state = FactorizationState(
             F=exact, loss_trace=((0, matrix_loss(exact, bundle.A_tilde)),), converged=True
         )
