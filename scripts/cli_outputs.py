@@ -30,7 +30,10 @@ whose total passes ``sys.maxsize`` (one cell of 2**63, five of 2**61,
 five of 2**62).  ``detect --seed 1`` also runs on the README mixture at
 2**50 examples per cell, whose AUROC is exactly 1, and on a wild pool of
 700 510 split by fractions 0.45 and 0.55, which round to one example more
-than the pool.
+than the pool.  ``detect``, ``factorize --k 2`` and ``loss-check --k 2``
+refuse a 4 x 4 explicit matrix over cells of 2**40 + 3 examples, and
+``detect`` a config whose isolated cell holds 2**40 examples, each by name
+and without a row per example.
 Every tolerance flag is also set away from its default once: toy-verify's
 ``--tolerance-scale`` and factorize's ``--loss-gap-tol`` and ``--spread-tol``.
 Each command runs from inside OUT_DIR with relative paths, so two
@@ -55,8 +58,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from test_golden import (  # noqa: E402
-    CASE_A_MIXTURE_CONFIG, MIXTURE_2P50_CONFIG, MIXTURE_CONFIG, OVERSIZED_CONFIGS, README_CONFIG,
-    THREE_CLASS_CONFIG, TOY_POINTS, WHOLE_POOL_CONFIG, matrix_config,
+    CASE_A_MIXTURE_CONFIG, HUGE_MATRIX_CONFIG, MIXTURE_2P50_CONFIG, MIXTURE_CONFIG,
+    OVERSIZED_CONFIGS, README_CONFIG, THREE_CLASS_CONFIG, TOY_POINTS, WHOLE_POOL_CONFIG,
+    isolated_class_config, matrix_config,
 )
 from wildgraph.cli import main as cli_main  # noqa: E402
 
@@ -111,6 +115,8 @@ CONFIGS = {
     "three-class-mixture.json": dict(THREE_CLASS_CONFIG, pi_c=0.3, pi_s=0.2),
     "mixture-x2p50.json": MIXTURE_2P50_CONFIG,
     "whole-pool.json": WHOLE_POOL_CONFIG,
+    "matrix-2p40.json": HUGE_MATRIX_CONFIG,
+    "isolated-2p40.json": isolated_class_config(2**40),
     **{f"{name}.json": config for name, config in BROKEN_MATRICES.items()},
     **{f"{name}.json": config for name, config in OVERSIZED_CONFIGS.items()},
 }
@@ -184,6 +190,13 @@ def commands() -> list[list[str]]:
     for name in ("mixture-x2p50", "whole-pool"):
         out.append(["detect", "--config", f"{name}.json", "--seed", "1",
                     "--out", f"detect-{name}-seed1.json"])
+    # refused by name without a row per example: a 4 x 4 matrix over 2**40 + 3
+    # examples, and an isolated cell of 2**40 examples
+    for name in ("matrix-2p40", "isolated-2p40"):
+        out.append(["detect", "--config", f"{name}.json", "--out", f"detect-{name}.json"])
+    out.append(["factorize", "--config", "matrix-2p40.json", "--k", "2", "--out", "factorize-matrix-2p40"])
+    out.append(["loss-check", "--config", "matrix-2p40.json", "--k", "2",
+                "--out", "loss-check-matrix-2p40.json"])
     for name in (*BROKEN_MATRICES, *OVERSIZED_CONFIGS):
         out.append(["detect", "--config", f"{name}.json", "--out", f"detect-{name}.json"])
         out.append(["factorize", "--config", f"{name}.json", "--k", "3", "--out", f"factorize-{name}"])

@@ -494,7 +494,8 @@ def metrics_report(
     ``Z`` has one row per cell of ``population``.  The detector is fit on
     the labeled rows and scores the semantic rows against the held-out ID
     side of :func:`evaluate`: the wild ID rows, or, when there are none,
-    the labeled rows' own reference scores, which exclude themselves.
+    the labeled rows' own reference scores, which exclude themselves.  The
+    wild ID and semantic rows are scored in one :func:`knn_scores` call.
     """
     z = np.asarray(Z, dtype=float)
     ev = evaluate(population, z)
@@ -503,9 +504,11 @@ def metrics_report(
     detector = fit_knn_detector(z[labeled], k_neighbors, percentile, n[labeled])
     if held_out is labeled:  # no wild ID rows
         scores_id, n_id = detector.reference_scores, detector.counts
+        scores_sem = knn_scores(detector, z[semantic])
     else:
-        scores_id, n_id = knn_scores(detector, z[held_out]), n[held_out]
-    scores_sem = knn_scores(detector, z[semantic])
+        # a row's score depends on no other query row, so both sides are scored in one pass
+        scores = knn_scores(detector, z[held_out + semantic])
+        scores_id, scores_sem, n_id = scores[: len(held_out)], scores[len(held_out) :], n[held_out]
     detection = detection_metrics(scores_id, scores_sem, detector, n_id, n[semantic])
     return MetricsReport(
         id_acc=ev.id_accuracy,

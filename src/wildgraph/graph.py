@@ -34,6 +34,7 @@ from .population import (
     Membership,
     ParametricAugmentation,
     Population,
+    _check_source_rows,
     transformation_matrix,
 )
 
@@ -189,22 +190,32 @@ def supervised_adjacency(
     Each known class with labeled examples contributes the outer product of
     the mean of its labeled examples' rows of T (the empirical per-class
     view distribution), a row weighed by the examples it stands for; T is
-    taken as in :func:`self_supervised_adjacency`.  Without any labeled
-    examples the matrix is zero.  Labeled examples live in the ID domain,
-    so over merged cells a class's mean is its one labeled cell's row.
+    taken as in :func:`self_supervised_adjacency`.  All class means M are
+    taken at once, from a classes-by-slots table of each class's labeled
+    rows and their weights, and A_l = sum_c M_c M_c^t is one sum over the
+    class axis, in class order.  Without any labeled examples the matrix is
+    zero.  Labeled examples live in the ID domain, so over merged cells a
+    class's mean is its one labeled cell's row.
     """
     t = _expanded(model, population)
-    n = population.counts()
-    labeled = np.array([c.membership is Membership.LABELED_ID for c in population.cells])
-    label = np.array([c.class_label for c in population.cells])
-    out = np.zeros(t.shape[:-2] + (t.shape[-1], t.shape[-1]))
-    for cls in sorted(set(label[labeled].tolist())):
-        rows = np.flatnonzero(labeled & (label == cls))
-        # weights in lowest terms, so that equal ones give the plain mean bit for bit
-        w = n[rows] // np.gcd.reduce(n[rows])
-        mu = (t[..., rows, :] * w[:, None]).sum(axis=-2) / w.sum()
-        out += mu[..., :, None] * mu[..., None, :]
-    return out
+    cells = population.cells
+    by_class: dict[int, list[int]] = {}
+    for r, c in enumerate(cells):
+        if c.membership is Membership.LABELED_ID:
+            by_class.setdefault(c.class_label, []).append(r)
+    # each class's labeled rows and counts, padded to one width by row 0 at weight 0
+    width = max(map(len, by_class.values()), default=0)
+    table = [(by_class[cls], [0] * (width - len(by_class[cls]))) for cls in sorted(by_class)]
+    shape = (len(table), width)
+    rows = np.array([own + pad for own, pad in table], dtype=np.intp).reshape(shape)
+    w = np.array([[cells[r].count for r in own] + pad for own, pad in table], dtype=np.int64).reshape(shape)
+    # weights in lowest terms, so that equal ones give the plain mean bit for bit
+    w //= np.gcd.reduce(w, axis=-1, keepdims=True)
+    # summed over each class's rows in order, as a per-class sum is; a BLAS
+    # product over all rows reorders the sum and moves the last digits
+    mu = (t[..., rows, :] * w[:, :, None]).sum(axis=-2) / w.sum(axis=-1)[:, None]
+    # each term, and so the sum, is exactly symmetric
+    return (mu[..., :, :, None] * mu[..., :, None, :]).sum(axis=-3)
 
 
 def build_graph(
@@ -232,7 +243,11 @@ def _build_graph(
     up with zero degree, and :class:`GraphError` for weights that overflow
     float64.
     """
-    groups = population.groups() if isinstance(model, ParametricAugmentation) else population.examples()
+    if isinstance(model, ParametricAugmentation):
+        groups = population.groups()
+    else:
+        _check_source_rows(model, population)  # before examples() expands every count
+        groups = population.examples()
     t = transformation_matrix(model, groups)
     A_u, A_l = self_supervised_adjacency(t, groups), supervised_adjacency(t, groups)
     n = groups.counts().astype(float)
@@ -246,14 +261,26 @@ def _build_graph(
     A = raw / C[..., None, None]
     D = (A * n).sum(axis=-1)
     A_tilde = A / np.sqrt(D[..., :, None] * D[..., None, :])
-    bundle = GraphBundle(
+    zero = np.argwhere(D <= 0)
+    if zero.size:
+        raise IsolatedVertexError(f"vertex {_first_vertex(population, groups, zero[0, -1])} has zero degree")
+    if not np.isfinite(A_tilde).all():
+        raise GraphError("the normalized adjacency has non-finite entries: the weights leave float64's range")
+    return GraphBundle(
         A_u_g=A_u, A_l_g=A_l, D_g=D, A_tilde_g=A_tilde, weights=weights, population=population,
         groups=groups,
     )
-    zero = np.argwhere(D <= 0)
-    if zero.size:
-        vertex = np.argmax(bundle.vertex_rows() == zero[0, -1])
-        raise IsolatedVertexError(f"vertex {vertex} has zero degree")
-    if not np.isfinite(A_tilde).all():
-        raise GraphError("the normalized adjacency has non-finite entries: the weights leave float64's range")
-    return bundle
+
+
+def _first_vertex(population: Population, groups: Population, row: int) -> int:
+    """The first vertex of ``population`` on row ``row`` of its ``groups``, found in O(cells)."""
+    if len(groups.cells) == len(population):  # one vertex per row, in vertex order
+        return row
+    want = groups.cells[row]
+    vertex = 0
+    for cell in population.cells:
+        if (cell.class_label, cell.domain_label, cell.membership) == (
+            want.class_label, want.domain_label, want.membership
+        ):
+            return vertex
+        vertex += cell.count

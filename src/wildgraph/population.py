@@ -154,12 +154,16 @@ class Population:
     def groups(self) -> Population:
         """Cells with equal (class, domain, membership) merged, their counts summed.
 
-        The merged cells follow the order of their first cell.
+        The merged cells follow the order of their first cell.  When no two
+        cells share a key, nothing merges and the population itself is
+        returned.
         """
         counts: dict[tuple, int] = {}
         for c in self.cells:
             key = (c.class_label, c.domain_label, c.membership)
             counts[key] = counts.get(key, 0) + c.count
+        if len(counts) == len(self.cells):
+            return self
         return Population(
             self.classes, self.domains, tuple(Cell(*key, n) for key, n in counts.items())
         )
@@ -222,6 +226,16 @@ class ExplicitAugmentation:
 AugmentationModel = ParametricAugmentation | ExplicitAugmentation
 
 
+def _check_source_rows(model: ExplicitAugmentation, population: Population) -> None:
+    """Refuse an explicit matrix without one source row per example, in O(cells)."""
+    rows = model.matrix.shape[0]
+    if rows != len(population):
+        raise PopulationError(
+            f"transformation matrix has {rows} source rows "
+            f"for a population of {len(population)} examples"
+        )
+
+
 def transformation_matrix(model: AugmentationModel, population: Population) -> np.ndarray:
     """Expand ``model`` into a matrix aligned with ``population``.
 
@@ -234,12 +248,8 @@ def transformation_matrix(model: AugmentationModel, population: Population) -> n
     returned as-is.
     """
     if isinstance(model, ExplicitAugmentation):
+        _check_source_rows(model, population)
         rows, columns = model.matrix.shape
-        if rows != len(population):
-            raise PopulationError(
-                f"transformation matrix has {rows} source rows "
-                f"for a population of {len(population)} examples"
-            )
         if rows != len(population.cells):
             raise PopulationError(
                 f"an explicit matrix needs one count-1 cell per example (Population.examples()), "

@@ -29,7 +29,7 @@ through :func:`reconstruction_gap`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -141,11 +141,13 @@ def _decompose(m: np.ndarray, k: int) -> SpectralEmbedding:
         raise EigensolverError(f"eigh failed: {exc}") from exc
     # eigh's eigenvalues ascend, so reversed they descend
     lam, v = np.ascontiguousarray(lam[..., ::-1]), _fix_signs(v[..., ::-1])
-    for i in map(tuple, np.argwhere(np.any(np.diff(lam, axis=-1) == 0.0, axis=-1))):
-        # exactly equal eigenvalues are ordered by their sign-fixed vectors,
-        # compared entry by entry (lexsort's last key is the primary one)
-        order = np.lexsort(np.vstack([v[i][::-1], -lam[i]]))
-        lam[i], v[i] = lam[i][order], v[i][:, order]
+    tied = np.any(np.diff(lam, axis=-1) == 0.0, axis=-1)
+    if tied.any():
+        for i in map(tuple, np.argwhere(tied)):
+            # exactly equal eigenvalues are ordered by their sign-fixed vectors,
+            # compared entry by entry (lexsort's last key is the primary one)
+            order = np.lexsort(np.vstack([v[i][::-1], -lam[i]]))
+            lam[i], v[i] = lam[i][order], v[i][:, order]
     return SpectralEmbedding(eigenvalues=lam, V_k=np.ascontiguousarray(v[..., :k]), k=k)
 
 
@@ -187,18 +189,20 @@ def embed(bundle: GraphBundle, k: int) -> SpectralEmbedding:
     its number of rows, raises :class:`SpectralError`: its extra columns
     would be an arbitrary basis of null directions.  Every kept eigenvalue
     is then positive, and the feature rows are
-    Z[a, :] = V_k[a, :] * sqrt(eigenvalues[:k]) / sqrt(D_g[a]).
+    Z[a, :] = V_k[a, :] * sqrt(eigenvalues[:k]) / sqrt(D_g[a]).  The
+    spectrum, the lifted ``V_k`` and ``Z`` are returned in one record, built
+    once.
     """
     # With rows of one vertex each (every explicit matrix), Q is A_tilde_g
     # and the lift is the identity, which is skipped.
     decompose = eigendecompose if bundle.Q.ndim == 2 else _decompose
-    embedding = decompose(bundle.Q, min(k, bundle.Q.shape[-1]))
-    _require_rank(k, embedding.eigenvalues)
+    solved = decompose(bundle.Q, min(k, bundle.Q.shape[-1]))
+    lam, v = solved.eigenvalues, solved.V_k
+    _require_rank(k, lam)
     if bundle.Q is not bundle.A_tilde_g:
-        lifted = embedding.V_k / np.sqrt(bundle.counts)[:, None]
-        embedding = replace(embedding, V_k=_fix_signs(lifted))
-    scale = np.sqrt(embedding.eigenvalues[..., None, :k])
-    return replace(embedding, Z=embedding.V_k * scale / np.sqrt(bundle.D_g)[..., :, None])
+        v = _fix_signs(v / np.sqrt(bundle.counts)[:, None])
+    z = v * np.sqrt(lam[..., None, :k]) / np.sqrt(bundle.D_g)[..., :, None]
+    return SpectralEmbedding(eigenvalues=lam, V_k=v, k=k, Z=z)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from test_golden import (
-    MIXTURE_2P50_CONFIG, MIXTURE_CONFIG, OVERSIZED_CONFIGS, README_CONFIG, THREE_CLASS_CONFIG,
-    WHOLE_POOL_CONFIG, matrix_config,
+    HUGE_MATRIX_CONFIG, MIXTURE_2P50_CONFIG, MIXTURE_CONFIG, OVERSIZED_CONFIGS, README_CONFIG,
+    THREE_CLASS_CONFIG, WHOLE_POOL_CONFIG, isolated_class_config, matrix_config,
 )
 from wildgraph import cli, spectral
 from wildgraph.cli import main
@@ -804,6 +804,35 @@ def test_readme_cells_a_hundred_thousandfold(tmp_path, command):
             assert large[key] == factor * small[key]
         else:
             assert large[key] == pytest.approx(small[key], rel=1e-9, abs=1e-300), key
+
+
+@pytest.mark.parametrize("command, config, message", [
+    *(pytest.param(command, HUGE_MATRIX_CONFIG,
+                   "transformation matrix has 4 source rows for a population of 1099511627779 examples",
+                   id=f"{command}-matrix-2p40")
+      for command in ("detect", "factorize", "loss-check")),
+    pytest.param("detect", isolated_class_config(2**40), "vertex 1099511627776 has zero degree",
+                 id="detect-isolated-2p40"),
+    pytest.param("detect", isolated_class_config(3), "vertex 3 has zero degree",
+                 id="detect-isolated-3"),
+])
+def test_huge_counts_refused_by_name_without_expanding(tmp_path, capsys, command, config, message):
+    # A 4 x 4 explicit matrix over 2**40 + 3 examples is refused by its size
+    # before any example is expanded, and an isolated cell of 2**40 examples
+    # is named by walking the cells, not by a row map per example.  Both
+    # stay under the bound of test_readme_cells_a_hundred_thousandfold.
+    path = write_config(tmp_path, config)
+    flags = [] if command == "detect" else ["--k", "2"]
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main([command, "--config", path, *flags, "--out", str(out)]) == cli.EXIT_CONFIG
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("base", ["readme", "three-class"])

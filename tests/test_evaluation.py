@@ -459,6 +459,26 @@ class TestMetricsReport:
             MetricsReport(**dict(self.VALID, **{name: value}))
         MetricsReport(**self.VALID)
 
+    @staticmethod
+    def composed_by_hand(population, z, held_out, semantic):
+        # each side scored on its own, against the labeled rows 0 and 1
+        n = population.counts()
+        labeled = [0, 1]
+        ev = evaluate(population, z)
+        detector = fit_knn_detector(z[labeled], 2, 0.9, n[labeled])
+        if held_out:
+            scores_id, n_id = knn_scores(detector, z[held_out]), n[held_out]
+        else:
+            scores_id, n_id = detector.reference_scores, detector.counts
+        detection = detection_metrics(scores_id, knn_scores(detector, z[semantic]), detector,
+                                      n_id, n[semantic])
+        return dict(
+            id_acc=ev.id_accuracy, ood_acc=ev.covariate_accuracy,
+            probing_error_rate=ev.probing.rate, probing_error_count=ev.probing.count,
+            separability=ev.separability, fpr95=detection.fpr95, auroc=detection.auroc,
+            fpr_at_threshold=detection.fpr_at_threshold,
+        )
+
     @pytest.mark.parametrize("wild_id", [False, True])
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_the_metrics_composed_by_hand(self, wild_id, seed):
@@ -472,23 +492,23 @@ class TestMetricsReport:
         population = Population(classes=(0, 1), domains=(0, 1), cells=tuple(cells))
         z = np.random.default_rng(seed).standard_normal((len(cells), 3))
         report = metrics_report(population, z, 2, 0.9)
+        expected = self.composed_by_hand(population, z, [2] if wild_id else [], [len(cells) - 1])
+        assert vars(report) == expected
 
-        n = population.counts()
-        labeled, semantic = [0, 1], [len(cells) - 1]
-        ev = evaluate(population, z)
-        detector = fit_knn_detector(z[labeled], 2, 0.9, n[labeled])
-        if wild_id:
-            scores_id, n_id = knn_scores(detector, z[[2]]), n[[2]]
-        else:
-            scores_id, n_id = detector.reference_scores, detector.counts
-        detection = detection_metrics(scores_id, knn_scores(detector, z[semantic]), detector,
-                                      n_id, n[semantic])
-        assert vars(report) == dict(
-            id_acc=ev.id_accuracy, ood_acc=ev.covariate_accuracy,
-            probing_error_rate=ev.probing.rate, probing_error_count=ev.probing.count,
-            separability=ev.separability, fpr95=detection.fpr95, auroc=detection.auroc,
-            fpr_at_threshold=detection.fpr_at_threshold,
+    @pytest.mark.parametrize("seed", range(3))
+    def test_several_wild_id_and_semantic_cells_composed_by_hand(self, seed):
+        # wild-ID and semantic rows are scored in one pass and split again
+        cells = (
+            Cell(0, 0, Membership.LABELED_ID, 4), Cell(1, 0, Membership.LABELED_ID, 3),
+            Cell(1, 0, Membership.WILD_ID, 6), Cell(2, 1, Membership.WILD_SEMANTIC, 3),
+            Cell(0, 1, Membership.WILD_COVARIATE, 2), Cell(0, 0, Membership.WILD_ID, 1),
+            Cell(3, 0, Membership.WILD_SEMANTIC, 5), Cell(1, 1, Membership.WILD_COVARIATE, 5),
+            Cell(1, 0, Membership.WILD_ID, 2), Cell(2, 0, Membership.WILD_SEMANTIC, 4),
         )
+        population = Population(classes=(0, 1), domains=(0, 1), cells=cells)
+        z = np.random.default_rng(seed).standard_normal((len(cells), 3))
+        report = metrics_report(population, z, 2, 0.9)
+        assert vars(report) == self.composed_by_hand(population, z, [2, 5, 8], [3, 6, 9])
 
     def test_needs_one_row_per_cell_and_every_split(self):
         population = Population(classes=(0,), domains=(0, 1), cells=(

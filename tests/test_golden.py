@@ -120,6 +120,36 @@ OVERSIZED_CONFIGS = {
     )
 }
 
+# An explicit 4 x 4 matrix over cells that hold 2**40 + 3 examples: refused
+# by its size before a single example is expanded.
+HUGE_MATRIX_CONFIG = {
+    "classes": [0],
+    "domains": [0, 1],
+    "cells": [
+        {"class": 0, "domain": 0, "membership": "labeled_id", "count": 2**40},
+        {"class": 0, "domain": 0, "membership": "wild_id", "count": 1},
+        {"class": 0, "domain": 1, "membership": "wild_covariate", "count": 1},
+        {"class": 1, "domain": 1, "membership": "wild_semantic", "count": 1},
+    ],
+    "augmentation_matrix": [[1.0 if i == j else 0.1 for j in range(4)] for i in range(4)],
+}
+
+
+def isolated_class_config(count: int) -> dict:
+    """Class 1 only in the ID domain, where alpha is the only positive rate.
+
+    Class 1's cell has no edge at all, so its first example, vertex
+    ``count``, has zero degree.
+    """
+    cells = [(0, 0, "labeled_id"), (1, 0, "labeled_id"), (0, 1, "wild_covariate"),
+             (2, 1, "wild_semantic")]
+    return {
+        "classes": [0, 1],
+        "domains": [0, 1],
+        "cells": [{"class": c, "domain": d, "membership": m, "count": count} for c, d, m in cells],
+        "augmentation": {"rho": 0.0, "alpha": 0.1, "beta": 0.0, "gamma": 0.0},
+    }
+
 
 def matrix_config() -> dict:
     """The README's cells under an explicit, slightly asymmetric matrix."""

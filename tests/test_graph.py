@@ -25,8 +25,8 @@ from wildgraph import (
     transformation_matrix,
 )
 from conftest import STANDARD_WEIGHTS, combined_adjacency, parametric_50_node, toy_bundle
-from test_golden import matrix_config
-from vertex_level import build_parametric_population, indicator, split
+from test_golden import HUGE_MATRIX_CONFIG, isolated_class_config, matrix_config
+from vertex_level import build_parametric_population, indicator, split, supervised_per_class
 
 RHO, ALPHA, BETA, GAMMA = 1.0, 0.2, 0.1, 0.05
 
@@ -328,6 +328,18 @@ class TestBuildGraph:
         with pytest.raises(IsolatedVertexError, match="^vertex 2 has zero degree$"):
             build_graph(ParametricAugmentation(0.0, 0.1, 0.0, 0.0), population, STANDARD_WEIGHTS)
 
+    def test_huge_populations_refused_without_a_row_per_example(self):
+        # Expanding 2**40 examples, or mapping each to its row, would not fit
+        # in memory: the matrix's size is checked first, and the isolated
+        # vertex is found by walking the cells.
+        population, model, _ = load_population_config(HUGE_MATRIX_CONFIG)
+        with pytest.raises(PopulationError, match="^transformation matrix has 4 source rows for a "
+                           "population of 1099511627779 examples$"):
+            build_graph(model, population, STANDARD_WEIGHTS)
+        population, model, _ = load_population_config(isolated_class_config(2**40))
+        with pytest.raises(IsolatedVertexError, match="^vertex 1099511627776 has zero degree$"):
+            build_graph(model, population, STANDARD_WEIGHTS)
+
     def test_stack_of_models_matches_each_model(self, toy_a):
         # Array-valued parameters build one graph per entry, each equal to
         # the graph of that entry's own model.
@@ -381,6 +393,24 @@ class TestExactSymmetry:
         arrays["combined"] = combined_adjacency(bundle)
         for name, a in arrays.items():
             assert a.tobytes() == np.swapaxes(a, -1, -2).tobytes(), name
+
+
+class TestSupervisedClassAxis:
+    @settings(max_examples=150, deadline=None)
+    @given(graph_inputs())
+    def test_equals_the_per_class_loop(self, inputs):
+        # Bit for bit: over merged cells, where each class has one labeled
+        # row, and over unmerged cells and examples, where a class has
+        # several labeled rows weighed by their counts.
+        population, model = inputs
+        if isinstance(model, ExplicitAugmentation):
+            layouts = [population.examples()]
+        else:
+            layouts = [population, population.groups()]
+        for rows in layouts:
+            t = transformation_matrix(model, rows)
+            a_l = supervised_adjacency(t, rows)
+            assert a_l.tobytes() == supervised_per_class(t, rows).tobytes()
 
 
 class TestVertexView:

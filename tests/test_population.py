@@ -513,7 +513,9 @@ class TestGroups:
         ]
         assert len(groups) == len(population)
         assert groups.classes == classes and groups.domains == domains
-        assert groups.groups() == groups
+        # nothing merges twice, and a population without a repeated key is its own groups
+        assert groups.groups() is groups
+        assert (groups is population) == (len(distinct) == len(keys))
 
     def test_sampled_mixture_cells_merge(self):
         population = sample_wild_mixture(WILD_CELLS, *WILD_FRACTIONS, seed=3)

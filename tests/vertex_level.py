@@ -27,6 +27,24 @@ from wildgraph import (
 from wildgraph.population import mixture_counts
 
 
+def supervised_per_class(t: np.ndarray, population: Population) -> np.ndarray:
+    """A_l over ``population``'s rows of T, one class at a time.
+
+    Each known class with labeled examples adds the outer product of its
+    count-weighted mean row to an accumulator, in class order.
+    """
+    n = population.counts()
+    labeled = np.array([c.membership is Membership.LABELED_ID for c in population.cells])
+    label = np.array([c.class_label for c in population.cells])
+    out = np.zeros(t.shape[:-2] + (t.shape[-1], t.shape[-1]))
+    for cls in sorted(set(label[labeled].tolist())):
+        rows = np.flatnonzero(labeled & (label == cls))
+        w = n[rows] // np.gcd.reduce(n[rows])
+        mu = (t[..., rows, :] * w[:, None]).sum(axis=-2) / w.sum()
+        out += mu[..., :, None] * mu[..., None, :]
+    return out
+
+
 def split(population: Population) -> Population:
     """The same examples as count-1 cells, in vertex order."""
     cells = tuple(one for c in population.cells for one in (replace(c, count=1),) * c.count)
